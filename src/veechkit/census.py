@@ -121,13 +121,19 @@ def fat_sequence(surface, theta, phi, seed_direction, n, cap=None):
 
 
 class DirectionReport:
-    """Everything the census records about one direction."""
+    """Everything the census records about one direction.
+
+    `decomposition` and `error` stay out of the canonical JSON:
+    `decomposition` is the Decomposition the classification was read from
+    (None when it raised), and `error` is (error type name, message) of the
+    VeechkitError that left the row Undetermined, else None.
+    """
 
     __slots__ = ("direction", "kind", "xi", "m", "s_prime", "cusp",
-                 "certificate")
+                 "certificate", "decomposition", "error")
 
     def __init__(self, direction, kind, xi, m=None, s_prime=None, cusp=None,
-                 certificate=None):
+                 certificate=None, decomposition=None, error=None):
         self.direction = direction
         self.kind = kind
         self.xi = xi          # boundary slope invariant x/y, None = horizontal
@@ -135,6 +141,8 @@ class DirectionReport:
         self.s_prime = s_prime
         self.cusp = cusp      # CuspInvariant, for parabolic directions
         self.certificate = certificate
+        self.decomposition = decomposition
+        self.error = error
 
     def __repr__(self):
         return "DirectionReport(%s, %s)" % (self.direction, self.kind)
@@ -145,7 +153,8 @@ def census(surface, directions, cap=None):
 
     A direction the machinery cannot settle (incomplete decomposition, a
     domain error along the way) comes back Undetermined rather than
-    raising, so a long run always produces a full table.
+    raising, so a long run always produces a full table; a domain error is
+    kept on the report's `error`.
     """
     reports = []
     for d in directions:
@@ -153,8 +162,9 @@ def census(surface, directions, cap=None):
         xi = boundary_point(dirc)
         try:
             cls = classify_direction(surface, dirc, cap=cap)
-        except VeechkitError:
-            reports.append(DirectionReport(dirc, "Undetermined", xi))
+        except VeechkitError as exc:
+            reports.append(DirectionReport(
+                dirc, "Undetermined", xi, error=(type(exc).__name__, str(exc))))
             continue
         m = cls.signature.m if cls.signature else None
         cusp = None
@@ -165,7 +175,8 @@ def census(surface, directions, cap=None):
                 cusp = None
         reports.append(DirectionReport(dirc, cls.kind, xi, m=m,
                                        s_prime=cls.s_prime, cusp=cusp,
-                                       certificate=cls.certificate))
+                                       certificate=cls.certificate,
+                                       decomposition=cls.decomposition))
     return reports
 
 

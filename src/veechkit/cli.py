@@ -8,6 +8,7 @@ reports carry exact scalars as strings, only SVG output is approximate.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -322,7 +323,11 @@ def _cmd_census(args):
     if args.svg:
         entries = []
         for rep in reports:
-            deco = decompose(surf, rep.direction, cap=cap)
+            # only a row whose classification raised has no decomposition;
+            # decomposing it again raises the same error (exit code 1)
+            deco = rep.decomposition
+            if deco is None:
+                deco = decompose(surf, rep.direction, cap=cap)
             entries.append(("dir %s: %s" % (_dir_str(rep.direction), rep.kind),
                             deco))
         _atomic_write(args.svg, gallery_svg(entries))
@@ -359,6 +364,10 @@ def _cmd_render(args):
 # -- parser -------------------------------------------------------------------
 
 
+# built once per process: main() may run many times in one process (as a
+# library call), and a parser per call is cyclic garbage that only a full
+# collection frees, so resident memory would grow with the number of calls
+@functools.cache
 def _build_parser():
     ap = argparse.ArgumentParser(
         prog="veechkit",

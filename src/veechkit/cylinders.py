@@ -101,7 +101,7 @@ class Decomposition:
 
     __slots__ = ("surface", "direction", "frame", "normalized", "status",
                  "cylinders", "connections", "vertex_leaves", "barriers",
-                 "marks", "cap")
+                 "barrier_vertices", "marks", "cap")
 
     def __init__(self, **kw):
         for k in self.__slots__:
@@ -152,7 +152,8 @@ class Decomposition:
     def _ray(self, polygon, point, direction):
         ev = trace(self.normalized, polygon, point, direction,
                    stop_at_marked=False, cap=self.cap, detect_closure=False,
-                   stop_on=_barrier_hook(self.barriers))
+                   stop_on=_barrier_hook(self.barriers,
+                                         self.barrier_vertices))
         if ev.kind not in (STOPPED, SINGULAR):
             raise InconsistentTopology(
                 "transverse ray escaped the decomposition (%s)" % ev.kind)
@@ -191,14 +192,37 @@ def _point_on(ev, tau):
     return seg.polygon, seg.point_at(tau)
 
 
-def _barrier_hook(barriers):
+def _barrier_vertices(surface, barriers):
+    """polygon -> chart representatives of the regular vertices that lie on
+    a barrier leaf.
+
+    A leaf through a regular vertex may touch only some of the vertex's
+    corners, so a ray reaching the vertex at another corner meets no barrier
+    segment of its own chart; it crosses the leaf all the same.
+    """
+    out = {}
+    for cls, corners in enumerate(surface.vertex_classes):
+        if surface.cone_windings[cls] > 1:
+            continue
+        reps = [(p, surface.polygons[p].vertex(k)) for p, k in corners]
+        if any(_on_leaf(bs, pt) for p, pt in reps
+               for bs in barriers.get(p, [])):
+            for p, pt in reps:
+                out.setdefault(p, []).append(pt)
+    return out
+
+
+def _barrier_hook(barriers, vertices=None):
     """stop_on hook halting a horizontal ray at its first barrier crossing.
 
     Barriers are vertical and the ray is horizontal, so a crossing is the
     barrier's x inside the ray segment's x-span with the ray's y inside the
-    barrier's y-span; only the nearest one is turned into a parameter.  Any
-    other shape is an inconsistency, never a guess.
+    barrier's y-span; only the nearest one is turned into a parameter.  A
+    segment ending at one of `vertices` (see _barrier_vertices) crosses a
+    barrier at its end.  Any other shape is an inconsistency, never a guess.
     """
+    vertices = vertices or {}
+
     def stop(seg):
         ax, bx, y = seg.a.x, seg.b.x, seg.a.y
         if seg.b.y != y:
@@ -219,6 +243,8 @@ def _barrier_hook(barriers):
                 continue
             if best is None or (x - best).sign() * sense < 0:
                 best = x
+        if best is None and seg.b in vertices.get(seg.polygon, ()):
+            best = bx
         if best is None:
             return None
         return (best - ax) / (bx - ax), None
@@ -303,9 +329,11 @@ def decompose(surface, direction, cap=None) -> Decomposition:
                          normalized=normalized, status="complete",
                          cylinders=[], connections=connections,
                          vertex_leaves=vertex_leaves, barriers=barriers,
+                         barrier_vertices=_barrier_vertices(normalized,
+                                                            barriers),
                          marks=None, cap=run_cap)
 
-    hook = _barrier_hook(barriers)
+    hook = _barrier_hook(barriers, deco.barrier_vertices)
     for corner in ray_corners:
         ev = trace(normalized, corner=corner, direction=_EAST,
                    stop_at_marked=False, cap=run_cap, stop_on=hook,

@@ -71,3 +71,14 @@ class NotParabolicMatrix(VeechkitError):
 
 class NoConnections(VeechkitError):
     pass
+
+
+class TraceOverflow(VeechkitError):
+    """A trace ran for max_steps segments without resolving.
+
+    `segments` holds the partial path traced so far.
+    """
+
+    def __init__(self, message, segments=()):
+        super().__init__(message)
+        self.segments = segments

@@ -1,11 +1,20 @@
-"""Exact scalars a + b*sqrt(d) over the rationals, and their continued fractions.
+"""Exact scalars (n + m*sqrt(d)) / q over the rationals, and their continued
+fractions.
 
-A scalar carries a squarefree tag d (d == 0 means plain rational).  All
-comparisons are decided by integer sign tests -- no floating point enters any
-computation; __float__ exists only so callers can render approximate pictures.
+A scalar is stored as one reduced integer tuple (n, m, q, d): q > 0,
+gcd(n, m, q) == 1, and d is a squarefree tag >= 2, or 0 exactly when m == 0
+(a plain rational).  That form is canonical, so equality is tuple equality,
+and every operation -- + - * /, negation, sign, floor and the comparisons --
+runs on Python ints alone.  A comparison is the sign of n + m*sqrt(d),
+decided by comparing n^2 with d*m^2; no floating point enters any
+computation, and __float__ exists only so callers can render approximate
+pictures.
 
-Canonical form: if b == 0 the tag collapses to d == 0, so equality and hashing
-are structural.  Mixing two different nonzero tags raises FieldMismatch.
+The rational and radical parts a = n/q and b = m/q are read as Fractions
+(`.a`, `.b`); Fractions are built only there and in `as_fraction`, for text,
+JSON and hashing.  A rational scalar hashes like the int or Fraction it
+equals, a quadratic one like (d, a, b).  Mixing two different nonzero tags
+raises FieldMismatch.
 """
 
 from __future__ import annotations
@@ -13,11 +22,9 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from math import gcd
 
 from .errors import FieldMismatch, NotCommensurable, ZeroInput
-
-_F0 = Fraction(0)
-_F1 = Fraction(1)
 
 _squarefree_ok: set[int] = set()
 
@@ -45,16 +52,63 @@ def _floor_times_sqrt(m: int, d: int) -> int:
     return -r if r * r == m * m * d else -r - 1
 
 
-class FieldScalar:
-    """Immutable exact number a + b*sqrt(d)."""
+def _sign(n: int, m: int, d: int) -> int:
+    """Sign of n + m*sqrt(d) for a squarefree d (any d when m == 0)."""
+    if not m:
+        return (n > 0) - (n < 0)
+    if not n or (n > 0) == (m > 0):
+        return 1 if m > 0 else -1
+    # opposite signs: compare |n| against |m|*sqrt(d) via squares
+    lhs, rhs = n * n, d * m * m
+    if lhs == rhs:  # would force sqrt(d) rational
+        raise ArithmeticError("non-squarefree tag leaked into comparison")
+    return (1 if n > 0 else -1) if lhs > rhs else (1 if m > 0 else -1)
 
-    __slots__ = ("d", "a", "b")
+
+def _tag(d1: int, d2: int) -> int:
+    """The tag of a result from operands tagged d1 != d2."""
+    if d1 and d2:
+        raise FieldMismatch("cannot mix sqrt(%d) with sqrt(%d)" % (d1, d2))
+    return d1 or d2
+
+
+def _parts(x):
+    """(n, m, q, d) of a scalar, int or Fraction operand; None otherwise."""
+    if type(x) is FieldScalar:
+        return x._t
+    if isinstance(x, int):
+        return (int(x), 0, 1, 0)
+    if isinstance(x, Fraction):
+        return (x.numerator, 0, x.denominator, 0)
+    return None
+
+
+_new = object.__new__
+
+
+def _reduced(n: int, m: int, q: int, d: int) -> "FieldScalar":
+    """The scalar (n + m*sqrt(d)) / q, for q > 0, in canonical form."""
+    if q != 1:
+        g = gcd(n, m, q)
+        if g != 1:
+            n //= g
+            m //= g
+            q //= g
+    s = _new(FieldScalar)
+    _set(s, (n, m, q, d) if m else (n, 0, q, 0))
+    return s
+
+
+class FieldScalar:
+    """Immutable exact number a + b*sqrt(d), stored as (n + m*sqrt(d)) / q."""
+
+    __slots__ = ("_t",)
 
     def __init__(self, a, b=0, d=0):
         a = a if isinstance(a, Fraction) else Fraction(a)
         b = b if isinstance(b, Fraction) else Fraction(b)
         if d == 1:  # sqrt(1) folds into the rational part
-            a, b, d = a + b, _F0, 0
+            a, b, d = a + b, Fraction(0), 0
         if not b:
             d = 0
         if d == 0:
@@ -62,9 +116,10 @@ class FieldScalar:
                 raise ValueError("rational scalar cannot carry a radical part")
         else:
             _check_squarefree(d)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "d", d)
+        # over q = lcm of the reduced denominators, gcd(n, m, q) is already 1
+        qa, qb = a.denominator, b.denominator
+        q = qa * qb // gcd(qa, qb)
+        _set(self, (a.numerator * (q // qa), b.numerator * (q // qb), q, d))
 
     def __setattr__(self, *_):
         raise AttributeError("FieldScalar is immutable")
@@ -72,142 +127,151 @@ class FieldScalar:
     # -- construction helpers -------------------------------------------------
 
     @classmethod
-    def _raw(cls, a: Fraction, b: Fraction, d: int) -> "FieldScalar":
-        self = object.__new__(cls)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "d", d if b else 0)
-        return self
-
-    @classmethod
     def rational(cls, x) -> "FieldScalar":
-        return cls._raw(x if isinstance(x, Fraction) else Fraction(x), _F0, 0)
+        if not isinstance(x, (int, Fraction)):
+            x = Fraction(x)
+        s = _new(cls)
+        _set(s, _parts(x))
+        return s
 
     @classmethod
     def sqrt_of(cls, d: int) -> "FieldScalar":
         """The scalar sqrt(d) itself."""
-        if d == 0:
-            return cls._raw(_F0, _F0, 0)
-        if d == 1:
-            return cls._raw(_F1, _F0, 0)
+        if d in (0, 1):
+            return cls.rational(d)
         _check_squarefree(d)
-        return cls._raw(_F0, _F1, d)
+        s = _new(cls)
+        _set(s, (0, 1, 1, d))
+        return s
 
-    # -- coercion -------------------------------------------------------------
+    # -- parts ----------------------------------------------------------------
 
-    def _pair(self, other) -> "FieldScalar":
-        if isinstance(other, FieldScalar):
-            if self.d and other.d and self.d != other.d:
-                raise FieldMismatch(
-                    "cannot mix sqrt(%d) with sqrt(%d)" % (self.d, other.d)
-                )
-            return other
-        if isinstance(other, (int, Fraction)):
-            return FieldScalar._raw(Fraction(other), _F0, 0)
-        return NotImplemented
+    @property
+    def d(self) -> int:
+        return self._t[3]
+
+    @property
+    def a(self) -> Fraction:
+        """Rational part, reduced."""
+        return Fraction(self._t[0], self._t[2])
+
+    @property
+    def b(self) -> Fraction:
+        """Coefficient of sqrt(d), reduced."""
+        return Fraction(self._t[1], self._t[2])
 
     # -- arithmetic -----------------------------------------------------------
 
     def __add__(self, other):
-        o = self._pair(other)
-        if o is NotImplemented:
-            return o
-        return FieldScalar._raw(self.a + o.a, self.b + o.b, self.d or o.d)
+        t = _parts(other)
+        if t is None:
+            return NotImplemented
+        n1, m1, q1, d1 = self._t
+        n2, m2, q2, d2 = t
+        if d1 != d2:
+            d1 = _tag(d1, d2)
+        if q1 == q2:
+            return _reduced(n1 + n2, m1 + m2, q1, d1)
+        return _reduced(n1 * q2 + n2 * q1, m1 * q2 + m2 * q1, q1 * q2, d1)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._pair(other)
-        if o is NotImplemented:
-            return o
-        return FieldScalar._raw(self.a - o.a, self.b - o.b, self.d or o.d)
+        t = _parts(other)
+        if t is None:
+            return NotImplemented
+        n1, m1, q1, d1 = self._t
+        n2, m2, q2, d2 = t
+        if d1 != d2:
+            d1 = _tag(d1, d2)
+        if q1 == q2:
+            return _reduced(n1 - n2, m1 - m2, q1, d1)
+        return _reduced(n1 * q2 - n2 * q1, m1 * q2 - m2 * q1, q1 * q2, d1)
 
     def __rsub__(self, other):
-        o = self._pair(other)
-        if o is NotImplemented:
-            return o
-        return FieldScalar._raw(o.a - self.a, o.b - self.b, self.d or o.d)
+        if _parts(other) is None:
+            return NotImplemented
+        return -self + other
 
     def __neg__(self):
-        return FieldScalar._raw(-self.a, -self.b, self.d)
+        n, m, q, d = self._t
+        s = _new(FieldScalar)
+        _set(s, (-n, -m, q, d))
+        return s
 
     def __mul__(self, other):
-        o = self._pair(other)
-        if o is NotImplemented:
-            return o
-        if not self.b and not o.b:
-            return FieldScalar._raw(self.a * o.a, _F0, 0)
-        d = self.d or o.d
-        a = self.a * o.a + self.b * o.b * d
-        b = self.a * o.b + self.b * o.a
-        return FieldScalar._raw(a, b if b else _F0, d)
+        t = _parts(other)
+        if t is None:
+            return NotImplemented
+        n1, m1, q1, d1 = self._t
+        n2, m2, q2, d2 = t
+        if d1 != d2:
+            d1 = _tag(d1, d2)
+        if not (m1 or m2):
+            return _reduced(n1 * n2, 0, q1 * q2, 0)
+        return _reduced(n1 * n2 + m1 * m2 * d1, n1 * m2 + m1 * n2, q1 * q2, d1)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._pair(other)
-        if o is NotImplemented:
-            return o
-        if not o.a and not o.b:
-            raise ZeroDivisionError("division by zero scalar")
-        if not o.b:
-            return FieldScalar._raw(self.a / o.a, self.b / o.a, self.d)
-        # multiply by the conjugate; the norm a^2 - d b^2 is a nonzero rational
-        norm = o.a * o.a - o.d * o.b * o.b
-        return self * FieldScalar._raw(o.a / norm, -o.b / norm, o.d)
+        t = _parts(other)
+        if t is None:
+            return NotImplemented
+        return _divide(self._t, t)
 
     def __rtruediv__(self, other):
-        o = self._pair(other)
-        if o is NotImplemented:
-            return o
-        return o / self
+        t = _parts(other)
+        if t is None:
+            return NotImplemented
+        return _divide(t, self._t)
 
     # -- order ----------------------------------------------------------------
 
     def sign(self) -> int:
-        """Exact sign in {-1, 0, 1}, decided by rational comparisons only."""
-        a, b = self.a, self.b
-        if not b:
-            return -1 if a < 0 else (1 if a > 0 else 0)
-        if not a:
-            return -1 if b < 0 else 1
-        sa = 1 if a > 0 else -1
-        sb = 1 if b > 0 else -1
-        if sa == sb:
-            return sa
-        # opposite signs: compare |a| against |b|*sqrt(d) via squares
-        lhs, rhs = a * a, self.d * b * b
-        if lhs == rhs:  # would force sqrt(d) rational
-            raise ArithmeticError("non-squarefree tag leaked into comparison")
-        return sa if lhs > rhs else sb
+        """Exact sign in {-1, 0, 1}, decided by integer comparisons only."""
+        n, m, _, d = self._t
+        return _sign(n, m, d)
+
+    def _cmp(self, other):
+        """Sign of self - other, or NotImplemented for a foreign operand."""
+        t = _parts(other)
+        if t is None:
+            return NotImplemented
+        n1, m1, q1, d1 = self._t
+        n2, m2, q2, d2 = t
+        if d1 != d2:
+            d1 = _tag(d1, d2)
+        return _sign(n1 * q2 - n2 * q1, m1 * q2 - m2 * q1, d1)
 
     def __eq__(self, other):
-        o = self._pair(other) if not isinstance(other, FieldScalar) else other
-        if o is NotImplemented:
-            return o
-        if isinstance(o, FieldScalar) and self.d and o.d and self.d != o.d:
-            return False
-        return self.a == o.a and self.b == o.b
+        t = _parts(other)
+        return NotImplemented if t is None else self._t == t
 
     def __hash__(self):
-        if not self.b:
-            return hash(self.a)
-        return hash((self.d, self.a, self.b))
+        n, m, q, d = self._t
+        if not m:
+            return hash(n) if q == 1 else hash(Fraction(n, q))
+        return hash((d, Fraction(n, q), Fraction(m, q)))
 
     def __lt__(self, other):
-        return (self - other).sign() < 0
+        c = self._cmp(other)
+        return c if c is NotImplemented else c < 0
 
     def __le__(self, other):
-        return (self - other).sign() <= 0
+        c = self._cmp(other)
+        return c if c is NotImplemented else c <= 0
 
     def __gt__(self, other):
-        return (self - other).sign() > 0
+        c = self._cmp(other)
+        return c if c is NotImplemented else c > 0
 
     def __ge__(self, other):
-        return (self - other).sign() >= 0
+        c = self._cmp(other)
+        return c if c is NotImplemented else c >= 0
 
     def __bool__(self):
-        return bool(self.a) or bool(self.b)
+        t = self._t
+        return t[0] != 0 or t[1] != 0
 
     def __abs__(self):
         return -self if self.sign() < 0 else self
@@ -216,22 +280,19 @@ class FieldScalar:
 
     @property
     def is_rational(self) -> bool:
-        return not self.b
+        return not self._t[1]
 
     def as_fraction(self) -> Fraction:
-        if self.b:
+        n, m, q, _ = self._t
+        if m:
             raise ValueError("scalar %s is irrational" % self)
-        return self.a
+        return Fraction(n, q)
 
     def __floor__(self) -> int:
-        if not self.b:
-            return self.a.numerator // self.a.denominator
-        # write self = (N + M*sqrt(d)) / D with integer N, M and D > 0
-        q, s = self.a.denominator, self.b.denominator
-        big_d = q * s
-        big_n = self.a.numerator * s
-        big_m = self.b.numerator * q
-        return (big_n + _floor_times_sqrt(big_m, self.d)) // big_d
+        n, m, q, d = self._t
+        if not m:
+            return n // q
+        return (n + _floor_times_sqrt(m, d)) // q
 
     def floor_frac(self) -> tuple[int, "FieldScalar"]:
         """(n, r) with n = floor(self) and r = self - n in [0, 1)."""
@@ -247,24 +308,26 @@ class FieldScalar:
         return "FieldScalar(%s)" % self
 
     def __str__(self):
-        if not self.b:
-            return str(self.a)
+        a, b = self.a, self.b
+        if not b:
+            return str(a)
         rad = "sqrt(%d)" % self.d
-        if self.b == 1:
+        if b == 1:
             bs = rad
-        elif self.b == -1:
+        elif b == -1:
             bs = "-" + rad
         else:
-            bs = "%s*%s" % (self.b, rad)
-        if not self.a:
+            bs = "%s*%s" % (b, rad)
+        if not a:
             return bs
-        return "%s%s%s" % (self.a, "" if bs.startswith("-") else "+", bs)
+        return "%s%s%s" % (a, "" if bs.startswith("-") else "+", bs)
 
     def to_json(self) -> dict:
+        a, b = self.a, self.b
         return {
             "d": self.d,
-            "a": "%d/%d" % (self.a.numerator, self.a.denominator),
-            "b": "%d/%d" % (self.b.numerator, self.b.denominator),
+            "a": "%d/%d" % (a.numerator, a.denominator),
+            "b": "%d/%d" % (b.numerator, b.denominator),
         }
 
     @classmethod
@@ -272,6 +335,30 @@ class FieldScalar:
         if isinstance(obj, dict):
             return cls(Fraction(obj["a"]), Fraction(obj.get("b", 0)), int(obj.get("d", 0)))
         return parse_scalar(obj)
+
+
+_set = FieldScalar._t.__set__
+
+
+def _divide(t1, t2) -> FieldScalar:
+    """(n1 + m1*sqrt(d)) / q1 divided by (n2 + m2*sqrt(d)) / q2."""
+    n1, m1, q1, d1 = t1
+    n2, m2, q2, d2 = t2
+    if d1 != d2:
+        d1 = _tag(d1, d2)
+    if not m2:
+        if not n2:
+            raise ZeroDivisionError("division by zero scalar")
+        if n2 < 0:
+            n1, m1, n2 = -n1, -m1, -n2
+        return _reduced(n1 * q2, m1 * q2, q1 * n2, d1)
+    # multiply by the conjugate; the norm n2^2 - d m2^2 is a nonzero integer
+    norm = n2 * n2 - d1 * m2 * m2
+    n = (n1 * n2 - m1 * m2 * d1) * q2
+    m = (m1 * n2 - n1 * m2) * q2
+    if norm < 0:
+        n, m, norm = -n, -m, -norm
+    return _reduced(n, m, q1 * norm, d1)
 
 
 def scalar(x) -> FieldScalar:
@@ -313,7 +400,7 @@ def parse_scalar(text: str) -> FieldScalar:
         m = _TERM_RE.match(term)
         if not m or (m.group("coef") is None and m.group("rad") is None):
             raise ValueError("cannot parse scalar literal %r" % text)
-        coef = Fraction(m.group("coef")) if m.group("coef") else _F1
+        coef = Fraction(m.group("coef")) if m.group("coef") else Fraction(1)
         if m.group("sign") == "-":
             coef = -coef
         if m.group("rad") is not None:
@@ -343,7 +430,7 @@ def field_sqrt(x: FieldScalar, ambient_d: int = 0):
             g = f / ambient_d
             rn, rd = math.isqrt(g.numerator), math.isqrt(g.denominator)
             if rn * rn == g.numerator and rd * rd == g.denominator:
-                return FieldScalar(_F0, Fraction(rn, rd), ambient_d)
+                return FieldScalar(0, Fraction(rn, rd), ambient_d)
         return None
     # solve (u + w*sqrt(d))^2 = a + b*sqrt(d)
     a, b, d = x.a, x.b, x.d
@@ -469,8 +556,9 @@ def continued_fraction(x, n: int, state_cap: int = 64) -> ContinuedFraction:
         p_prev2, p_prev = p_prev, p
         q_prev2, q_prev = q_prev, q
 
-    if x.is_rational:
-        p, q = x.a.numerator, x.a.denominator
+    num_p, num_m, den, d = x._t  # x = (num_p + num_m*sqrt(d)) / den
+    if not num_m:
+        p, q = num_p, den
         while len(quotients) < n:
             a, r = divmod(p, q)
             push(a)
@@ -480,11 +568,6 @@ def continued_fraction(x, n: int, state_cap: int = 64) -> ContinuedFraction:
         return ContinuedFraction(quotients, convergents, None, False)
 
     # surd state: x_i = (P + sqrt(D)) / Q with Q | D - P^2
-    d = x.d
-    qa, sb = x.a.denominator, x.b.denominator
-    den = qa * sb
-    num_p = x.a.numerator * sb
-    num_m = x.b.numerator * qa  # x = (num_p + num_m*sqrt(d)) / den
     if num_m < 0:
         num_p, num_m, den = -num_p, -num_m, -den
     big_d = num_m * num_m * d

@@ -13,6 +13,7 @@ from .field import FieldScalar, scalar
 
 _ZERO = FieldScalar.rational(0)
 _ONE = FieldScalar.rational(1)
+_new = object.__new__
 
 
 class Vec2:
@@ -32,16 +33,16 @@ class Vec2:
         return hash((self.x, self.y))
 
     def __add__(self, o):
-        return Vec2(self.x + o.x, self.y + o.y)
+        return _vec(self.x + o.x, self.y + o.y)
 
     def __sub__(self, o):
-        return Vec2(self.x - o.x, self.y - o.y)
+        return _vec(self.x - o.x, self.y - o.y)
 
     def __neg__(self):
-        return Vec2(-self.x, -self.y)
+        return _vec(-self.x, -self.y)
 
     def __mul__(self, s):
-        return Vec2(self.x * s, self.y * s)
+        return _vec(self.x * s, self.y * s)
 
     __rmul__ = __mul__
 
@@ -54,6 +55,14 @@ class Vec2:
     @classmethod
     def from_json(cls, obj):
         return cls(FieldScalar.from_json(obj[0]), FieldScalar.from_json(obj[1]))
+
+
+def _vec(x: FieldScalar, y: FieldScalar) -> Vec2:
+    """Vec2 from coordinates that are already FieldScalars (no coercion)."""
+    v = _new(Vec2)
+    v.x = x
+    v.y = y
+    return v
 
 
 def cross(u: Vec2, v: Vec2) -> FieldScalar:
@@ -196,14 +205,14 @@ class Mat2:
 
     def __mul__(self, other):
         if isinstance(other, Mat2):
-            return Mat2(
+            return _mat(
                 self.a * other.a + self.b * other.c,
                 self.a * other.b + self.b * other.d,
                 self.c * other.a + self.d * other.c,
                 self.c * other.b + self.d * other.d,
             )
         if isinstance(other, Vec2):
-            return Vec2(
+            return _vec(
                 self.a * other.x + self.b * other.y,
                 self.c * other.x + self.d * other.y,
             )
@@ -213,7 +222,7 @@ class Mat2:
         det = self.det()
         if not det:
             raise ZeroDivisionError("singular matrix")
-        return Mat2(self.d / det, -self.b / det, -self.c / det, self.a / det)
+        return _mat(self.d / det, -self.b / det, -self.c / det, self.a / det)
 
     def pow(self, n: int) -> "Mat2":
         m = self if n >= 0 else self.inverse()
@@ -234,6 +243,14 @@ class Mat2:
     def from_json(cls, rows):
         return cls(FieldScalar.from_json(rows[0][0]), FieldScalar.from_json(rows[0][1]),
                    FieldScalar.from_json(rows[1][0]), FieldScalar.from_json(rows[1][1]))
+
+
+def _mat(a: FieldScalar, b: FieldScalar, c: FieldScalar,
+         d: FieldScalar) -> Mat2:
+    """Mat2 from entries that are already FieldScalars (no coercion)."""
+    m = _new(Mat2)
+    m.a, m.b, m.c, m.d = a, b, c, d
+    return m
 
 
 def horocycle_matrix(s) -> Mat2:
@@ -283,7 +300,7 @@ def canonical_direction(v: Vec2) -> Vec2:
         return Vec2(nx, ny)
     # irrational slope: divide by |x| or |y|, flip into the upper half plane
     ref = v.y if v.y else v.x
-    w = Vec2(v.x / abs(ref), v.y / abs(ref))
+    w = _vec(v.x / abs(ref), v.y / abs(ref))
     if w.y.sign() < 0 or (not w.y and w.x.sign() < 0):
         w = -w
     return w

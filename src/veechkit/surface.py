@@ -14,8 +14,6 @@ edge (excluded).
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import (FieldMismatch, InconsistentTopology, InvalidParams,
                      NonMultipleOf2Pi, VeechkitError)
 from .field import FieldScalar, scalar
@@ -26,18 +24,20 @@ Corner = tuple  # (polygon index, vertex index)
 
 
 class Polygon:
-    __slots__ = ("vertices", "n")
+    __slots__ = ("vertices", "n", "_edges")
 
     def __init__(self, vertices):
-        self.vertices = [v if isinstance(v, Vec2) else Vec2(*v) for v in vertices]
-        self.n = len(self.vertices)
+        vs = [v if isinstance(v, Vec2) else Vec2(*v) for v in vertices]
+        self.vertices = vs
+        self.n = n = len(vs)
+        self._edges = [vs[(e + 1) % n] - vs[e] for e in range(n)]
 
     def vertex(self, v: int) -> Vec2:
         return self.vertices[v % self.n]
 
     def edge(self, e: int) -> Vec2:
         """Vector along edge e, from vertex e to vertex e+1."""
-        return self.vertices[(e + 1) % self.n] - self.vertices[e % self.n]
+        return self._edges[e % self.n]
 
     def signed_area2(self) -> FieldScalar:
         # twice the shoelace area
@@ -480,11 +480,6 @@ class Surface:
         gluings = [((0, 1), (1, 3)), ((0, 2), (2, 0)), ((0, 0), (2, 2)),
                    ((0, 3), (1, 1)), ((1, 0), (1, 2)), ((2, 3), (2, 1))]
         return cls([r0, r1, r2], gluings, field_d=None, marked=marked)
-
-
-def rational_fraction(x) -> Fraction:
-    """Small helper for callers that know a scalar is rational."""
-    return scalar(x).as_fraction()
 
 
 def singularities(surface: Surface):

@@ -15,7 +15,7 @@ developed picture; the geometric length is tau * |v|.
 from __future__ import annotations
 
 from .errors import (AmbiguousStart, InconsistentTopology, InvalidParams,
-                     VeechkitError)
+                     TraceOverflow)
 from .field import FieldScalar, field_sqrt, scalar
 from .geometry import (Vec2, canonical_direction, ccw_sector_contains, cross,
                        dist2_point_segment, dot, polygon_contains, same_ray,
@@ -218,7 +218,8 @@ def trace(surface, polygon=None, point=None, direction=None, *, corner=None,
     through.  Terminal kinds: ClosedUp (back at the start point),
     HitSingularity, HitMarkedPoint (unless stop_at_marked is off), CapExceeded,
     or Stopped when the stop_on hook fires.  Hook: stop_on(segment) may return
-    (t_local, payload) to stop inside that segment.
+    (t_local, payload) to stop inside that segment.  A trace still unresolved
+    after max_steps segments raises TraceOverflow with the partial path.
     """
     v = direction if isinstance(direction, Vec2) else Vec2(*direction)
     if v.is_zero():
@@ -327,8 +328,8 @@ def trace(surface, polygon=None, point=None, direction=None, *, corner=None,
         else:
             p2, e2 = surface.partner[(p, exit_edge)]
             state = ("go", p2, seg.b + surface.translation[(p, exit_edge)])
-    raise VeechkitError("trace exceeded %d segments without resolving"
-                        % max_steps)
+    raise TraceOverflow("trace exceeded %d segments without resolving"
+                        % max_steps, segments)
 
 
 def departing_corners(surface, direction, cls=None):

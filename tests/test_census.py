@@ -1,16 +1,19 @@
 """Cusp invariants, fat-direction sequences, and census tables."""
 
+import importlib
 from fractions import Fraction
 
 import pytest
 
-from veechkit.errors import NoConnections, NotParabolicMatrix
+from veechkit.errors import (InconsistentTopology, NoConnections,
+                             NotParabolicMatrix)
 from veechkit.field import FieldScalar, scalar
 from veechkit.geometry import Mat2, Vec2
 from veechkit.linear import twist_matrix
 from veechkit.surface import Surface
-from veechkit.census import (CuspInvariant, census, census_to_json,
-                             cusp_invariant, fat_sequence, report_to_json)
+from veechkit.census import (CuspInvariant, DirectionReport, census,
+                             census_to_json, cusp_invariant, fat_sequence,
+                             report_to_json)
 
 F = Fraction
 SQRT5 = FieldScalar(0, 1, 5)
@@ -123,6 +126,31 @@ def test_census_reports_undetermined_instead_of_raising():
     reps = census(Surface.cross(1, 1), [(1, 0), (scalar(1), g)], cap=8)
     assert [r.kind for r in reps] == ["Parabolic", "Undetermined"]
     assert reps[1].m is None and reps[1].s_prime is None
+
+
+def test_census_records_why_a_row_is_undetermined(monkeypatch):
+    surf = Surface.cross(1, 1)
+    plain = census(surf, SEEDS[:2])
+    assert [r.error for r in plain] == [None, None]
+    assert all(r.decomposition.complete for r in plain)
+
+    # the package binds the name `census` to the function, not the module
+    module = importlib.import_module("veechkit.census")
+    real = module.classify_direction
+
+    def failing(surface, direction, cap=None):
+        if direction == Vec2(0, 1):
+            raise InconsistentTopology("forced failure")
+        return real(surface, direction, cap=cap)
+
+    monkeypatch.setattr(module, "classify_direction", failing)
+    reps = census(surf, SEEDS[:2])
+    assert [r.kind for r in reps] == ["Parabolic", "Undetermined"]
+    assert reps[1].error == ("InconsistentTopology", "forced failure")
+    assert reps[1].decomposition is None
+    # the reason stays out of the canonical JSON
+    bare = DirectionReport(reps[1].direction, "Undetermined", reps[1].xi)
+    assert census_to_json(reps) == census_to_json([reps[0], bare])
 
 
 def test_census_json_is_deterministic():

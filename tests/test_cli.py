@@ -1,9 +1,13 @@
 """Command-line driver: in-process main() calls against temp files."""
 
+import gc
 import json
 
 from veechkit import cli
+from veechkit.cylinders import decompose
+from veechkit.geometry import Vec2
 from veechkit.surface import Surface
+from veechkit.svg import gallery_svg
 
 
 def run(capsys, *argv):
@@ -94,6 +98,46 @@ def test_census_csv_and_determinism(tmp_path, capsys):
         '"0,1",Parabolic,0,1,3\n'
         '"1,1",Parabolic,1,1,5\n'
         '"2,3",Parabolic,2/3,1,2\n')
+
+
+def test_census_svg_reuses_the_census_decompositions(tmp_path, capsys,
+                                                      monkeypatch):
+    path = build_cross(tmp_path, capsys)
+    seeds = tmp_path / "seeds.json"
+    dirs = [[1, 0], [0, 1], [1, 1], [2, 3]]
+    seeds.write_text(json.dumps(dirs))
+    surf = Surface.cross(1, 1)
+    # the gallery as drawn from a fresh decomposition per row
+    expect = gallery_svg([("dir %d,%d: Parabolic" % (x, y),
+                           decompose(surf, Vec2(x, y))) for x, y in dirs])
+    calls = []
+
+    def counting_decompose(*args, **kwargs):
+        calls.append(args)
+        return decompose(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "decompose", counting_decompose)
+    svg = tmp_path / "census.svg"
+    rc, _, _ = run(capsys, "census", path, "--seeds", str(seeds),
+                   "--svg", str(svg))
+    assert rc == 0
+    assert calls == []
+    assert svg.read_text() == expect
+
+
+def test_repeated_calls_leave_no_cyclic_garbage(tmp_path, capsys):
+    # main() runs many times in one process when used as a library; garbage
+    # that only a full collection frees would grow resident memory per call
+    path = build_cross(tmp_path, capsys)
+    seeds = tmp_path / "seeds.json"
+    seeds.write_text(json.dumps([[1, 0], [1, 1]]))
+    for argv in (["info", path], ["classify", path, "--dir", "1,0"],
+                 ["census", path, "--seeds", str(seeds),
+                  "--svg", str(tmp_path / "g.svg")]):
+        gc.collect()
+        rc, _, _ = run(capsys, *argv)
+        assert rc == 0
+        assert gc.collect() == 0
 
 
 def test_census_rejects_float_seeds(tmp_path, capsys):

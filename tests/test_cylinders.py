@@ -4,6 +4,7 @@ Frozen values below (cylinder dimensions, twist images, orbit ratios) were
 computed by hand from the flat pictures before being locked in here.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -174,6 +175,36 @@ def test_barrier_hook_refuses_slanted_segments():
     with pytest.raises(InconsistentTopology):
         trace(deco.normalized, 0, start, Vec2(1, 1), stop_at_marked=False,
               detect_closure=False, stop_on=_barrier_hook(deco.barriers))
+
+
+def _shape(deco):
+    return (len(deco.cylinders), sorted(c.modulus for c in deco.cylinders),
+            [(m.state, m.ratio) for m in deco.marks])
+
+
+def test_ray_through_a_regular_vertex_on_a_barrier():
+    # in the shear below, the east ray from a barrier leaf of direction (1, 2)
+    # reaches the regular vertex (2, 2) at a corner no barrier segment of the
+    # chart touches, yet it crosses the vertical leaf through that vertex
+    shear = Mat2(1, 0, 1, 1)
+    base = decompose(Surface.cross(1, 1), Vec2(1, 1))
+    image = decompose(Surface.cross(1, 1).transform(shear), Vec2(1, 2))
+    assert image.complete and base.complete
+    assert _shape(image) == _shape(base)
+    assert [(c.width, c.height) for c in image.cylinders] == \
+        [(c.width, c.height) for c in base.cylinders]
+    # seeded unimodular images of the marked cross, in the image of (1, 1)
+    surf = Surface.cross(1, 1, marked=[(0, (GOLDEN, Fraction(3, 2)), "q")])
+    base = decompose(surf, Vec2(1, 1))
+    gens = [Mat2(1, 0, 1, 1), Mat2(1, 1, 0, 1)]
+    rng = random.Random(20041)
+    for _ in range(30):
+        a = Mat2.identity()
+        for _ in range(rng.randint(1, 4)):
+            a = rng.choice(gens) * a
+        deco = decompose(surf.transform(a), a * Vec2(1, 1))
+        assert deco.complete
+        assert _shape(deco) == _shape(base)
 
 
 def test_incomplete_direction_stays_open():

@@ -114,6 +114,122 @@ def test_order_matches_sympy(x, y):
     assert (x < y) == bool(to_sympy(x) < to_sympy(y))
 
 
+# ---------------------------------------------------------------------------
+# the integer-triple kernel against the sympy oracle, over Q, Q(sqrt2), Q(sqrt5)
+# ---------------------------------------------------------------------------
+
+FIELDS = (0, 2, 5)
+OPS = {"+": lambda x, y: x + y, "-": lambda x, y: x - y,
+       "*": lambda x, y: x * y, "/": lambda x, y: x / y}
+
+
+def sympy_value(a, b, d):
+    return sympy.Rational(a) + sympy.Rational(b) * sympy.sqrt(d)
+
+
+def sympy_parts(value, d):
+    """(a, b) of an element of sympy's QQ or QQ(sqrt(d)), as Fractions."""
+    if not d:
+        return Fraction(int(value.p), int(value.q)), Fraction(0)
+    coeffs = [Fraction(int(c.numerator), int(c.denominator))
+              for c in value.to_list()]  # highest degree first
+    b, a = ([Fraction(0), Fraction(0)] + coeffs)[-2:]
+    return a, b
+
+
+def is_reduced(f):
+    return (type(f) is Fraction and f.denominator > 0
+            and math.gcd(f.numerator, f.denominator) == 1)
+
+
+@st.composite
+def chains(draw):
+    d = draw(st.sampled_from(FIELDS))
+    part = (lambda: draw(fracs())) if d else (lambda: Fraction(0))
+    start = (draw(fracs()), part())
+    steps = []
+    for _ in range(draw(st.integers(1, 8))):
+        # mode: another scalar, a plain int/Fraction, or the reflected form
+        steps.append((draw(st.sampled_from(sorted(OPS))),
+                      draw(st.sampled_from(("scalar", "plain", "reflected"))),
+                      draw(fracs()), part()))
+    return d, start, steps
+
+
+@settings(max_examples=200, deadline=None)
+@given(chains())
+def test_parts_are_reduced_and_match_sympy_along_chains(chain):
+    d, (a0, b0), steps = chain
+    field = sympy.QQ.algebraic_field(sympy.sqrt(d)) if d else None
+
+    def oracle(a, b):
+        v = sympy_value(a, b, d)
+        return field.from_sympy(v) if d else v
+
+    x, ref = FieldScalar(a0, b0, d), oracle(a0, b0)
+    for op, mode, a, b in steps:
+        fn = OPS[op]
+        if mode == "scalar":
+            y, y_ref = FieldScalar(a, b, d), oracle(a, b)
+        else:
+            y, y_ref = a, oracle(a, 0)
+        left, right = (y, x) if mode == "reflected" else (x, y)
+        left_ref, right_ref = (y_ref, ref) if mode == "reflected" else (ref, y_ref)
+        if op == "/" and not right:
+            with pytest.raises(ZeroDivisionError):
+                fn(left, right)
+            continue
+        x, ref = fn(left, right), fn(left_ref, right_ref)
+        assert type(x) is FieldScalar
+        assert is_reduced(x.a) and is_reduced(x.b)
+        assert (x.a, x.b) == sympy_parts(ref, d)
+        assert x.d == (d if x.b else 0)
+        n, m, q, tag = x._t  # the canonical integer form behind == and hash
+        assert q > 0 and math.gcd(n, m, q) == 1 and (tag == 0) == (m == 0)
+    assert x.sign() == int(sympy.sign(sympy_value(x.a, x.b, d)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(FIELDS), fracs(), fracs(), fracs(), fracs())
+def test_equal_scalars_have_equal_json_and_hash(d, a, b, c, k):
+    x = FieldScalar(a, b if d else 0, d)
+    y = FieldScalar(c, b if d else 0, d)
+    # the same value reached along different paths
+    for z in (x + y - y, (x * y) / y if y else x, (x - k) + k, -(-x), x * 1):
+        assert z == x
+        assert z.to_json() == x.to_json()
+        assert hash(z) == hash(x)
+        assert FieldScalar.from_json(z.to_json()) == x
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(st.integers(-10**30, 10**30), fracs(10**6, 10**6)))
+def test_rationals_equal_and_hash_like_their_value(x):
+    s = FieldScalar.rational(x)
+    assert s == x and x == s
+    assert hash(s) == hash(x)
+    assert s.is_rational and s.as_fraction() == x
+    assert len({s, x}) == 1
+    assert s.d == 0 and s.b == 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(fracs(), fracs().filter(bool), fracs(), fracs().filter(bool))
+def test_mixed_tags_and_zero_division_still_raise(a, b, c, e):
+    x, y = FieldScalar(a, b, 2), FieldScalar(c, e, 5)
+    for fn in list(OPS.values()) + [lambda u, v: u < v, lambda u, v: u >= v]:
+        with pytest.raises(FieldMismatch):
+            fn(x, y)
+        with pytest.raises(FieldMismatch):
+            fn(y, x)
+    assert x != y
+    for zero in (0, Fraction(0), FieldScalar.rational(0), y - y):
+        with pytest.raises(ZeroDivisionError):
+            x / zero
+    with pytest.raises(ZeroDivisionError):
+        1 / (x - x)
+
+
 def test_floor_examples():
     assert SQRT5.floor_frac() == (2, SQRT5 - 2)
     assert scalar(Fraction(-1, 2)).floor_frac() == (-1, scalar(Fraction(1, 2)))

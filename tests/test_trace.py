@@ -9,7 +9,8 @@ from fractions import Fraction
 
 import pytest
 
-from veechkit.errors import AmbiguousStart, InvalidParams
+from veechkit.errors import (AmbiguousStart, InvalidParams, TraceOverflow,
+                             VeechkitError)
 from veechkit.field import FieldScalar, scalar
 from veechkit.geometry import Mat2, Vec2
 from veechkit.surface import Surface
@@ -55,6 +56,23 @@ def test_irrational_slope_does_not_close():
     t = Surface.square_torus()
     ev = trace(t, 0, Vec2(Fraction(1, 2), Fraction(1, 2)), Vec2(scalar(1), GOLDEN), cap=8)
     assert ev.kind == CAPPED  # minimality of the irrational flow
+
+
+def test_max_steps_raises_typed_overflow_with_partial_path():
+    t = Surface.square_torus()
+    start = Vec2(Fraction(1, 2), Fraction(1, 2))
+    direction = Vec2(scalar(1), GOLDEN)
+    with pytest.raises(TraceOverflow) as info:
+        trace(t, 0, start, direction, cap=1000, max_steps=5)
+    assert isinstance(info.value, VeechkitError)
+    segs = info.value.segments
+    assert len(segs) == 5
+    assert segs[0].a == start and not segs[0].tau0
+    for s1, s2 in zip(segs, segs[1:]):
+        assert s1.tau1 == s2.tau0
+    # the partial path is the start of the unbounded trace
+    full = trace(t, 0, start, direction, cap=8)
+    assert [(s.polygon, s.a, s.b) for s in segs] == full.path[:5]
 
 
 def test_ambiguous_start_at_cone():
