@@ -420,8 +420,9 @@ def _finish_chord(p, dirc, comp):
 # -- building the cover -------------------------------------------------------
 
 
-def build_cover(spec: CoverSpec) -> Surface:
-    """d sheet copies of the base, cut along the slits and cross-glued."""
+def _cut_complex(spec: CoverSpec):
+    """(resolved slits, one copy of the base cut open along them, pieces
+    per slit)."""
     base = spec.base
     resolved = [_resolve_slit(base, s) for s in spec.slits]
     _check_disjoint(resolved)
@@ -464,7 +465,30 @@ def build_cover(spec: CoverSpec) -> Surface:
     for j, cnt in enumerate(piece_counts):
         for piece in range(cnt):
             assert (j, piece, "L") in cx.bank and (j, piece, "R") in cx.bank
+    return resolved, cx, piece_counts
 
+
+def _classes_over(cover: Surface, cx: _Complex, degree: int, ep: _Endpoint):
+    """Vertex classes of `cover` (degree copies of the cut complex `cx`)
+    lying over the endpoint `ep`, each with one chart representative."""
+    P = len(cx.polys)
+    classes = {}
+    for q in range(P):
+        for (bp, pt) in ep.aliases:
+            if cx.ancestor[q] != bp:
+                continue
+            for kq, vv in enumerate(cx.polys[q]):
+                if vv == pt:
+                    for copy in range(degree):
+                        c = cover.class_of[(q + copy * P, kq)]
+                        classes.setdefault(c, (q + copy * P, pt))
+    return classes
+
+
+def build_cover(spec: CoverSpec) -> Surface:
+    """d sheet copies of the base, cut along the slits and cross-glued."""
+    base = spec.base
+    resolved, cx, piece_counts = _cut_complex(spec)
     d = spec.degree
     P = len(cx.polys)
     polys = [list(v) for _ in range(d) for v in cx.polys]
@@ -502,16 +526,7 @@ def build_cover(spec: CoverSpec) -> Surface:
     for ep in endpoints:
         if ep.label is None or ep.singular:
             continue
-        classes = {}
-        for q in range(P):
-            for (bp, pt) in ep.aliases:
-                if cx.ancestor[q] != bp:
-                    continue
-                for kq, vv in enumerate(cx.polys[q]):
-                    if vv == pt:
-                        for copy in range(d):
-                            c = built.class_of[(q + copy * P, kq)]
-                            classes.setdefault(c, (q + copy * P, pt))
+        classes = _classes_over(built, cx, d, ep)
         for t, (c, (pq, pt)) in enumerate(sorted(classes.items())):
             if built.cone_windings[c] > 1:
                 labels[c] = ep.label
@@ -571,15 +586,34 @@ def riemann_hurwitz(g_base: int, degree: int, profile) -> int:
     return (2 - chi) // 2
 
 
+def _ramification(cover: Surface, spec: CoverSpec):
+    """Ramification profile of `cover` over the nonsingular slit endpoints,
+    as riemann_hurwitz takes it: one (point, partition) per distinct point,
+    the partition being the cone windings of the cover's vertex classes
+    over that point.  Slits meeting at a point are counted there once, with
+    the monodromy they make together."""
+    resolved, cx, _ = _cut_complex(spec)
+    P = len(cx.polys)
+    if len(cover.polygons) != spec.degree * P or any(
+            cover.polygons[q].vertices != cx.polys[q % P]
+            for q in range(len(cover.polygons))):
+        raise InvalidParams("cover was not built from this spec")
+    profile, seen = [], set()
+    for rs in resolved:
+        for ep in (rs.u, rs.v):
+            point = frozenset(ep.aliases)
+            if ep.singular or point in seen:
+                continue
+            seen.add(point)
+            classes = _classes_over(cover, cx, spec.degree, ep)
+            profile.append((point, sorted(
+                (cover.cone_windings[c] for c in classes), reverse=True)))
+    return profile
+
+
 def is_balanced(cover: Surface, spec: CoverSpec) -> bool:
     """True when every preimage of every nonsingular branch point is
-    ramified, i.e. no sheet permutation fixes a sheet over such a point."""
-    for slit, perm in zip(spec.slits, spec.perms):
-        sp, spt = slit.start_point(spec.base)
-        for (p, pt) in ((sp, spt), (slit.to_polygon, slit.end)):
-            ep = _Endpoint(spec.base, p, pt)
-            if ep.singular:
-                continue
-            if any(perm[i] == i for i in range(spec.degree)):
-                return False
-    return True
+    ramified: each vertex class of `cover` over such a point has total angle
+    above 2pi."""
+    return all(e > 1 for _, partition in _ramification(cover, spec)
+               for e in partition)

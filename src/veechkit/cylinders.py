@@ -19,6 +19,13 @@ y-interval check.  A leaf is closed up only once per new cylinder, through
 the midpoint of the first ray that crosses it (the height, and the
 cylinder's identity key).  Banks and marked points are placed by the same
 test, from the midpoints of their own transverse rays.
+
+Every trace of a decomposition runs up, east or west, so a decomposition
+makes one flow per direction (trace._Flow) and passes it to each trace:
+a chart's edge table is built at most once per direction, the first time a
+trace of that direction enters the chart.  The Decomposition keeps its flows
+(`flows`), so the later rays of `locate` and the twists of `dehn_twist_point`
+and `twist_orbit` reuse the same tables.
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ from .errors import (InconsistentTopology, InvalidParams, NotComplete,
 from .field import (FieldScalar, commensurability_classes,
                     least_common_integer_multiple, scalar)
 from .geometry import Vec2, canonical_direction, normalize_to_vertical
-from .trace import (CLOSED, SINGULAR, STOPPED, Segment, advance,
+from .trace import (CLOSED, SINGULAR, STOPPED, Segment, _Flow, advance,
                     departing_corners, trace)
 
 _UP = Vec2(0, 1)
@@ -101,7 +108,7 @@ class Decomposition:
 
     __slots__ = ("surface", "direction", "frame", "normalized", "status",
                  "cylinders", "connections", "vertex_leaves", "barriers",
-                 "barrier_vertices", "marks", "cap")
+                 "barrier_vertices", "marks", "cap", "flows")
 
     def __init__(self, **kw):
         for k in self.__slots__:
@@ -126,8 +133,8 @@ class Decomposition:
             for bs in self.barriers.get(p, []):
                 if _on_leaf(bs, pt):
                     return MarkPosition("boundary")
-        east = self._ray(polygon, point, _EAST)
-        west = self._ray(polygon, point, _WEST)
+        east = self._ray(polygon, point, "east")
+        west = self._ray(polygon, point, "west")
         eastd, westd = east.param, west.param
         width = eastd + westd
         # the band's midpoint lies on one of the two rays, or is the point
@@ -150,7 +157,7 @@ class Decomposition:
         return self.locate_normalized(polygon, self.frame * pt)
 
     def _ray(self, polygon, point, direction):
-        ev = trace(self.normalized, polygon, point, direction,
+        ev = trace(self.normalized, polygon, point, self.flows[direction],
                    stop_at_marked=False, cap=self.cap, detect_closure=False,
                    stop_on=_barrier_hook(self.barriers,
                                          self.barrier_vertices))
@@ -278,18 +285,23 @@ def decompose(surface, direction, cap=None) -> Decomposition:
     frame = normalize_to_vertical(dirc)
     normalized = surface.transform(frame)
     run_cap = scalar(cap) if cap is not None else normalized.default_cap()
+    # one flow per direction, shared by every trace of this decomposition
+    # and, through Decomposition.flows, by its later rays and twists
+    flows = {name: _Flow(normalized, v)
+             for name, v in (("up", _UP), ("east", _EAST), ("west", _WEST))}
+    up, east = flows["up"], flows["east"]
 
     def bail(connections, vertex_leaves):
         return Decomposition(surface=surface, direction=dirc, frame=frame,
                              normalized=normalized, status="undetermined",
                              cylinders=[], connections=connections,
                              vertex_leaves=vertex_leaves, barriers=None,
-                             marks=None, cap=run_cap)
+                             marks=None, cap=run_cap, flows=flows)
 
     # upward separatrices from the cone points: all must be saddle connections
     connections = []
     for corner in departing_corners(normalized, _UP):
-        ev = trace(normalized, corner=corner, direction=_UP,
+        ev = trace(normalized, corner=corner, direction=up,
                    stop_at_marked=False, cap=run_cap)
         connections.append((corner, ev))
         if ev.kind != SINGULAR:
@@ -303,7 +315,7 @@ def decompose(surface, direction, cap=None) -> Decomposition:
         if normalized.cone_windings[cls] > 1:
             continue
         p, k = normalized.vertex_classes[cls][0]
-        ev = trace(normalized, p, normalized.polygons[p].vertex(k), _UP,
+        ev = trace(normalized, p, normalized.polygons[p].vertex(k), up,
                    stop_at_marked=False, cap=run_cap)
         if ev.kind == CLOSED:
             vertex_leaves.append((cls, ev))
@@ -331,11 +343,11 @@ def decompose(surface, direction, cap=None) -> Decomposition:
                          vertex_leaves=vertex_leaves, barriers=barriers,
                          barrier_vertices=_barrier_vertices(normalized,
                                                             barriers),
-                         marks=None, cap=run_cap)
+                         marks=None, cap=run_cap, flows=flows)
 
     hook = _barrier_hook(barriers, deco.barrier_vertices)
     for corner in ray_corners:
-        ev = trace(normalized, corner=corner, direction=_EAST,
+        ev = trace(normalized, corner=corner, direction=east,
                    stop_at_marked=False, cap=run_cap, stop_on=hook,
                    detect_closure=False)
         if ev.kind not in (STOPPED, SINGULAR):
@@ -350,7 +362,7 @@ def decompose(surface, direction, cap=None) -> Decomposition:
             if known.width != width:
                 raise InconsistentTopology("two widths for one cylinder")
             continue
-        leaf = trace(normalized, mid_p, mid_pt, _UP, stop_at_marked=False,
+        leaf = trace(normalized, mid_p, mid_pt, up, stop_at_marked=False,
                      cap=run_cap)
         if leaf.kind != CLOSED:
             raise InconsistentTopology("cylinder midline failed to close (%s)"
@@ -384,8 +396,8 @@ def _attach_banks(deco, barrier_events):
     for bid, ev in enumerate(barrier_events):
         seg = ev.segments[0]
         q = seg.point_at((seg.tau0 + seg.tau1) / 2)
-        for direction, attr in ((_EAST, "west_boundary"),
-                                (_WEST, "east_boundary")):
+        for direction, attr in (("east", "west_boundary"),
+                                ("west", "east_boundary")):
             ray = deco._ray(seg.polygon, q, direction)
             mid = _point_on(ray, ray.param / 2)
             cyl = _cylinder_at(deco.cylinders,
@@ -508,7 +520,7 @@ def dehn_twist_point(deco: Decomposition, polygon, point, n: int):
     if not delta:
         out = (polygon, npt)
     else:
-        out = advance(deco.normalized, polygon, npt, _UP, delta)
+        out = advance(deco.normalized, polygon, npt, deco.flows["up"], delta)
     back = deco.frame.inverse()
     return out[0], back * out[1]
 
@@ -560,7 +572,8 @@ def twist_orbit(surface, mark, twist_direction, target_direction, n_samples,
         if not delta:
             out = (mp.polygon, npt)
         else:
-            out = advance(deco_c.normalized, mp.polygon, npt, _UP, delta)
+            out = advance(deco_c.normalized, mp.polygon, npt,
+                          deco_c.flows["up"], delta)
         op, opt = out[0], back * out[1]
         spot = deco_d.locate(op, opt)
         if spot.state == "boundary":

@@ -17,8 +17,8 @@ from __future__ import annotations
 from .errors import (FieldMismatch, InconsistentTopology, InvalidParams,
                      NonMultipleOf2Pi, VeechkitError)
 from .field import FieldScalar, scalar
-from .geometry import (Mat2, Vec2, ccw_sector_contains, cross, parallel,
-                       same_ray, segment_point)
+from .geometry import (Mat2, Vec2, ccw_sector_contains, cross, dot, parallel,
+                       same_ray)
 
 Corner = tuple  # (polygon index, vertex index)
 
@@ -53,21 +53,25 @@ class Polygon:
 
     def locate(self, p: Vec2):
         """('vertex', v) / ('edge', e, t) / 'interior' / 'outside' for point p."""
-        for v, q in enumerate(self.vertices):
+        vs = self.vertices
+        for v, q in enumerate(vs):
             if p == q:
                 return ("vertex", v)
-        for e in range(self.n):
-            t = segment_point(self.vertices[e], self.vertices[(e + 1) % self.n], p)
-            if t is not None:
-                return ("edge", e, t)
+        # one cross(edge, p - a) per edge decides both whether p is on the
+        # edge and the edge's share of the winding number
+        below = [(q.y - p.y).sign() <= 0 for q in vs]
         winding = 0
-        for i in range(self.n):
-            a, b = self.vertices[i], self.vertices[(i + 1) % self.n]
-            a_le = (a.y - p.y).sign() <= 0
-            b_le = (b.y - p.y).sign() <= 0
-            if a_le and not b_le and cross(b - a, p - a).sign() > 0:
+        for e, edge in enumerate(self._edges):
+            r = p - vs[e]
+            c = cross(edge, r).sign()
+            if not c:
+                t = dot(r, edge) / dot(edge, edge)
+                if t.sign() >= 0 and (t - 1).sign() <= 0:
+                    return ("edge", e, t)
+            a_le, b_le = below[e], below[(e + 1) % self.n]
+            if a_le and not b_le and c > 0:
                 winding += 1
-            elif b_le and not a_le and cross(b - a, p - a).sign() < 0:
+            elif b_le and not a_le and c < 0:
                 winding -= 1
         return "interior" if winding else "outside"
 

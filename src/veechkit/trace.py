@@ -10,6 +10,21 @@ All positions, directions and parameters are field scalars, so every incidence
 (closing up, hitting a marked point, reaching a vertex) is decided exactly.
 The flow parameter tau is normalised so the position is start + tau * v in the
 developed picture; the geometric length is tau * |v|.
+
+Everything that depends only on the surface and the direction v is computed
+once per direction, by a flow object (_Flow): v, dot(v, v), the field length
+of v, and for each chart, built the first time a trace enters it, a table
+with one row per edge not parallel to v: (e, edge, den = cross(v, edge),
+sign(den), cross(P_e, v), cross(P_e, edge)), P_e the edge's start vertex.
+With c = cross(x, v) of the current point x, the edge parameter of the exit
+is (cross(P_e, v) - c) / den, so a trace step costs one cross product plus a
+subtraction per edge; the ray parameter cross(P_e, edge) - cross(x, edge) is
+formed only for edges that pass the sign screen.  A point pt lies on the
+current leaf exactly when cross(pt, v) == c.  The flow also caches, per
+chart, its marked points with their cross(pt, v), and, per corner of a
+regular vertex, where a trace arriving there goes on.  A flow lives as long
+as its caller keeps it -- one trace, or one decomposition -- and is never
+stored on the surface.
 """
 
 from __future__ import annotations
@@ -18,8 +33,7 @@ from .errors import (AmbiguousStart, InconsistentTopology, InvalidParams,
                      TraceOverflow)
 from .field import FieldScalar, field_sqrt, scalar
 from .geometry import (Vec2, canonical_direction, ccw_sector_contains, cross,
-                       dist2_point_segment, dot, polygon_contains, same_ray,
-                       segment_point)
+                       dist2_point_segment, dot, polygon_contains, same_ray)
 
 _ZERO = FieldScalar.rational(0)
 
@@ -105,7 +119,82 @@ def _resolve_regular(surface, corner, v):
                                % (corner, v))
 
 
-def _start_state(surface, polygon, point, v, corner):
+class _Flow:
+    """The flow in direction v on one surface, shared by the traces that
+    run in that direction.
+
+    Holds v, vv = dot(v, v) and vlen, the length of v in the surface's field
+    (None when it has no square root there).  Per chart, built on first
+    use: the edge table rows (e, edge, den, sign(den), cross(P_e, v),
+    cross(P_e, edge)) for the edges not parallel to v, the marked points as
+    (index, point, cross(point, v)), and the state a trace takes on from
+    each regular-vertex corner it arrives at.
+    """
+
+    __slots__ = ("surface", "v", "vv", "vlen", "_tables", "_marks", "_leave")
+
+    def __init__(self, surface, direction):
+        v = direction if isinstance(direction, Vec2) else Vec2(*direction)
+        if v.is_zero():
+            raise InvalidParams("direction must be nonzero")
+        self.surface = surface
+        self.v = v
+        self.vv = dot(v, v)
+        self.vlen = field_sqrt(self.vv, surface.field_d)
+        self._tables = {}
+        self._marks = {}
+        self._leave = {}
+
+    def table(self, p):
+        rows = self._tables.get(p)
+        if rows is None:
+            poly = self.surface.polygons[p]
+            v = self.v
+            rows = []
+            for e in range(poly.n):
+                edge = poly.edge(e)
+                den = cross(v, edge)
+                sd = den.sign()
+                if not sd:
+                    continue  # parallel: its vertices are caught via its mates
+                a = poly.vertices[e]
+                rows.append((e, edge, den, sd, cross(a, v), cross(a, edge)))
+            self._tables[p] = rows
+        return rows
+
+    def marks(self, p):
+        rows = self._marks.get(p)
+        if rows is None:
+            rows = self._marks[p] = [
+                (idx, pt, cross(pt, self.v))
+                for idx, pt in self.surface.marks_in_polygon(p)]
+        return rows
+
+    def leave(self, corner):
+        """The state a trace goes on in after arriving at regular `corner`."""
+        state = self._leave.get(corner)
+        if state is None:
+            surface = self.surface
+            own = _resolve_regular(surface, corner, self.v)
+            p, k = own
+            x = surface.polygons[p].vertex(k)
+            if same_ray(self.v, surface.ray_out(own)):
+                state = ("slide", p, k, x)
+            else:
+                state = ("go", p, x)
+            self._leave[corner] = state
+        return state
+
+
+def _as_flow(surface, direction) -> _Flow:
+    if not isinstance(direction, _Flow):
+        return _Flow(surface, direction)
+    if direction.surface is not surface:
+        raise InvalidParams("flow belongs to another surface")
+    return direction
+
+
+def _start_state(flow, polygon, point, corner):
     """Normalise the start into ('go', p, x) or ('slide', p, e, x).
 
     Returns (state, aliases) where aliases are the charts naming the start
@@ -113,6 +202,7 @@ def _start_state(surface, polygon, point, v, corner):
     aliases: a separatrix returning to its cone is a saddle connection, not a
     closed loop.
     """
+    surface, v = flow.surface, flow.v
     if corner is not None and point is None:
         point = surface.polygons[corner[0]].vertex(corner[1])
         polygon = corner[0]
@@ -140,72 +230,78 @@ def _start_state(surface, polygon, point, v, corner):
     # vertex start
     vi = where[1]
     cls = surface.class_of[(polygon, vi)]
-    singular = surface.cone_windings[cls] > 1
-    if singular:
-        if corner is None:
-            raise AmbiguousStart(
-                "start at a cone point needs an explicit corner")
-        if surface.class_of[corner] != cls:
-            raise InvalidParams("corner %s does not sit at the start point"
-                               % (corner,))
-        if not ccw_sector_contains(surface.ray_out(corner),
-                                   surface.ray_in(corner), v):
-            raise InvalidParams(
-                "direction %s does not leave through corner %s" % (v, corner))
-        own = corner
-        aliases = []
-    else:
-        own = _resolve_regular(surface, (polygon, vi), v)
+    if surface.cone_windings[cls] <= 1:  # regular vertex
         aliases = [(p, surface.polygons[p].vertex(k))
                    for (p, k) in surface.vertex_classes[cls]]
-    p, k = own
+        return flow.leave((polygon, vi)), aliases
+    if corner is None:
+        raise AmbiguousStart("start at a cone point needs an explicit corner")
+    if surface.class_of[corner] != cls:
+        raise InvalidParams("corner %s does not sit at the start point"
+                            % (corner,))
+    if not ccw_sector_contains(surface.ray_out(corner),
+                               surface.ray_in(corner), v):
+        raise InvalidParams(
+            "direction %s does not leave through corner %s" % (v, corner))
+    p, k = corner
     x = surface.polygons[p].vertex(k)
-    if same_ray(v, surface.ray_out(own)):
-        return ("slide", p, k, x), aliases
-    return ("go", p, x), aliases
+    if same_ray(v, surface.ray_out(corner)):
+        return ("slide", p, k, x), []
+    return ("go", p, x), []
 
 
-def _exit_solve(surface, p, x, v):
+def _exit_solve(surface, p, x, v, cx=None):
     """First boundary crossing of the ray x + t v, t > 0, in polygon p.
 
-    Returns (t, y, vertex_or_None, edge) where vertex is set when the
-    crossing is a polygon vertex.  The edge parameter s = cross(w, v) / den
-    and the ray parameter t = cross(w, edge) / den are screened by sign
-    first; t is divided out only for edges the ray really crosses.
+    v is a direction or a _Flow on `surface`; cx, when given, is
+    cross(x, v).  Returns (t, y, vertex_or_None, edge) where vertex is set
+    when the crossing is a polygon vertex.  The edge parameter
+    s = (cross(P_e, v) - cx) / den is screened by sign from the chart's
+    table; the ray parameter t = (cross(P_e, edge) - cross(x, edge)) / den
+    is formed, screened and divided out only for edges that pass.
     """
-    poly = surface.polygons[p]
+    flow = _as_flow(surface, v)
+    if cx is None:
+        cx = cross(x, flow.v)
     best = None
-    for e in range(poly.n):
-        edge = poly.edge(e)
-        den = cross(v, edge)
-        sd = den.sign()
-        if not sd:
-            continue  # parallel: a vertex on this edge is caught via its mate
-        w = poly.vertices[e] - x
-        num_t = cross(w, edge)
-        if num_t.sign() * sd <= 0:
-            continue  # t <= 0
-        num_s = cross(w, v)
+    for e, edge, den, sd, c_e, k_e in flow.table(p):
+        num_s = c_e - cx
         s_lo = num_s.sign() * sd
         if s_lo < 0:
             continue  # s < 0
         s_hi = (num_s - den).sign() * sd
         if s_hi > 0:
             continue  # s > 1
+        num_t = k_e - cross(x, edge)
+        if num_t.sign() * sd <= 0:
+            continue  # t <= 0
         t = num_t / den
         if best is None or (t - best[0]).sign() < 0:
             vert = None
             if not s_lo:
                 vert = e
             elif not s_hi:
-                vert = (e + 1) % poly.n
+                vert = (e + 1) % surface.polygons[p].n
             best = (t, e, vert)
     if best is None:
         raise InconsistentTopology(
             "ray from %s in polygon %d found no exit" % (x, p))
     t, e, vert = best
-    y = poly.vertices[vert] if vert is not None else x + v * t
+    y = (surface.polygons[p].vertices[vert] if vert is not None
+         else x + flow.v * t)
     return t, y, vert, e
+
+
+def _param_on(seg, pt, v, vv):
+    """Flow parameter at which segment `seg` (along v) passes `pt`, or None
+    when pt is off it; the caller has checked that pt lies on seg's line."""
+    d = dot(pt - seg.a, v)
+    if d.sign() < 0:
+        return None
+    th = seg.tau0 + d / vv
+    if (th - seg.tau1).sign() > 0:
+        return None
+    return th
 
 
 def trace(surface, polygon=None, point=None, direction=None, *, corner=None,
@@ -220,16 +316,18 @@ def trace(surface, polygon=None, point=None, direction=None, *, corner=None,
     or Stopped when the stop_on hook fires.  Hook: stop_on(segment) may return
     (t_local, payload) to stop inside that segment.  A trace still unresolved
     after max_steps segments raises TraceOverflow with the partial path.
+    `direction` is a vector, or a _Flow on `surface` that several traces in
+    one direction share.
     """
-    v = direction if isinstance(direction, Vec2) else Vec2(*direction)
-    if v.is_zero():
-        raise InvalidParams("direction must be nonzero")
-    state, aliases = _start_state(surface, polygon, point, v, corner)
-    if not detect_closure:
-        aliases = []
+    flow = _as_flow(surface, direction)
+    v, vv, vlen = flow.v, flow.vv, flow.vlen
+    state, aliases = _start_state(flow, polygon, point, corner)
+    # per chart, the start's aliases as (payload, point, cross(point, v)):
+    # a point is on the current leaf when its cross(point, v) is the leaf's
+    closing = {}
+    for pa, pt in aliases if detect_closure else ():
+        closing.setdefault(pa, []).append((None, pt, cross(pt, v)))
 
-    vv = dot(v, v)
-    vlen = field_sqrt(vv, surface.field_d)
     if cap is None:
         cap = surface.default_cap()
     cap = scalar(cap)
@@ -252,37 +350,31 @@ def trace(surface, polygon=None, point=None, direction=None, *, corner=None,
             dt = dot(target - x, v) / vv
             seg = Segment(p, x, target, True, tau, tau + dt, edge=e)
             arrive = (p, (e + 1) % poly.n)
+            cx = None
         else:
             _, p, x = state
-            t, y, vert, exit_edge = _exit_solve(surface, p, x, v)
+            cx = cross(x, v)
+            t, y, vert, exit_edge = _exit_solve(surface, p, x, flow, cx)
             seg = Segment(p, x, y, False, tau, tau + t)
             arrive = (p, vert) if vert is not None else None
 
         # ---- mid-segment events --------------------------------------------
         hits = []
-        span = seg.tau1 - seg.tau0
-        for (pa, pt) in aliases:
-            if pa != seg.polygon:
-                continue
-            tloc = segment_point(seg.a, seg.b, pt)
-            if tloc is None:
-                continue
-            th = seg.tau0 + tloc * span
-            if th.sign() > 0:
-                hits.append((th, _RANK[CLOSED], CLOSED, None))
-        if stop_at_marked:
-            for (idx, pt) in surface.marks_in_polygon(seg.polygon):
-                tloc = segment_point(seg.a, seg.b, pt)
-                if tloc is None:
+        marks = flow.marks(p) if stop_at_marked else ()
+        for kind, rows in ((CLOSED, closing.get(p, ())), (MARKED, marks)):
+            for payload, pt, cp in rows:
+                if cx is None:
+                    cx = cross(x, v)
+                if cp != cx:
                     continue
-                th = seg.tau0 + tloc * span
-                if th.sign() > 0:
-                    hits.append((th, _RANK[MARKED], MARKED, idx))
+                th = _param_on(seg, pt, v, vv)
+                if th is not None and th.sign() > 0:
+                    hits.append((th, _RANK[kind], kind, payload))
         if stop_on is not None:
             got = stop_on(seg)
             if got is not None:
                 tloc, payload = got
-                th = seg.tau0 + tloc * span
+                th = seg.tau0 + tloc * (seg.tau1 - seg.tau0)
                 if th.sign() > 0:
                     hits.append((th, _RANK[STOPPED], STOPPED, payload))
         if arrive is not None and surface.is_singular_corner(arrive):
@@ -318,13 +410,7 @@ def trace(surface, polygon=None, point=None, direction=None, *, corner=None,
 
         # ---- continue into the next chart ----------------------------------
         if arrive is not None:
-            own = _resolve_regular(surface, arrive, v)
-            p2, k2 = own
-            x2 = surface.polygons[p2].vertex(k2)
-            if same_ray(v, surface.ray_out(own)):
-                state = ("slide", p2, k2, x2)
-            else:
-                state = ("go", p2, x2)
+            state = flow.leave(arrive)
         else:
             p2, e2 = surface.partner[(p, exit_edge)]
             state = ("go", p2, seg.b + surface.translation[(p, exit_edge)])
@@ -356,9 +442,11 @@ def separatrices(surface, direction, *, cap=None, stop_at_marked=False):
     rear cone point).
     """
     v = direction if isinstance(direction, Vec2) else Vec2(*direction)
+    corners = departing_corners(surface, v)
+    flow = _Flow(surface, v) if corners else None
     out = []
-    for corner in departing_corners(surface, v):
-        ev = trace(surface, corner=corner, direction=v, cap=cap,
+    for corner in corners:
+        ev = trace(surface, corner=corner, direction=flow, cap=cap,
                    stop_at_marked=stop_at_marked)
         out.append((corner, ev))
     return out

@@ -13,8 +13,9 @@ from veechkit.errors import (InconsistentProfile, InvalidParams, NonTransitive,
                              OverlappingSlits, SlitThroughSingularity)
 from veechkit.geometry import Vec2
 from veechkit.surface import Surface
-from veechkit.covers import (CoverSpec, Slit, build_cover, cyclic_slit_cover,
-                             double_cover, is_balanced, riemann_hurwitz)
+from veechkit.covers import (CoverSpec, Slit, _ramification, build_cover,
+                             cyclic_slit_cover, double_cover, is_balanced,
+                             riemann_hurwitz)
 
 F = Fraction
 
@@ -134,6 +135,42 @@ def test_balanced_double():
     slits = [hslit("5/4", "1/2", "7/4"), hslit("5/4", "5/2", "7/4")]
     spec = CoverSpec(base, 2, slits, [(1, 0), (1, 0)])
     assert is_balanced(build_cover(spec), spec)
+
+
+def test_balancedness_reads_the_cover_where_slits_meet():
+    # slit a ends where slit b starts, across the glued bottom/top edge; each
+    # permutation alone fixes no sheet, but the monodromy around the shared
+    # point is their product, which fixes two
+    base = Surface.cross(1, 1)
+    a = Slit(polygon=0, direction=(0, -1), start=(F(3, 2), F(1, 2)),
+             end=(F(3, 2), 0))
+    b = Slit(polygon=0, direction=(0, -1), start=(F(3, 2), 3),
+             end=(F(3, 2), F(5, 2)))
+    spec = CoverSpec(base, 4, [a, b], [(1, 2, 3, 0), (1, 0, 3, 2)])
+    cov = build_cover(spec)
+    assert cov.genus() == 8
+    profile = _ramification(cov, spec)
+    assert sorted(tuple(part) for _, part in profile) == [
+        (2, 1, 1), (2, 2), (4,)]
+    assert riemann_hurwitz(base.genus(), 4, profile) == cov.genus()
+    assert not is_balanced(cov, spec)
+
+
+def test_ramification_counted_on_the_cover_gives_its_genus():
+    base = Surface.cross(1, 1)
+    low, high = hslit("5/4", "1/2", "7/4"), hslit("5/4", "5/2", "7/4")
+    cases = [(CoverSpec(base, 2, [low, high], [(1, 0), (1, 0)]), True),
+             (CoverSpec(base, 3, [low], [(1, 2, 0)]), True),
+             (CoverSpec(base, 3, [low, high], [(1, 0, 2), (0, 2, 1)]), False)]
+    for spec, balanced in cases:
+        cov = build_cover(spec)
+        profile = _ramification(cov, spec)
+        assert len(profile) == 2 * len(spec.slits)
+        assert riemann_hurwitz(base.genus(), spec.degree, profile) \
+            == cov.genus()
+        assert is_balanced(cov, spec) == balanced
+    with pytest.raises(InvalidParams):
+        _ramification(build_cover(cases[1][0]), cases[0][0])
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from veechkit.errors import (FieldMismatch, InconsistentTopology, InvalidParams,
                              VeechkitError)
 from veechkit.field import FieldScalar, scalar
-from veechkit.geometry import Mat2, Vec2
+from veechkit.geometry import Mat2, Vec2, cross, segment_point
 from veechkit.surface import (MarkedPoint, Polygon, Surface, singularities,
                               validate)
 
@@ -236,6 +236,69 @@ def test_point_aliases():
         [(0, Vec2(Fraction(1, 2), Fraction(1, 2)))]
     edge = t.point_aliases(0, Vec2(Fraction(1, 2), 0))
     assert len(edge) == 2
+
+
+def reference_locate(poly, p):
+    """Polygon.locate as it was before the one-pass form: vertices, then
+    edges through segment_point, then a winding loop with its own cross
+    products."""
+    for v, q in enumerate(poly.vertices):
+        if p == q:
+            return ("vertex", v)
+    for e in range(poly.n):
+        t = segment_point(poly.vertices[e], poly.vertices[(e + 1) % poly.n], p)
+        if t is not None:
+            return ("edge", e, t)
+    winding = 0
+    for i in range(poly.n):
+        a, b = poly.vertices[i], poly.vertices[(i + 1) % poly.n]
+        a_le = (a.y - p.y).sign() <= 0
+        b_le = (b.y - p.y).sign() <= 0
+        if a_le and not b_le and cross(b - a, p - a).sign() > 0:
+            winding += 1
+        elif b_le and not a_le and cross(b - a, p - a).sign() < 0:
+            winding -= 1
+    return "interior" if winding else "outside"
+
+
+SL2_WORDS = (Mat2(1, 1, 0, 1), Mat2(1, 0, 1, 1), Mat2(1, -1, 0, 1),
+             Mat2(1, 0, -1, 1), Mat2(0, -1, 1, 0))
+
+
+@st.composite
+def chart_points(draw):
+    """(polygon, point): a chart of a random unimodular image of the cross
+    or the L-shape over Q or Q(sqrt5), and a vertex, a point on an edge or
+    on an edge's line beyond it, or a point in or around its bounding box."""
+    sizes = [1, Fraction(1, 2), Fraction(3, 2)]
+    if draw(st.booleans()):
+        sizes += [PHI, PHI - 1]
+    size = st.sampled_from(sizes)
+    if draw(st.booleans()):
+        surf = Surface.cross(draw(size), draw(size))
+    else:
+        surf = Surface.l_shape(draw(size), draw(size), draw(size), draw(size))
+    for g in draw(st.lists(st.sampled_from(SL2_WORDS), max_size=3)):
+        surf = surf.transform(g)
+    poly = draw(st.sampled_from(surf.polygons))
+    k = draw(st.integers(0, poly.n - 1))
+    kind = draw(st.sampled_from(("vertex", "edge", "line", "free")))
+    if kind == "vertex":
+        return poly, poly.vertex(k)
+    if kind in ("edge", "line"):
+        t = (Fraction(draw(st.integers(1, 7)), 8) if kind == "edge" else
+             draw(st.sampled_from((Fraction(-1, 2), Fraction(3, 2), 2))))
+        return poly, poly.vertex(k) + poly.edge(k) * t
+    x0, y0, x1, y1 = poly.bbox()
+    u, w = (Fraction(draw(st.integers(-2, 10)), 8) for _ in range(2))
+    return poly, Vec2(x0 + (x1 - x0) * u, y0 + (y1 - y0) * w)
+
+
+@settings(max_examples=400, deadline=None)
+@given(chart_points())
+def test_locate_matches_reference(case):
+    poly, p = case
+    assert poly.locate(p) == reference_locate(poly, p)
 
 
 # ---------------------------------------------------------------------------

@@ -5,20 +5,27 @@ The saddle-connection length multisets asserted here were derived by hand
 unfolding before the tracer existed; they are the module's frozen oracles.
 """
 
+import importlib
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from veechkit.errors import (AmbiguousStart, InvalidParams, TraceOverflow,
-                             VeechkitError)
+from veechkit.cylinders import decompose, dehn_twist_point
+from veechkit.errors import (AmbiguousStart, InconsistentTopology,
+                             InvalidParams, TraceOverflow, VeechkitError)
 from veechkit.field import FieldScalar, scalar
-from veechkit.geometry import Mat2, Vec2
+from veechkit.geometry import Mat2, Vec2, cross
 from veechkit.surface import Surface
-from veechkit.trace import (CAPPED, CLOSED, MARKED, SINGULAR, advance,
-                            departing_corners, is_connection_point_up_to,
-                            saddle_connections, separatrices, trace)
+from veechkit.trace import (CAPPED, CLOSED, MARKED, SINGULAR, _exit_solve,
+                            _Flow, advance, departing_corners,
+                            is_connection_point_up_to, saddle_connections,
+                            separatrices, trace)
 
 GOLDEN = FieldScalar(Fraction(-1, 2), Fraction(1, 2), 5)
+PHI = GOLDEN + 1
+F = Fraction
 
 
 def sc_params(surface, direction, cap=20):
@@ -203,3 +210,230 @@ def test_connection_evidence_nonperiodic_point():
     assert rep.kind in ("FoundNonExtending", "AllExtended", "Exhausted")
     assert rep.kind == "FoundNonExtending" and rep.count == 1
     assert rep.witness["extension_direction"] is not None
+
+
+# ---------------------------------------------------------------------------
+# the per-direction flow kernel against the per-step reference
+# ---------------------------------------------------------------------------
+
+def reference_exit_solve(surface, p, x, v):
+    """_exit_solve as it was before the flow tables: two cross products of
+    w = P_e - x per edge, screened by sign, t divided out for edges that
+    pass."""
+    poly = surface.polygons[p]
+    best = None
+    for e in range(poly.n):
+        edge = poly.edge(e)
+        den = cross(v, edge)
+        sd = den.sign()
+        if not sd:
+            continue
+        w = poly.vertices[e] - x
+        num_t = cross(w, edge)
+        if num_t.sign() * sd <= 0:
+            continue
+        num_s = cross(w, v)
+        s_lo = num_s.sign() * sd
+        if s_lo < 0:
+            continue
+        s_hi = (num_s - den).sign() * sd
+        if s_hi > 0:
+            continue
+        t = num_t / den
+        if best is None or (t - best[0]).sign() < 0:
+            vert = None
+            if not s_lo:
+                vert = e
+            elif not s_hi:
+                vert = (e + 1) % poly.n
+            best = (t, e, vert)
+    if best is None:
+        raise InconsistentTopology(
+            "ray from %s in polygon %d found no exit" % (x, p))
+    t, e, vert = best
+    y = poly.vertices[vert] if vert is not None else x + v * t
+    return t, y, vert, e
+
+
+SL2_WORDS = (Mat2(1, 1, 0, 1), Mat2(1, 0, 1, 1), Mat2(1, -1, 0, 1),
+             Mat2(1, 0, -1, 1), Mat2(0, -1, 1, 0))
+AXES = ((1, 0), (0, 1), (-1, 0), (0, -1))
+
+
+@st.composite
+def chart_rays(draw):
+    """(surface, polygon, start point, direction): a random unimodular image
+    of the cross or the L-shape over Q or Q(sqrt5); the start is a vertex,
+    a point on an edge, or a point in or around the polygon's bounding box;
+    the direction is axis-aligned, rational or quadratic."""
+    sizes = [1, F(1, 2), F(3, 2)]
+    if draw(st.booleans()):
+        sizes += [PHI, GOLDEN]
+    size = st.sampled_from(sizes)
+    if draw(st.booleans()):
+        surf = Surface.cross(draw(size), draw(size))
+    else:
+        surf = Surface.l_shape(draw(size), draw(size), draw(size), draw(size))
+    m = Mat2.identity()
+    for g in draw(st.lists(st.sampled_from(SL2_WORDS), max_size=3)):
+        m = m * g
+    surf = surf.transform(m)
+    p = draw(st.integers(0, len(surf.polygons) - 1))
+    poly = surf.polygons[p]
+    k = draw(st.integers(0, poly.n - 1))
+    kind = draw(st.sampled_from(("vertex", "edge", "free")))
+    if kind == "vertex":
+        x = poly.vertex(k)
+    elif kind == "edge":
+        x = poly.vertex(k) + poly.edge(k) * F(draw(st.integers(1, 7)), 8)
+    else:
+        x0, y0, x1, y1 = poly.bbox()
+        u, w = (F(draw(st.integers(-2, 10)), 8) for _ in range(2))
+        x = Vec2(x0 + (x1 - x0) * u, y0 + (y1 - y0) * w)
+    shape = draw(st.sampled_from(("axis", "rational", "quadratic")))
+    if shape == "axis":
+        v = Vec2(*draw(st.sampled_from(AXES)))
+    else:
+        a, b = draw(st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(
+            lambda ab: ab != (0, 0)))
+        v = Vec2(a, b) if shape == "rational" else Vec2(a + GOLDEN, b)
+    return surf, p, x, v
+
+
+def _exit_or_error(solve, *args):
+    try:
+        return solve(*args)
+    except InconsistentTopology as exc:
+        return ("InconsistentTopology", str(exc))
+
+
+@settings(max_examples=300, deadline=None)
+@given(chart_rays())
+def test_exit_solve_matches_reference(case):
+    surf, p, x, v = case
+    want = _exit_or_error(reference_exit_solve, surf, p, x, v)
+    assert _exit_or_error(_exit_solve, surf, p, x, v) == want
+    # a flow shared with earlier calls, and the caller's cross(x, v)
+    flow = _Flow(surf, v)
+    _exit_or_error(_exit_solve, surf, p, surf.polygons[p].vertex(0), flow)
+    assert _exit_or_error(_exit_solve, surf, p, x, flow, cross(x, v)) == want
+
+
+def _event(ev):
+    return (ev.kind, ev.param, ev.mark,
+            [(s.polygon, s.a, s.b, s.slide) for s in ev.segments])
+
+
+def _v(x, y):
+    return Vec2(scalar(x), scalar(y))
+
+
+def test_closure_and_mark_events_on_presets():
+    half = F(1, 2)
+    torus = Surface.square_torus()
+    # closes through the start's alias on the glued edge
+    assert _event(trace(torus, 0, _v(half, 0), (0, 1), cap=4)) == (
+        CLOSED, 1, None, [(0, _v(half, 0), _v(half, 1), False)])
+    # a slide along an edge closes at the start vertex's alias
+    assert _event(trace(torus, 0, _v(0, 0), (1, 0), cap=4)) == (
+        CLOSED, 1, None, [(0, _v(0, 0), _v(1, 0), True)])
+    # a slanted leaf, four charts long
+    start = _v(F(1, 3), F(1, 5))
+    assert _event(trace(torus, 0, start, (1, 2), cap=4)) == (
+        CLOSED, 1, None,
+        [(0, start, _v(F(11, 15), 1), False),
+         (0, _v(F(11, 15), 0), _v(1, F(8, 15)), False),
+         (0, _v(0, F(8, 15)), _v(F(7, 30), 1), False),
+         (0, _v(F(7, 30), 0), start, False)])
+    marked = Surface.square_torus(marked=[(0, (half, half), "p")])
+    assert _event(trace(marked, 0, _v(half, 0), (0, 1), cap=4)) == (
+        MARKED, half, 0, [(0, _v(half, 0), _v(half, half), False)])
+    c = Surface.cross(1, 1)
+    assert _event(trace(c, 0, _v(F(3, 2), half), (0, 1), cap=10)) == (
+        CLOSED, 3, None, [(0, _v(F(3, 2), half), _v(F(3, 2), 3), False),
+                          (0, _v(F(3, 2), 0), _v(F(3, 2), half), False)])
+    assert _event(trace(c, 0, _v(half, F(3, 2)), (1, 0), cap=10)) == (
+        CLOSED, 3, None, [(0, _v(half, F(3, 2)), _v(3, F(3, 2)), False),
+                          (0, _v(0, F(3, 2)), _v(half, F(3, 2)), False)])
+    # marks ahead in the same chart and behind the start, after a wrap
+    mc = Surface.cross(1, 1, marked=[(0, (F(3, 2), F(5, 2)), "a"),
+                                     (0, (F(5, 4), F(1, 4)), "b")])
+    assert _event(trace(mc, 0, _v(F(3, 2), half), (0, 1), cap=10)) == (
+        MARKED, 2, 0, [(0, _v(F(3, 2), half), _v(F(3, 2), F(5, 2)), False)])
+    assert _event(trace(mc, 0, _v(F(5, 4), half), (0, 1), cap=10)) == (
+        MARKED, F(11, 4), 1,
+        [(0, _v(F(5, 4), half), _v(F(5, 4), 3), False),
+         (0, _v(F(5, 4), 0), _v(F(5, 4), F(1, 4)), False)])
+    # the first segment leaves the chart through an edge short of a mark
+    # that lies on its line further on, in the same chart
+    ahead = Surface.cross(1, 1, marked=[(0, (F(11, 4), F(5, 4)), "c")])
+    assert _event(trace(ahead, 0, _v(F(7, 4), F(1, 4)), (1, 1), cap=10)) == (
+        MARKED, 2, 0, [(0, _v(F(7, 4), F(1, 4)), _v(2, half), False),
+                       (0, _v(1, half), _v(F(5, 2), 2), False),
+                       (0, _v(F(5, 2), 1), _v(F(11, 4), F(5, 4)), False)])
+    # the golden cross: the central column closes after 2*phi + 1
+    g = Surface.cross(PHI, 1)
+    mid = PHI + half
+    assert _event(trace(g, 0, _v(mid, half), (0, 1), cap=20)) == (
+        CLOSED, PHI * 2 + 1, None,
+        [(0, _v(mid, half), _v(mid, PHI * 2 + 1), False),
+         (0, _v(mid, 0), _v(mid, half), False)])
+
+
+def test_a_flow_belongs_to_its_surface():
+    c = Surface.cross(1, 1)
+    flow = _Flow(c, (0, 1))
+    ev = trace(c, 0, _v(F(3, 2), F(1, 2)), flow, cap=10)
+    assert ev.kind == CLOSED and ev.param == 3
+    with pytest.raises(InvalidParams):
+        trace(Surface.cross(1, 1), 0, _v(F(3, 2), F(1, 2)), flow, cap=10)
+    with pytest.raises(InvalidParams):
+        _Flow(c, (0, 0))
+
+
+# ---------------------------------------------------------------------------
+# no state outlives a trace on a surface the caller holds
+# ---------------------------------------------------------------------------
+
+def test_tracing_twice_makes_the_same_cross_calls(monkeypatch):
+    calls = []
+
+    def counting_cross(u, v):
+        calls.append(None)
+        return cross(u, v)
+
+    # the package binds the name `trace` to the function, not the module
+    monkeypatch.setattr(importlib.import_module("veechkit.trace"), "cross",
+                        counting_cross)
+    g = Surface.cross(PHI, 1, marked=[(0, (PHI + F(1, 3), F(1, 7)), "m")])
+    attributes = dict(vars(g))
+    start = _v(PHI + F(1, 2), F(1, 2))
+    for direction in ((0, 1), (2, 3)):
+        counts = []
+        for _ in range(2):
+            calls.clear()
+            trace(g, 0, start, direction, cap=40, stop_at_marked=False)
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0
+    assert vars(g).keys() == attributes.keys()
+    assert all(vars(g)[k] is v for k, v in attributes.items())
+
+
+def test_decompose_builds_each_chart_table_once_per_direction(monkeypatch):
+    built = []
+    table = _Flow.table
+
+    def recording_table(flow, p):
+        if p not in flow._tables:
+            built.append((flow.v, p))
+        return table(flow, p)
+
+    monkeypatch.setattr(_Flow, "table", recording_table)
+    marked = Surface.cross(PHI, 1, marked=[(0, (PHI + F(1, 3), F(1, 7)), "m")])
+    deco = decompose(marked, (2, 3))
+    assert deco.complete and built
+    assert len(built) == len(set(built))
+    # later rays and twists of the decomposition reuse its tables
+    deco.locate(0, Vec2(PHI + F(1, 3), F(1, 7)))
+    dehn_twist_point(deco, 0, Vec2(PHI + F(1, 3), F(1, 7)), 1)
+    assert len(built) == len(set(built))
