@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import itertools
 
-from .errors import (InconsistentProfile, InvalidParams, NonTransitive,
-                     OverlappingSlits, SlitThroughSingularity)
+from .errors import (InconsistentProfile, InconsistentTopology, InvalidParams,
+                     NonTransitive, OverlappingSlits, SlitThroughSingularity)
 from .field import scalar
 from .geometry import (Vec2, canonical_direction, cross, dot, parallel,
                        segment_point, segments_intersect)
@@ -125,16 +125,13 @@ class _Endpoint:
     def __init__(self, base, polygon, at):
         self.polygon = polygon
         self.at = at
-        self.aliases = base.point_aliases(polygon, at)
-        where = base.polygons[polygon].locate(at)
+        where, self.aliases = base._point(polygon, at,
+                                          "point %s outside polygon %d")
         self.singular = (isinstance(where, tuple) and where[0] == "vertex"
-                         and base.cone_windings[
-                             base.class_of[(polygon, where[1])]] > 1)
-        self.label = None
-        canon = self.aliases[0]
-        for mp in base.marked:
-            if mp.aliases[0] == canon:
-                self.label = mp.label
+                         and base.is_singular_corner((polygon, where[1])))
+        # both alias lists start with the canonical chart representative
+        self.label = next((mp.label for mp in base.marked
+                           if mp.aliases[0] == self.aliases[0]), None)
 
 
 class _ResolvedSlit:
@@ -411,9 +408,11 @@ def _finish_chord(p, dirc, comp):
         if owners:
             j, piece, slit_dir = owners[0]
             tags.append((j, piece, dot(slit_dir, dirc).sign() > 0))
-        else:
-            assert any(s0 < mid < s1 for (s0, s1, _, _, _) in comp)
+        elif any(s0 < mid < s1 for (s0, s1, _, _, _) in comp):
             tags.append(None)
+        else:
+            raise InconsistentTopology("no cut piece covers the chord near %s"
+                                       % pts[t])
     return {"polygon": p, "pts": pts, "tags": tags}
 
 
@@ -462,9 +461,9 @@ def _cut_complex(spec: CoverSpec):
             mid = (other["pts"][0] + other["pts"][-1]) * half
             if Polygon(cx.polys[p]).locate(mid) == "outside":
                 other["polygon"] = pb
-    for j, cnt in enumerate(piece_counts):
-        for piece in range(cnt):
-            assert (j, piece, "L") in cx.bank and (j, piece, "R") in cx.bank
+    if any((j, piece, side) not in cx.bank for j, cnt in enumerate(piece_counts)
+           for piece in range(cnt) for side in "LR"):
+        raise InconsistentTopology("a slit piece was cut without both banks")
     return resolved, cx, piece_counts
 
 

@@ -24,7 +24,7 @@ import re
 from fractions import Fraction
 from math import gcd
 
-from .errors import FieldMismatch, NotCommensurable, ZeroInput
+from .errors import FieldMismatch, InvalidParams, NotCommensurable, ZeroInput
 
 _squarefree_ok: set[int] = set()
 
@@ -334,7 +334,10 @@ class FieldScalar:
     def from_json(cls, obj) -> "FieldScalar":
         if isinstance(obj, dict):
             return cls(Fraction(obj["a"]), Fraction(obj.get("b", 0)), int(obj.get("d", 0)))
-        return parse_scalar(obj)
+        if isinstance(obj, str):
+            return parse_scalar(obj)
+        raise InvalidParams("a scalar is written as an {a, b, d} object or a "
+                            "string, not %r" % (obj,))
 
 
 _set = FieldScalar._t.__set__

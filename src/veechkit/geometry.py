@@ -155,27 +155,42 @@ def dist2_point_segment(p: Vec2, a: Vec2, b: Vec2) -> FieldScalar:
     return dot(w, w)
 
 
+def _locate(vertices, edges, p: Vec2):
+    """('vertex', v) / ('edge', e, t) / 'interior' / 'outside' for point p and
+    the polygon with these vertices and edge vectors (edge e runs from vertex
+    e to vertex e+1).  Winding test with exact crossings."""
+    for v, q in enumerate(vertices):
+        if p == q:
+            return ("vertex", v)
+    # one cross(edge, p - a) per edge decides both whether p is on the
+    # edge and the edge's share of the winding number
+    n = len(vertices)
+    below = [(q.y - p.y).sign() <= 0 for q in vertices]
+    winding = 0
+    for e, edge in enumerate(edges):
+        r = p - vertices[e]
+        c = cross(edge, r).sign()
+        if not c:
+            t = dot(r, edge) / dot(edge, edge)
+            if t.sign() >= 0 and (t - 1).sign() <= 0:
+                return ("edge", e, t)
+        a_le, b_le = below[e], below[(e + 1) % n]
+        if a_le and not b_le and c > 0:
+            winding += 1
+        elif b_le and not a_le and c < 0:
+            winding -= 1
+    return "interior" if winding else "outside"
+
+
 def polygon_contains(vertices: list[Vec2], p: Vec2) -> bool:
-    """Point strictly inside / on the boundary of a convex-or-not CCW polygon.
+    """Point strictly inside / on the boundary of a convex-or-not polygon.
 
     Used only for coarse disk/polygon overlap tests, so a boundary hit counts
-    as containment.  Winding test with exact crossings.
+    as containment.
     """
     n = len(vertices)
-    winding = 0
-    for i in range(n):
-        a, b = vertices[i], vertices[(i + 1) % n]
-        if segment_point(a, b, p) is not None:
-            return True
-        ay_le = (a.y - p.y).sign() <= 0
-        by_le = (b.y - p.y).sign() <= 0
-        if ay_le and not by_le:
-            if cross(b - a, p - a).sign() > 0:
-                winding += 1
-        elif by_le and not ay_le:
-            if cross(b - a, p - a).sign() < 0:
-                winding -= 1
-    return winding != 0
+    edges = [vertices[(i + 1) % n] - vertices[i] for i in range(n)]
+    return _locate(vertices, edges, p) != "outside"
 
 
 class Mat2:

@@ -3,8 +3,19 @@
 A Surface validates its gluing table at construction, identifies vertices,
 walks the corner cycles, and caches the derived topology: cone angles, the
 singular set, area, and genus computed two independent ways (total angle
-excess and the vertex/edge/face count).  Marked points are canonicalised here
-so every later consumer sees one representative plus its full alias list.
+excess and the vertex/edge/face count).
+
+One checker (`_check`) holds the field, polygon and gluing checks.  It lists
+every problem of a description as a (validate tag, exception type, message)
+triple; the constructor raises the first one and `validate` reports them all.
+
+One routine (`Surface._point`) names a point: it locates the point in the
+chart it is given in and lists every chart representative of it, canonical
+one first -- the point itself if interior, the side with the lesser
+(polygon, edge) of its two glued edges if on an edge, the first corner of its
+vertex class if at a vertex.  Marked points, `point_aliases`, trace starts
+and slit endpoints all use it, so aliases[0] names a point the same way
+everywhere.
 
 Corner convention: corner (p, v) sits at vertex v of polygon p, between the
 incoming edge v-1 and the outgoing edge v.  Its sector is swept CCW from the
@@ -17,7 +28,7 @@ from __future__ import annotations
 from .errors import (FieldMismatch, InconsistentTopology, InvalidParams,
                      NonMultipleOf2Pi, VeechkitError)
 from .field import FieldScalar, scalar
-from .geometry import (Mat2, Vec2, ccw_sector_contains, cross, dot, parallel,
+from .geometry import (Mat2, Vec2, _locate, ccw_sector_contains, cross, parallel,
                        same_ray)
 
 Corner = tuple  # (polygon index, vertex index)
@@ -53,27 +64,7 @@ class Polygon:
 
     def locate(self, p: Vec2):
         """('vertex', v) / ('edge', e, t) / 'interior' / 'outside' for point p."""
-        vs = self.vertices
-        for v, q in enumerate(vs):
-            if p == q:
-                return ("vertex", v)
-        # one cross(edge, p - a) per edge decides both whether p is on the
-        # edge and the edge's share of the winding number
-        below = [(q.y - p.y).sign() <= 0 for q in vs]
-        winding = 0
-        for e, edge in enumerate(self._edges):
-            r = p - vs[e]
-            c = cross(edge, r).sign()
-            if not c:
-                t = dot(r, edge) / dot(edge, edge)
-                if t.sign() >= 0 and (t - 1).sign() <= 0:
-                    return ("edge", e, t)
-            a_le, b_le = below[e], below[(e + 1) % self.n]
-            if a_le and not b_le and c > 0:
-                winding += 1
-            elif b_le and not a_le and c < 0:
-                winding -= 1
-        return "interior" if winding else "outside"
+        return _locate(self.vertices, self._edges, p)
 
 
 class MarkedPoint:
@@ -102,9 +93,15 @@ class Surface:
                  point_labels=None):
         self.polygons = [p if isinstance(p, Polygon) else Polygon(p)
                          for p in polygons]
-        self.field_d = self._settle_field(field_d)
-        self._validate_polygons()
-        self.partner, self.translation = self._validate_gluings(gluings)
+        self.field_d, self.partner, problems = _check(self.polygons, gluings,
+                                                      field_d)
+        if problems:
+            _, exc, message = problems[0]
+            raise exc(message)
+        # crossing edge e1 forward maps x to x + T
+        self.translation = {
+            (p1, e1): self.polygons[p2].vertex(e2 + 1) - self.polygons[p1].vertex(e1)
+            for (p1, e1), (p2, e2) in self.partner.items()}
         self._build_vertex_classes()
         self._walk_corner_cycles()
         self.point_labels = dict(point_labels or {})
@@ -120,80 +117,6 @@ class Surface:
         for idx, mp in enumerate(self.marked):
             for (p, pt) in mp.aliases:
                 self._marks_by_polygon.setdefault(p, []).append((idx, pt))
-
-    # -- validation ----------------------------------------------------------
-
-    def _settle_field(self, field_d):
-        seen = set()
-        for poly in self.polygons:
-            for v in poly.vertices:
-                seen.add(v.x.d)
-                seen.add(v.y.d)
-        seen.discard(0)
-        if field_d is None:
-            if len(seen) > 1:
-                raise FieldMismatch("coordinates span several quadratic fields")
-            field_d = seen.pop() if seen else 0
-        else:
-            if seen - {field_d}:
-                raise FieldMismatch(
-                    "coordinate field tags %s clash with declared d=%d"
-                    % (sorted(seen), field_d))
-        return field_d
-
-    def _validate_polygons(self):
-        if not self.polygons:
-            raise InvalidParams("need at least one polygon")
-        for i, poly in enumerate(self.polygons):
-            if poly.n < 3:
-                raise InvalidParams("polygon %d has fewer than 3 vertices" % i)
-            for e in range(poly.n):
-                if poly.edge(e).is_zero():
-                    raise InvalidParams("polygon %d has a zero edge %d" % (i, e))
-            if poly.signed_area2().sign() <= 0:
-                raise InvalidParams(
-                    "polygon %d must be counterclockwise with positive area" % i)
-            for v in range(poly.n):
-                # zero-angle spikes break the corner sectors; flat corners are fine
-                if same_ray(poly.edge(v), -poly.edge(v - 1)):
-                    raise InvalidParams(
-                        "polygon %d has a zero-angle corner at vertex %d" % (i, v))
-
-    def _validate_gluings(self, gluings):
-        partner = {}
-        for item in gluings:
-            if isinstance(item, dict):
-                a = (item["p1"], item["e1"])
-                b = (item["p2"], item["e2"])
-            else:
-                a, b = tuple(item[0]), tuple(item[1])
-            for (p, e) in (a, b):
-                if not (0 <= p < len(self.polygons)) or not (0 <= e < self.polygons[p].n):
-                    raise InvalidParams("gluing names missing edge %s" % ((p, e),))
-            if a == b:
-                raise InconsistentTopology("edge %s glued to itself" % (a,))
-            for side in (a, b):
-                if side in partner:
-                    raise InconsistentTopology("edge %s glued twice" % (side,))
-            partner[a] = b
-            partner[b] = a
-        for p, poly in enumerate(self.polygons):
-            for e in range(poly.n):
-                if (p, e) not in partner:
-                    raise InconsistentTopology("edge %s left unglued" % ((p, e),))
-        translation = {}
-        for (p1, e1), (p2, e2) in partner.items():
-            v1 = self.polygons[p1].edge(e1)
-            v2 = self.polygons[p2].edge(e2)
-            if not (v1 + v2).is_zero():
-                raise InconsistentTopology(
-                    "edges %s and %s are not translation-opposite"
-                    % ((p1, e1), (p2, e2)))
-            # crossing edge e1 forward maps x to x + T
-            a = self.polygons[p1].vertex(e1)
-            d = self.polygons[p2].vertex(e2 + 1)
-            translation[(p1, e1)] = d - a
-        return partner, translation
 
     # -- vertex identification and cone angles --------------------------------
 
@@ -329,30 +252,14 @@ class Surface:
     def _add_mark(self, poly: int, at: Vec2, label):
         if not (0 <= poly < len(self.polygons)):
             raise InvalidParams("marked point names missing polygon %d" % poly)
-        where = self.polygons[poly].locate(at)
-        if where == "outside":
-            raise InvalidParams("marked point %s lies outside polygon %d" % (at, poly))
-        if where == "interior":
-            kind, aliases = "interior", [(poly, at)]
-        elif where[0] == "edge":
-            e = where[1]
-            p2, e2 = self.partner[(poly, e)]
-            other = at + self.translation[(poly, e)]
-            if (poly, e) <= (p2, e2):
-                aliases = [(poly, at), (p2, other)]
-            else:
-                aliases = [(p2, other), (poly, at)]
-            kind = "edge"
-        else:
-            v = where[1]
-            cls = self.class_of[(poly, v)]
-            if self.cone_windings[cls] > 1:
-                raise InvalidParams(
-                    "cannot mark point at a singular vertex (cone angle %d*2pi)"
-                    % self.cone_windings[cls])
-            kind = "vertex"
-            aliases = [(p, self.polygons[p].vertices[vv])
-                       for (p, vv) in self.vertex_classes[cls]]
+        where, aliases = self._point(poly, at,
+                                     "marked point %s lies outside polygon %d")
+        kind = where if where == "interior" else where[0]
+        if kind == "vertex":
+            windings = self.cone_windings[self.class_of[(poly, where[1])]]
+            if windings > 1:
+                raise InvalidParams("cannot mark point at a singular vertex "
+                                    "(cone angle %d*2pi)" % windings)
         canon = aliases[0]
         for mp in self.marked:
             if mp.aliases[0] == canon:
@@ -369,21 +276,30 @@ class Surface:
         raise InvalidParams("no marked point labelled %r" % label)
 
     def point_aliases(self, polygon: int, point: Vec2):
-        """All chart representatives of a point: one for interior points, two
-        for edge points, the whole class for vertices."""
+        """All chart representatives of a point, the canonical one first: one
+        for interior points, two for edge points, the whole class for
+        vertices."""
+        return self._point(polygon, point, "point %s outside polygon %d")[1]
+
+    def _point(self, polygon: int, point: Vec2, outside: str):
+        """(where, aliases) of a point given in chart `polygon`: where is
+        Polygon.locate's answer there, aliases every (polygon, point) naming
+        the point in canonical order (see the module docstring).  A point
+        outside the chart raises InvalidParams(outside % (point, polygon))."""
         where = self.polygons[polygon].locate(point)
         if where == "outside":
-            raise InvalidParams("point %s outside polygon %d" % (point, polygon))
+            raise InvalidParams(outside % (point, polygon))
         if where == "interior":
-            return [(polygon, point)]
+            return where, [(polygon, point)]
         if where[0] == "edge":
-            e = where[1]
-            p2, _ = self.partner[(polygon, e)]
-            return [(polygon, point),
-                    (p2, point + self.translation[(polygon, e)])]
+            side = (polygon, where[1])
+            here = (polygon, point)
+            there = (self.partner[side][0], point + self.translation[side])
+            return where, ([here, there] if side <= self.partner[side]
+                           else [there, here])
         cls = self.class_of[(polygon, where[1])]
-        return [(p, self.polygons[p].vertex(k))
-                for (p, k) in self.vertex_classes[cls]]
+        return where, [(p, self.polygons[p].vertices[k])
+                       for (p, k) in self.vertex_classes[cls]]
 
     # -- transforms ------------------------------------------------------------
 
@@ -434,13 +350,16 @@ class Surface:
 
     @classmethod
     def from_json(cls, obj) -> "Surface":
-        field_d = int(obj.get("field", {}).get("d", 0)) or None
-        polys = [[Vec2.from_json(v) for v in poly["vertices"]]
-                 for poly in obj["polygons"]]
-        gluings = [((g["p1"], g["e1"]), (g["p2"], g["e2"]))
-                   for g in obj["gluings"]]
-        marked = [(m["polygon"], Vec2.from_json(m["at"]), m.get("label"))
-                  for m in obj.get("marked_points", [])]
+        try:
+            field_d = int(obj.get("field", {}).get("d", 0)) or None
+            polys = [[Vec2.from_json(v) for v in poly["vertices"]]
+                     for poly in obj["polygons"]]
+            gluings = obj["gluings"]
+            marked = [(m["polygon"], Vec2.from_json(m["at"]), m.get("label"))
+                      for m in obj.get("marked_points", [])]
+        except (KeyError, IndexError, TypeError, AttributeError) as exc:
+            raise InvalidParams("malformed surface JSON (%s: %s)"
+                                % (type(exc).__name__, exc)) from None
         return cls(polys, gluings, field_d=field_d, marked=marked,
                    point_labels=obj.get("point_labels"))
 
@@ -493,66 +412,130 @@ def singularities(surface: Surface):
             for cls, w in enumerate(surface.cone_windings)]
 
 
+def _gluing_sides(item):
+    """The two (polygon, edge) sides a gluing entry names -- a pair of pairs
+    or a {p1, e1, p2, e2} dict -- or None when the entry is malformed."""
+    try:
+        if isinstance(item, dict):
+            sides = (item["p1"], item["e1"]), (item["p2"], item["e2"])
+        else:
+            sides = tuple(item[0]), tuple(item[1])
+    except (KeyError, IndexError, TypeError):
+        return None
+    if all(len(side) == 2 and all(isinstance(i, int) for i in side)
+           for side in sides):
+        return sides
+    return None
+
+
+def _check(polygons, gluings, field_d):
+    """(field d, edge partner map, problems) of a surface description.
+
+    Each problem is a (validate tag, exception type, message) triple, listed
+    in the order the constructor meets them: a field clash or an empty
+    polygon list (either stops the checks), bad polygons, bad gluing
+    entries, unglued edges, then glued edges that are not
+    translation-opposite.  The partner map holds the well-formed gluings.
+    """
+    seen = {c.d for poly in polygons for v in poly.vertices for c in (v.x, v.y)}
+    seen.discard(0)
+    clash = None
+    if field_d is None and len(seen) > 1:
+        clash = "coordinates span several quadratic fields"
+    elif field_d is not None and seen - {field_d}:
+        clash = ("coordinate field tags %s clash with declared d=%d"
+                 % (sorted(seen), field_d))
+    if clash:
+        return field_d, {}, [("FieldMismatch: " + clash, FieldMismatch, clash)]
+    if field_d is None:
+        field_d = seen.pop() if seen else 0
+    if not polygons:
+        return field_d, {}, [("Empty: need at least one polygon",
+                              InvalidParams, "need at least one polygon")]
+    partner, problems = {}, []
+    for i, poly in enumerate(polygons):
+        if poly.n < 3:
+            problems.append(("BadPolygon(%d): fewer than 3 vertices" % i,
+                             InvalidParams,
+                             "polygon %d has fewer than 3 vertices" % i))
+            continue
+        zero = [e for e in range(poly.n) if poly.edge(e).is_zero()]
+        if zero:
+            problems.append(("BadPolygon(%d): zero-length edge" % i,
+                             InvalidParams,
+                             "polygon %d has a zero edge %d" % (i, zero[0])))
+            continue
+        if poly.signed_area2().sign() <= 0:
+            problems.append((
+                "NotCounterclockwise(%d)" % i, InvalidParams,
+                "polygon %d must be counterclockwise with positive area" % i))
+        for v in range(poly.n):
+            # zero-angle spikes break the corner sectors; flat corners are fine
+            if same_ray(poly.edge(v), -poly.edge(v - 1)):
+                problems.append((
+                    "ZeroAngleCorner(%d,%d)" % (i, v), InvalidParams,
+                    "polygon %d has a zero-angle corner at vertex %d" % (i, v)))
+    pairs = []
+    for k, item in enumerate(gluings):
+        sides = _gluing_sides(item)
+        if sides is None:
+            problems.append((
+                "BadGluing(%d)" % k, InvalidParams,
+                "gluing %d is not two (polygon, edge) sides: %r" % (k, item)))
+            continue
+        missing = [(p, e) for (p, e) in sides
+                   if not (0 <= p < len(polygons) and 0 <= e < polygons[p].n)]
+        for side in missing:
+            problems.append(("MissingEdge(%d,%d)" % side, InvalidParams,
+                             "gluing names missing edge %s" % (side,)))
+        if missing:
+            continue
+        a, b = sides
+        twice = [side for side in sides if side in partner]
+        if a == b:
+            problems.append(("SelfGluing(%d,%d)" % a, InconsistentTopology,
+                             "edge %s glued to itself" % (a,)))
+        elif twice:
+            problems.append(("DuplicateGluing(%d,%d)" % twice[0],
+                             InconsistentTopology,
+                             "edge %s glued twice" % (twice[0],)))
+        else:
+            partner[a], partner[b] = b, a
+            pairs.append((a, b))
+    for p, poly in enumerate(polygons):
+        for e in range(poly.n):
+            if (p, e) not in partner:
+                problems.append(("UnmatchedEdge(%d,%d)" % (p, e),
+                                 InconsistentTopology,
+                                 "edge %s left unglued" % ((p, e),)))
+    for a, b in pairs:
+        v1, v2 = polygons[a[0]].edge(a[1]), polygons[b[0]].edge(b[1])
+        if not (v1 + v2).is_zero():
+            tag = "EdgeMismatch" if parallel(v1, v2) else "NonParallelGluing"
+            problems.append(("%s((%d,%d),(%d,%d))" % ((tag,) + a + b),
+                             InconsistentTopology,
+                             "edges %s and %s are not translation-opposite"
+                             % (a, b)))
+    return field_d, partner, problems
+
+
 def validate(polygons, gluings, field_d=None, marked=()):
     """Violations in a raw surface description; an empty list means valid.
 
-    Unlike the constructor this never raises: each problem becomes one
-    tagged string, and independent problems are all reported.
+    Unlike the constructor this never raises: each problem the constructor's
+    checks find becomes one tagged string, and independent problems are all
+    reported.  A description that passes them is then built, and an error
+    found while building is reported as one more tag.
     """
-    issues = []
     try:
         polys = [p if isinstance(p, Polygon) else Polygon(p) for p in polygons]
     except Exception as exc:
         return ["BadPolygon: %s" % exc]
-    if not polys:
-        return ["Empty: need at least one polygon"]
-    for i, poly in enumerate(polys):
-        if poly.n < 3:
-            issues.append("BadPolygon(%d): fewer than 3 vertices" % i)
-            continue
-        if any(poly.edge(e).is_zero() for e in range(poly.n)):
-            issues.append("BadPolygon(%d): zero-length edge" % i)
-            continue
-        if poly.signed_area2().sign() <= 0:
-            issues.append("NotCounterclockwise(%d)" % i)
-        for v in range(poly.n):
-            if same_ray(poly.edge(v), -poly.edge(v - 1)):
-                issues.append("ZeroAngleCorner(%d,%d)" % (i, v))
-    partner = {}
-    for item in gluings:
-        if isinstance(item, dict):
-            a = (item["p1"], item["e1"])
-            b = (item["p2"], item["e2"])
-        else:
-            a, b = tuple(item[0]), tuple(item[1])
-        bad = False
-        for (p, e) in (a, b):
-            if not (0 <= p < len(polys)) or not (0 <= e < polys[p].n):
-                issues.append("MissingEdge(%d,%d)" % (p, e))
-                bad = True
-        if bad:
-            continue
-        if a == b:
-            issues.append("SelfGluing(%d,%d)" % a)
-            continue
-        if a in partner or b in partner:
-            issues.append("DuplicateGluing(%d,%d)" % (a if a in partner else b))
-            continue
-        partner[a] = b
-        partner[b] = a
-        v1, v2 = polys[a[0]].edge(a[1]), polys[b[0]].edge(b[1])
-        if not parallel(v1, v2):
-            issues.append("NonParallelGluing((%d,%d),(%d,%d))" % (a + b))
-        elif not (v1 + v2).is_zero():
-            issues.append("EdgeMismatch((%d,%d),(%d,%d))" % (a + b))
-    for p, poly in enumerate(polys):
-        for e in range(poly.n):
-            if (p, e) not in partner:
-                issues.append("UnmatchedEdge(%d,%d)" % (p, e))
-    if issues:
-        return issues
+    problems = _check(polys, gluings, field_d)[2]
+    if problems:
+        return [tag for tag, _, _ in problems]
     try:
         Surface(polys, gluings, field_d=field_d, marked=marked)
     except VeechkitError as exc:
-        issues.append("%s: %s" % (type(exc).__name__, exc))
-    return issues
+        return ["%s: %s" % (type(exc).__name__, exc)]
+    return []

@@ -206,18 +206,15 @@ def _start_state(flow, polygon, point, corner):
     if corner is not None and point is None:
         point = surface.polygons[corner[0]].vertex(corner[1])
         polygon = corner[0]
-    where = surface.polygons[polygon].locate(point)
-    if where == "outside":
-        raise InvalidParams("start point %s lies outside polygon %d"
-                            % (point, polygon))
+    where, aliases = surface._point(polygon, point,
+                                    "start point %s lies outside polygon %d")
     if where == "interior":
-        return ("go", polygon, point), [(polygon, point)]
+        return ("go", polygon, point), aliases
     if where[0] == "edge":
         e = where[1]
         edge = surface.polygons[polygon].edge(e)
         p2, e2 = surface.partner[(polygon, e)]
         other = point + surface.translation[(polygon, e)]
-        aliases = [(polygon, point), (p2, other)]
         side = cross(edge, v).sign()
         if side == 0:
             # parallel to the edge: slide, in the chart agreeing with v
@@ -231,8 +228,6 @@ def _start_state(flow, polygon, point, corner):
     vi = where[1]
     cls = surface.class_of[(polygon, vi)]
     if surface.cone_windings[cls] <= 1:  # regular vertex
-        aliases = [(p, surface.polygons[p].vertex(k))
-                   for (p, k) in surface.vertex_classes[cls]]
         return flow.leave((polygon, vi)), aliases
     if corner is None:
         raise AmbiguousStart("start at a cone point needs an explicit corner")

@@ -218,6 +218,14 @@ def test_missing_file_exits_1(capsys):
     assert rc == 1
 
 
+def test_integer_coordinates_exit_1(tmp_path, capsys):
+    obj = Surface.square_torus().to_json()
+    obj["polygons"][0]["vertices"][1] = [1, 0]
+    path = tmp_path / "ints.json"
+    path.write_text(json.dumps(obj))
+    rc, _, err = run(capsys, "info", str(path))
+    assert rc == 1 and err.startswith("error: a scalar is written as")
+
 def test_domain_error_exits_1(tmp_path, capsys):
     path = build_cross(tmp_path, capsys)
     rc, _, err = run(capsys, "decompose", path, "--dir", "0,0")

@@ -237,6 +237,25 @@ def test_labels_follow_the_cover():
     assert sorted(m.label for m in cov.marked) == ["p#1", "p#2"]
 
 
+
+def vslit(x, y0, y1):
+    return Slit(polygon=0, start=(F(x), F(y0)),
+                direction=(0, 1 if F(y1) > F(y0) else -1), end=(F(x), F(y1)))
+
+
+def test_branch_point_named_from_its_glued_side_keeps_its_label():
+    # (3/2, 0) and (3/2, 3) name one edge point of the cross; a slit ending
+    # there is matched to the mark whichever chart names it
+    base = Surface.cross(1, 1, marked=[(0, (F(3, 2), 0), "m")])
+    below = double_cover(base, [vslit("3/2", "1/2", "0"),
+                                vslit("1/2", "3/2", "1")])
+    above = double_cover(base, [vslit("3/2", "5/2", "3"),
+                                vslit("1/2", "3/2", "1")])
+    for cov in (below, above):
+        assert cov.genus() == 5
+        assert list(cov.point_labels.values()) == ["m"]
+        assert cov.marked == []
+
 def test_spec_json_round_trip():
     base = Surface.cross(1, 1)
     spec = CoverSpec(base, 3, [diag_slit(),

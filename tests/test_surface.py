@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 from veechkit.errors import (FieldMismatch, InconsistentTopology, InvalidParams,
                              VeechkitError)
 from veechkit.field import FieldScalar, scalar
-from veechkit.geometry import Mat2, Vec2, cross, segment_point
+from veechkit.geometry import (Mat2, Vec2, cross, polygon_contains,
+                               segment_point)
 from veechkit.surface import (MarkedPoint, Polygon, Surface, singularities,
                               validate)
 
@@ -149,6 +150,84 @@ def test_validate_good_and_broken():
     out = validate([[(0, 0), (0, 1), (1, 1), (1, 0)]], [])
     assert any(v.startswith("NotCounterclockwise") for v in out)
 
+
+SQ = [[(0, 0), (1, 0), (1, 1), (0, 1)]]
+SQ_GLUE = [((0, 0), (0, 2)), ((0, 1), (0, 3))]
+ROOT2 = FieldScalar(0, 1, 2)
+
+# (description, validate tags as a sorted list, constructor exception type and
+# message); one broken input per validate tag, plus errors found only once
+# the checks pass
+BROKEN = [
+    (([[(0, 0), (1, 0), (1, 1), (0, "x")]], SQ_GLUE),
+     ["BadPolygon: cannot parse scalar literal 'x'"],
+     ValueError, "cannot parse scalar literal 'x'"),
+    (([], []), ["Empty: need at least one polygon"],
+     InvalidParams, "need at least one polygon"),
+    (([[(0, 0), (1, 0)]], [((0, 0), (0, 1))]),
+     ["BadPolygon(0): fewer than 3 vertices"],
+     InvalidParams, "polygon 0 has fewer than 3 vertices"),
+    (([[(0, 0), (1, 0), (1, 0), (1, 1), (0, 1)]], SQ_GLUE),
+     ["BadPolygon(0): zero-length edge", "EdgeMismatch((0,1),(0,3))",
+      "NonParallelGluing((0,0),(0,2))", "UnmatchedEdge(0,4)"],
+     InvalidParams, "polygon 0 has a zero edge 1"),
+    (([[(0, 0), (0, 1), (1, 1), (1, 0)]], SQ_GLUE),
+     ["NotCounterclockwise(0)"],
+     InvalidParams, "polygon 0 must be counterclockwise with positive area"),
+    (([[(0, 0), (2, 0), (2, 1), (3, 1), (2, 1), (0, 1)]],
+      [((0, 0), (0, 4)), ((0, 1), (0, 5))]),
+     ["UnmatchedEdge(0,2)", "UnmatchedEdge(0,3)", "ZeroAngleCorner(0,3)"],
+     InvalidParams, "polygon 0 has a zero-angle corner at vertex 3"),
+    ((SQ, [((0, 0), (0, 2)), ((0, 1), (0, 7))]),
+     ["MissingEdge(0,7)", "UnmatchedEdge(0,1)", "UnmatchedEdge(0,3)"],
+     InvalidParams, "gluing names missing edge (0, 7)"),
+    ((SQ, [((0, 0), (0, 2)), ((0, 1), (0, 1))]),
+     ["SelfGluing(0,1)", "UnmatchedEdge(0,1)", "UnmatchedEdge(0,3)"],
+     InconsistentTopology, "edge (0, 1) glued to itself"),
+    ((SQ, [((0, 0), (0, 2)), ((0, 2), (0, 0)), ((0, 1), (0, 3))]),
+     ["DuplicateGluing(0,2)"],
+     InconsistentTopology, "edge (0, 2) glued twice"),
+    ((SQ, [((0, 0), (0, 1)), ((0, 2), (0, 3))]),
+     ["NonParallelGluing((0,0),(0,1))", "NonParallelGluing((0,2),(0,3))"],
+     InconsistentTopology, "edges (0, 0) and (0, 1) are not translation-opposite"),
+    ((SQ + [[(0, 0), (2, 0), (2, 2), (0, 2)]],
+      [((0, 0), (1, 2)), ((0, 2), (1, 0)), ((0, 1), (0, 3)), ((1, 1), (1, 3))]),
+     ["EdgeMismatch((0,0),(1,2))", "EdgeMismatch((0,2),(1,0))"],
+     InconsistentTopology, "edges (0, 0) and (1, 2) are not translation-opposite"),
+    ((SQ, [((0, 0), (0, 2))]),
+     ["UnmatchedEdge(0,1)", "UnmatchedEdge(0,3)"],
+     InconsistentTopology, "edge (0, 1) left unglued"),
+    # an unglued edge is met before a mismatched pair
+    ((SQ + [[(0, 0), (2, 0), (2, 2), (0, 2)]],
+      [((0, 0), (1, 2)), ((0, 1), (0, 3)), ((1, 1), (1, 3))]),
+     ["EdgeMismatch((0,0),(1,2))", "UnmatchedEdge(0,2)", "UnmatchedEdge(1,0)"],
+     InconsistentTopology, "edge (0, 2) left unglued"),
+    # found after the checks: a mark on the cone point, a declared field
+    (_raw(Surface.cross(1, 1)) + (None, [(0, (2, 1), "c")]),
+     ["InvalidParams: cannot mark point at a singular vertex (cone angle 3*2pi)"],
+     InvalidParams, "cannot mark point at a singular vertex (cone angle 3*2pi)"),
+    (([[(0, 0), (1, 0), Vec2(1, ROOT2), Vec2(0, ROOT2)]], SQ_GLUE, 5),
+     ["FieldMismatch: coordinate field tags [2] clash with declared d=5"],
+     FieldMismatch, "coordinate field tags [2] clash with declared d=5"),
+]
+
+
+@pytest.mark.parametrize("args, tags, exc, message", BROKEN)
+def test_validate_tags_and_constructor_errors(args, tags, exc, message):
+    assert sorted(validate(*args)) == tags
+    with pytest.raises(Exception) as info:
+        Surface(*args)
+    assert type(info.value) is exc and str(info.value) == message
+
+
+@pytest.mark.parametrize("entry", [{"p1": 0, "e1": 0}, ((0, 0),), 7,
+                                   ((0, 0), (0, "2")), ((0, 0), (0, 2, 1))])
+def test_malformed_gluing_entry_is_one_problem(entry):
+    gluings = [entry, ((0, 1), (0, 3))]
+    assert validate(SQ, gluings) == [
+        "BadGluing(0)", "UnmatchedEdge(0,0)", "UnmatchedEdge(0,2)"]
+    with pytest.raises(InvalidParams, match="gluing 0 is not two"):
+        Surface(SQ, gluings)
 
 def test_constructor_raises_on_bad_gluings():
     sq = [[(0, 0), (1, 0), (1, 1), (0, 1)]]
@@ -301,6 +380,35 @@ def test_locate_matches_reference(case):
     assert poly.locate(p) == reference_locate(poly, p)
 
 
+def reference_polygon_contains(vertices, p):
+    """polygon_contains as it was before it shared Polygon.locate's loop:
+    a boundary hit through segment_point, else a winding loop."""
+    n = len(vertices)
+    winding = 0
+    for i in range(n):
+        a, b = vertices[i], vertices[(i + 1) % n]
+        if segment_point(a, b, p) is not None:
+            return True
+        ay_le = (a.y - p.y).sign() <= 0
+        by_le = (b.y - p.y).sign() <= 0
+        if ay_le and not by_le:
+            if cross(b - a, p - a).sign() > 0:
+                winding += 1
+        elif by_le and not ay_le:
+            if cross(b - a, p - a).sign() < 0:
+                winding -= 1
+    return winding != 0
+
+
+@settings(max_examples=400, deadline=None)
+@given(chart_points(), st.booleans())
+def test_polygon_contains_matches_reference(case, clockwise):
+    poly, p = case
+    vertices = poly.vertices[::-1] if clockwise else poly.vertices
+    assert polygon_contains(vertices, p) == \
+        reference_polygon_contains(vertices, p)
+
+
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
@@ -312,6 +420,15 @@ def test_json_round_trip():
         back = Surface.from_json(s.to_json())
         assert back == s
 
+
+def test_from_json_raises_typed_errors():
+    with pytest.raises(InvalidParams, match="'polygons'"):
+        Surface.from_json({})
+    obj = Surface.square_torus().to_json()
+    obj["polygons"][0]["vertices"][1] = [1, 0]
+    with pytest.raises(InvalidParams, match="not 1"):
+        Surface.from_json(obj)
+    assert FieldScalar.from_json("1/2") == FieldScalar.from_json({"a": "1/2"})
 
 def test_transform_preserves_structure():
     c = Surface.cross(1, 1, marked=[(0, (Fraction(3, 2), Fraction(3, 2)), "p")])
