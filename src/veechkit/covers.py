@@ -379,11 +379,11 @@ def _chart_chords(base, resolved):
         pieces.sort(key=lambda q: (q[0], q[1]))
         comp, reach = [], None
         for piece in pieces:
-            if comp and (piece[0] - reach).sign() > 0:
+            if comp and piece[0] > reach:
                 chords.append(_finish_chord(p, dirc, comp))
                 comp, reach = [], None
             comp.append(piece)
-            if reach is None or (piece[1] - reach).sign() > 0:
+            if reach is None or piece[1] > reach:
                 reach = piece[1]
         if comp:
             chords.append(_finish_chord(p, dirc, comp))

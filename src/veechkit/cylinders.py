@@ -35,8 +35,8 @@ from .errors import (InconsistentTopology, InvalidParams, NotComplete,
 from .field import (FieldScalar, commensurability_classes,
                     least_common_integer_multiple, scalar)
 from .geometry import Vec2, canonical_direction, normalize_to_vertical
-from .trace import (CLOSED, SINGULAR, STOPPED, Segment, _Flow, advance,
-                    departing_corners, trace)
+from .trace import (CAPPED, CLOSED, SINGULAR, STOPPED, Segment, _Flow,
+                    advance, departing_corners, trace)
 
 _UP = Vec2(0, 1)
 _EAST = Vec2(1, 0)
@@ -178,7 +178,7 @@ def _vertical_span(seg):
 def _on_leaf(seg, pt) -> bool:
     """Does the upward leaf segment `seg` pass through `pt` (ends included)?"""
     x, y0, y1 = _vertical_span(seg)
-    return pt.x == x and (pt.y - y0).sign() >= 0 and (pt.y - y1).sign() <= 0
+    return pt.x == x and y0 <= pt.y <= y1
 
 
 def _cylinder_at(cylinders, aliases):
@@ -194,8 +194,7 @@ def _cylinder_at(cylinders, aliases):
 
 def _point_on(ev, tau):
     """(polygon, point) reached at parameter tau along a traced ray."""
-    seg = next(s for s in ev.segments
-               if (s.tau0 - tau).sign() <= 0 <= (s.tau1 - tau).sign())
+    seg = next(s for s in ev.segments if s.tau0 <= tau <= s.tau1)
     return seg.polygon, seg.point_at(tau)
 
 
@@ -235,20 +234,20 @@ def _barrier_hook(barriers, vertices=None):
         if seg.b.y != y:
             raise InconsistentTopology(
                 "barrier hook needs a horizontal ray, got %r" % (seg,))
-        sense = (bx - ax).sign()  # +1 east, -1 west
+        sense = bx._cmp(ax)  # +1 east, -1 west
         at_start = not seg.tau0
         best = None
         for bs in barriers.get(seg.polygon, []):
             x, y0, y1 = _vertical_span(bs)
-            if (y - y0).sign() < 0 or (y - y1).sign() > 0:
+            if not y0 <= y <= y1:
                 continue
-            ahead = (x - ax).sign() * sense
+            ahead = x._cmp(ax) * sense
             # the hook must skip crossings at the ray start itself
             if ahead < 0 or (ahead == 0 and at_start):
                 continue
-            if (x - bx).sign() * sense > 0:
+            if x._cmp(bx) * sense > 0:
                 continue
-            if best is None or (x - best).sign() * sense < 0:
+            if best is None or x._cmp(best) * sense < 0:
                 best = x
         if best is None and seg.b in vertices.get(seg.polygon, ()):
             best = bx
@@ -364,6 +363,10 @@ def decompose(surface, direction, cap=None) -> Decomposition:
             continue
         leaf = trace(normalized, mid_p, mid_pt, up, stop_at_marked=False,
                      cap=run_cap)
+        if leaf.kind == CAPPED:
+            # every separatrix is a saddle connection, but this band's
+            # circumference is beyond the cap: undetermined, not inconsistent
+            return bail(connections, vertex_leaves)
         if leaf.kind != CLOSED:
             raise InconsistentTopology("cylinder midline failed to close (%s)"
                                        % leaf.kind)

@@ -15,6 +15,19 @@ The rational and radical parts a = n/q and b = m/q are read as Fractions
 JSON and hashing.  A rational scalar hashes like the int or Fraction it
 equals, a quadratic one like (d, a, b).  Mixing two different nonzero tags
 raises FieldMismatch.
+
+The tuple layout is private to this module.  Exact predicates elsewhere use
+the fused kernels below instead of unpacking it:
+  _cross(a, b, c, e)       the value a*b - c*e, reduced once (not three times)
+  _cross_sign(a, b, c, e)  its sign, from the unreduced numerators: no gcd,
+                           no intermediate scalar
+  _dot_sign(a, b, c, e)    the sign of a*b + c*e, likewise
+  _orient_sign(...)        the sign of ex*(py - ay) - ey*(px - ax), without
+                           building p - a
+  x._cmp(y)                the sign of x - y, without building it
+When the operands' nonzero tags differ, the kernels fall back to the scalar
+operators, so FieldMismatch is raised on exactly the inputs that raise it
+there.
 """
 
 from __future__ import annotations
@@ -70,6 +83,74 @@ def _tag(d1: int, d2: int) -> int:
     if d1 and d2:
         raise FieldMismatch("cannot mix sqrt(%d) with sqrt(%d)" % (d1, d2))
     return d1 or d2
+
+
+# -- fused kernels -------------------------------------------------------------
+
+
+def _cross_terms(t1, t2, t3, t4):
+    """(N, M, Q, D) with x1*x2 - x3*x4 = (N + M*sqrt(D)) / Q and Q > 0, not
+    reduced, for the scalars x1..x4 with tuples t1..t4; None when two of
+    them carry different nonzero tags."""
+    n1, m1, q1, d1 = t1
+    n2, m2, q2, d2 = t2
+    n3, m3, q3, d3 = t3
+    n4, m4, q4, d4 = t4
+    q12, q34 = q1 * q2, q3 * q4
+    d = d1 or d2 or d3 or d4
+    if not d:
+        if q12 == q34:
+            return n1 * n2 - n3 * n4, 0, q12, 0
+        return n1 * n2 * q34 - n3 * n4 * q12, 0, q12 * q34, 0
+    if (d2 and d2 != d) or (d3 and d3 != d) or (d4 and d4 != d):
+        return None
+    n12, m12 = n1 * n2 + m1 * m2 * d, n1 * m2 + m1 * n2
+    n34, m34 = n3 * n4 + m3 * m4 * d, n3 * m4 + m3 * n4
+    if q12 == q34:
+        return n12 - n34, m12 - m34, q12, d
+    return n12 * q34 - n34 * q12, m12 * q34 - m34 * q12, q12 * q34, d
+
+
+def _cross(a, b, c, e) -> "FieldScalar":
+    """a*b - c*e, reduced once.  Operands of different nonzero tags go
+    through the scalar operators, so FieldMismatch is raised exactly where
+    they raise it."""
+    t = _cross_terms(a._t, b._t, c._t, e._t)
+    if t is None:
+        return a * b - c * e
+    return _reduced(*t)
+
+
+def _cross_sign(a, b, c, e) -> int:
+    """Sign of a*b - c*e, read off the unreduced numerators."""
+    t = _cross_terms(a._t, b._t, c._t, e._t)
+    if t is None:
+        return (a * b - c * e).sign()
+    return _sign(t[0], t[1], t[3])
+
+
+def _dot_sign(a, b, c, e) -> int:
+    """Sign of a*b + c*e, as _cross_sign with c negated."""
+    n, m, q, d = c._t
+    t = _cross_terms(a._t, b._t, (-n, -m, q, d), e._t)
+    if t is None:
+        return (a * b + c * e).sign()
+    return _sign(t[0], t[1], t[3])
+
+
+def _orient_sign(ex, ey, ax, ay, px, py) -> int:
+    """Sign of ex*(py - ay) - ey*(px - ax), the side of p against the line
+    through a along e, as cross(e, p) - cross(e, a) without the difference
+    p - a."""
+    s = _cross_terms(ex._t, py._t, ey._t, px._t)
+    t = _cross_terms(ex._t, ay._t, ey._t, ax._t)
+    if s is None or t is None or (s[3] and t[3] and s[3] != t[3]):
+        return (ex * (py - ay) - ey * (px - ax)).sign()
+    n1, m1, q1, d1 = s
+    n2, m2, q2, d2 = t
+    if q1 == q2:
+        return _sign(n1 - n2, m1 - m2, d1 or d2)
+    return _sign(n1 * q2 - n2 * q1, m1 * q2 - m2 * q1, d1 or d2)
 
 
 def _parts(x):
@@ -234,17 +315,22 @@ class FieldScalar:
 
     def _cmp(self, other):
         """Sign of self - other, or NotImplemented for a foreign operand."""
-        t = _parts(other)
+        t = other._t if type(other) is FieldScalar else _parts(other)
         if t is None:
             return NotImplemented
         n1, m1, q1, d1 = self._t
         n2, m2, q2, d2 = t
         if d1 != d2:
             d1 = _tag(d1, d2)
+        if not (m1 or m2):
+            n1, n2 = n1 * q2, n2 * q1
+            return (n1 > n2) - (n1 < n2)
+        if q1 == q2:
+            return _sign(n1 - n2, m1 - m2, d1)
         return _sign(n1 * q2 - n2 * q1, m1 * q2 - m2 * q1, d1)
 
     def __eq__(self, other):
-        t = _parts(other)
+        t = other._t if type(other) is FieldScalar else _parts(other)
         return NotImplemented if t is None else self._t == t
 
     def __hash__(self):

@@ -1,15 +1,20 @@
 """Exact planar primitives: vectors, 2x2 matrices, sectors and segments.
 
-Everything here returns exact answers; predicates are sign tests on field
-scalars and never touch floats.
+Everything here returns exact answers and never touches floats.  The sign
+predicates (`parallel`, `same_ray`, `ccw_sector_contains` and the winding
+loop of `_locate`) never build intermediate scalars: each sign of a cross
+or dot product, of an orientation or of a difference comes from a fused
+kernel of `field` (`_cross_sign`, `_dot_sign`, `_orient_sign`, comparisons)
+that works on the integer form.  `cross` itself reduces its value once.
 """
 
 from __future__ import annotations
 
 import math
 
-from .errors import NonPositive
-from .field import FieldScalar, scalar
+from .errors import InvalidParams, NonPositive
+from .field import (FieldScalar, _cross, _cross_sign, _dot_sign,
+                    _orient_sign, scalar)
 
 _ZERO = FieldScalar.rational(0)
 _ONE = FieldScalar.rational(1)
@@ -54,6 +59,9 @@ class Vec2:
 
     @classmethod
     def from_json(cls, obj):
+        if not (isinstance(obj, list) and len(obj) == 2):
+            raise InvalidParams("a vector is written as a two-element list, "
+                                "not %r" % (obj,))
         return cls(FieldScalar.from_json(obj[0]), FieldScalar.from_json(obj[1]))
 
 
@@ -66,7 +74,7 @@ def _vec(x: FieldScalar, y: FieldScalar) -> Vec2:
 
 
 def cross(u: Vec2, v: Vec2) -> FieldScalar:
-    return u.x * v.y - u.y * v.x
+    return _cross(u.x, v.y, u.y, v.x)
 
 
 def dot(u: Vec2, v: Vec2) -> FieldScalar:
@@ -74,12 +82,12 @@ def dot(u: Vec2, v: Vec2) -> FieldScalar:
 
 
 def parallel(u: Vec2, v: Vec2) -> bool:
-    return not cross(u, v)
+    return not _cross_sign(u.x, v.y, u.y, v.x)
 
 
 def same_ray(u: Vec2, v: Vec2) -> bool:
     """u and v nonzero, pointing the same direction."""
-    return parallel(u, v) and dot(u, v).sign() > 0
+    return parallel(u, v) and _dot_sign(u.x, v.x, u.y, v.y) > 0
 
 
 def ccw_sector_contains(u: Vec2, w: Vec2, v: Vec2) -> bool:
@@ -93,13 +101,14 @@ def ccw_sector_contains(u: Vec2, w: Vec2, v: Vec2) -> bool:
         return True
     if same_ray(v, w):
         return False
-    cuw = cross(u, w).sign()
-    cuv = cross(u, v).sign()
-    cvw = cross(v, w).sign()
+    cuw = _cross_sign(u.x, w.y, u.y, w.x)
+    cuv = _cross_sign(u.x, v.y, u.y, v.x)
+    cvw = _cross_sign(v.x, w.y, v.y, w.x)
     if cuw > 0:  # convex sector
         return cuv > 0 and cvw > 0
     if cuw < 0:  # reflex sector: complement of the convex [w, u)
-        return not (cross(w, v).sign() > 0 and cross(v, u).sign() > 0)
+        return not (_cross_sign(w.x, v.y, w.y, v.x) > 0
+                    and _cross_sign(v.x, u.y, v.y, u.x) > 0)
     # u, w parallel: angle is pi (opposite) since same-ray is excluded above
     return cuv > 0
 
@@ -113,7 +122,7 @@ def segment_point(a: Vec2, b: Vec2, p: Vec2):
     num = dot(r, e)
     den = dot(e, e)
     t = num / den
-    if t.sign() < 0 or (t - 1).sign() > 0:
+    if t.sign() < 0 or t > 1:
         return None
     return t
 
@@ -133,7 +142,7 @@ def segments_intersect(a: Vec2, b: Vec2, c: Vec2, d: Vec2):
     t = cross(w, e2) / den
     s = cross(w, e1) / den
     for v in (t, s):
-        if v.sign() < 0 or (v - 1).sign() > 0:
+        if v.sign() < 0 or v > 1:
             return None
     return t, s
 
@@ -148,7 +157,7 @@ def dist2_point_segment(p: Vec2, a: Vec2, b: Vec2) -> FieldScalar:
     t = dot(p - a, e) / den
     if t.sign() < 0:
         t = _ZERO
-    elif (t - 1).sign() > 0:
+    elif t > 1:
         t = _ONE
     q = a + e * t
     w = p - q
@@ -162,17 +171,18 @@ def _locate(vertices, edges, p: Vec2):
     for v, q in enumerate(vertices):
         if p == q:
             return ("vertex", v)
-    # one cross(edge, p - a) per edge decides both whether p is on the
-    # edge and the edge's share of the winding number
+    # one orientation sign of p against each edge decides both whether p
+    # is on the edge and the edge's share of the winding number
     n = len(vertices)
-    below = [(q.y - p.y).sign() <= 0 for q in vertices]
+    px, py = p.x, p.y
+    below = [q.y <= py for q in vertices]
     winding = 0
     for e, edge in enumerate(edges):
-        r = p - vertices[e]
-        c = cross(edge, r).sign()
+        a = vertices[e]
+        c = _orient_sign(edge.x, edge.y, a.x, a.y, px, py)
         if not c:
-            t = dot(r, edge) / dot(edge, edge)
-            if t.sign() >= 0 and (t - 1).sign() <= 0:
+            t = dot(p - a, edge) / dot(edge, edge)
+            if t.sign() >= 0 and t <= 1:
                 return ("edge", e, t)
         a_le, b_le = below[e], below[(e + 1) % n]
         if a_le and not b_le and c > 0:

@@ -15,16 +15,17 @@ Everything that depends only on the surface and the direction v is computed
 once per direction, by a flow object (_Flow): v, dot(v, v), the field length
 of v, and for each chart, built the first time a trace enters it, a table
 with one row per edge not parallel to v: (e, edge, den = cross(v, edge),
-sign(den), cross(P_e, v), cross(P_e, edge)), P_e the edge's start vertex.
-With c = cross(x, v) of the current point x, the edge parameter of the exit
-is (cross(P_e, v) - c) / den, so a trace step costs one cross product plus a
-subtraction per edge; the ray parameter cross(P_e, edge) - cross(x, edge) is
-formed only for edges that pass the sign screen.  A point pt lies on the
-current leaf exactly when cross(pt, v) == c.  The flow also caches, per
-chart, its marked points with their cross(pt, v), and, per corner of a
-regular vertex, where a trace arriving there goes on.  A flow lives as long
-as its caller keeps it -- one trace, or one decomposition -- and is never
-stored on the surface.
+sign(den), cross(P_e, v), cross(P_e, v) - den, cross(P_e, edge)), P_e the
+edge's start vertex.  With c = cross(x, v) of the current point x, the edge
+parameter of the exit is s = (cross(P_e, v) - c) / den, so a trace step
+costs one cross product plus two comparisons of c with row constants per
+edge (s >= 0, s <= 1); the ray parameter cross(P_e, edge) - cross(x, edge)
+is screened by a comparison too, and formed only for edges that pass.  A
+point pt lies on the current leaf exactly when cross(pt, v) == c.  The flow
+also caches, per chart, its marked points with their cross(pt, v), and, per
+corner of a regular vertex, where a trace arriving there goes on.  A flow
+lives as long as its caller keeps it -- one trace, or one decomposition --
+and is never stored on the surface.
 """
 
 from __future__ import annotations
@@ -126,9 +127,9 @@ class _Flow:
     Holds v, vv = dot(v, v) and vlen, the length of v in the surface's field
     (None when it has no square root there).  Per chart, built on first
     use: the edge table rows (e, edge, den, sign(den), cross(P_e, v),
-    cross(P_e, edge)) for the edges not parallel to v, the marked points as
-    (index, point, cross(point, v)), and the state a trace takes on from
-    each regular-vertex corner it arrives at.
+    cross(P_e, v) - den, cross(P_e, edge)) for the edges not parallel to v,
+    the marked points as (index, point, cross(point, v)), and the state a
+    trace takes on from each regular-vertex corner it arrives at.
     """
 
     __slots__ = ("surface", "v", "vv", "vlen", "_tables", "_marks", "_leave")
@@ -158,7 +159,8 @@ class _Flow:
                 if not sd:
                     continue  # parallel: its vertices are caught via its mates
                 a = poly.vertices[e]
-                rows.append((e, edge, den, sd, cross(a, v), cross(a, edge)))
+                c_e = cross(a, v)
+                rows.append((e, edge, den, sd, c_e, c_e - den, cross(a, edge)))
             self._tables[p] = rows
         return rows
 
@@ -251,27 +253,28 @@ def _exit_solve(surface, p, x, v, cx=None):
     v is a direction or a _Flow on `surface`; cx, when given, is
     cross(x, v).  Returns (t, y, vertex_or_None, edge) where vertex is set
     when the crossing is a polygon vertex.  The edge parameter
-    s = (cross(P_e, v) - cx) / den is screened by sign from the chart's
-    table; the ray parameter t = (cross(P_e, edge) - cross(x, edge)) / den
-    is formed, screened and divided out only for edges that pass.
+    s = (cross(P_e, v) - cx) / den is screened by comparing cx with the
+    row's cross(P_e, v) (s >= 0) and cross(P_e, v) - den (s <= 1); the ray
+    parameter t = (cross(P_e, edge) - cross(x, edge)) / den is screened by
+    comparing cross(P_e, edge) with cross(x, edge), and formed and divided
+    out only for edges that pass.
     """
     flow = _as_flow(surface, v)
     if cx is None:
         cx = cross(x, flow.v)
     best = None
-    for e, edge, den, sd, c_e, k_e in flow.table(p):
-        num_s = c_e - cx
-        s_lo = num_s.sign() * sd
+    for e, edge, den, sd, c_e, c_e_den, k_e in flow.table(p):
+        s_lo = c_e._cmp(cx) * sd
         if s_lo < 0:
             continue  # s < 0
-        s_hi = (num_s - den).sign() * sd
+        s_hi = c_e_den._cmp(cx) * sd
         if s_hi > 0:
             continue  # s > 1
-        num_t = k_e - cross(x, edge)
-        if num_t.sign() * sd <= 0:
+        k_x = cross(x, edge)
+        if k_e._cmp(k_x) * sd <= 0:
             continue  # t <= 0
-        t = num_t / den
-        if best is None or (t - best[0]).sign() < 0:
+        t = (k_e - k_x) / den
+        if best is None or t < best[0]:
             vert = None
             if not s_lo:
                 vert = e
@@ -294,7 +297,7 @@ def _param_on(seg, pt, v, vv):
     if d.sign() < 0:
         return None
     th = seg.tau0 + d / vv
-    if (th - seg.tau1).sign() > 0:
+    if th > seg.tau1:
         return None
     return th
 
@@ -378,7 +381,7 @@ def trace(surface, polygon=None, point=None, direction=None, *, corner=None,
         if hits:
             best = hits[0]
             for h in hits[1:]:
-                dcmp = (h[0] - best[0]).sign()
+                dcmp = h[0]._cmp(best[0])
                 if dcmp < 0 or (dcmp == 0 and h[1] < best[1]):
                     best = h
             th, _, kind, payload = best
@@ -398,8 +401,8 @@ def trace(surface, polygon=None, point=None, direction=None, *, corner=None,
         tau = seg.tau1
 
         # ---- cap ------------------------------------------------------------
-        over = ((tau * vlen - cap).sign() > 0 if vlen is not None
-                else (tau * tau * vv - cap2).sign() > 0)
+        over = (tau * vlen > cap if vlen is not None
+                else tau * tau * vv > cap2)
         if over:
             return finish(CAPPED, tau)
 
@@ -464,7 +467,7 @@ def advance(surface, polygon, point, direction, delta, *, corner=None):
         raise InvalidParams("advance needs a positive parameter step")
 
     def stop(seg):
-        if (seg.tau1 - delta).sign() >= 0:
+        if seg.tau1 >= delta:
             span = seg.tau1 - seg.tau0
             return ((delta - seg.tau0) / span, None)
         return None
@@ -510,7 +513,7 @@ def _disk_meets_polygon(vertices, center, r2):
     n = len(vertices)
     for e in range(n):
         d2 = dist2_point_segment(center, vertices[e], vertices[(e + 1) % n])
-        if (d2 - r2).sign() <= 0:
+        if d2 <= r2:
             return True
     return False
 
@@ -549,7 +552,7 @@ def is_connection_point_up_to(surface, mark, cap=None,
             if surface.is_singular_corner((p, k)):
                 d = poly.vertex(k) + off - p0
                 d2 = dot(d, d)
-                if d2.sign() > 0 and (d2 - cap2).sign() <= 0:
+                if d2.sign() > 0 and d2 <= cap2:
                     rays.add(canonical_direction(d))
         for e in range(poly.n):
             p2, _ = surface.partner[(p, e)]

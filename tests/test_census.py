@@ -128,6 +128,13 @@ def test_census_reports_undetermined_instead_of_raising():
     assert reps[1].m is None and reps[1].s_prime is None
 
 
+def test_census_row_with_a_midline_past_the_cap_has_no_error():
+    reps = census(Surface.cross(1, 3), [(1, -3)], cap=20)
+    assert reps[0].kind == "Undetermined"
+    assert reps[0].error is None
+    assert not reps[0].decomposition.complete
+
+
 def test_census_records_why_a_row_is_undetermined(monkeypatch):
     surf = Surface.cross(1, 1)
     plain = census(surf, SEEDS[:2])

@@ -268,3 +268,14 @@ def test_spec_json_round_trip():
     assert [s.to_json() for s in back.slits] == [s.to_json() for s in spec.slits]
     assert back.slits[0].corner == (0, 11)
     assert back.slits[1].start == Vec2(F(5, 4), F(1, 2))
+
+
+def test_malformed_slit_vectors_raise_invalid_params():
+    good = {"corner": [0, 11], "dir": ["1", "1"], "to": ["3/2", "3/2"]}
+    for bad in (["1"], ["1", "1", "1"], "1", None, {"a": "1"}):
+        with pytest.raises(InvalidParams, match="two-element list"):
+            Vec2.from_json(bad)
+        for key in ("dir", "to"):
+            with pytest.raises(InvalidParams, match="two-element list"):
+                Slit.from_json(dict(good, **{key: bad}))
+    assert Slit.from_json(good).direction == Vec2(1, 1)

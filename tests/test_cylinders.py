@@ -215,6 +215,15 @@ def test_incomplete_direction_stays_open():
         torus_signature(deco)
 
 
+def test_midline_past_the_cap_is_undetermined_not_inconsistent():
+    # every separatrix of (1, -3) on cross(1, 3) is a saddle connection, but
+    # a cylinder's midline is longer than 20
+    deco = decompose(Surface.cross(1, 3), (1, -3), cap=20)
+    assert deco.status == "undetermined"
+    assert all(ev.kind == "HitSingularity" for _, ev in deco.connections)
+    assert decompose(Surface.cross(1, 3), (1, -3)).complete
+
+
 # ---------------------------------------------------------------------------
 # locating points
 # ---------------------------------------------------------------------------

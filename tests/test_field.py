@@ -13,10 +13,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from veechkit.errors import (FieldMismatch, NotCommensurable, ZeroInput)
-from veechkit.field import (ContinuedFraction, FieldScalar, commensurable,
-                            commensurability_classes, continued_fraction,
-                            field_sqrt, least_common_integer_multiple,
-                            parse_scalar, scalar)
+from veechkit.field import (ContinuedFraction, FieldScalar, _cross,
+                            _cross_sign, _dot_sign, _orient_sign,
+                            commensurable, commensurability_classes,
+                            continued_fraction, field_sqrt,
+                            least_common_integer_multiple, parse_scalar,
+                            scalar)
+from veechkit.geometry import (Vec2, ccw_sector_contains, cross, parallel,
+                               same_ray)
 
 GOLDEN = FieldScalar(Fraction(-1, 2), Fraction(1, 2), 5)   # (sqrt(5)-1)/2
 SQRT5 = FieldScalar.sqrt_of(5)
@@ -240,6 +244,144 @@ def test_hash_consistent_with_fraction():
     assert hash(scalar(Fraction(3, 2))) == hash(Fraction(3, 2))
     s = {scalar(1), 1}
     assert len(s) == 1
+
+
+# ---------------------------------------------------------------------------
+# fused kernels against the scalar operators they replace, over Q, Q(sqrt2),
+# Q(sqrt5)
+# ---------------------------------------------------------------------------
+
+def scalars_in(d):
+    return st.builds(lambda a, b: FieldScalar(a, b, d), fracs(),
+                     fracs() if d else st.just(Fraction(0)))
+
+
+@st.composite
+def same_field(draw, k):
+    d = draw(st.sampled_from(FIELDS))
+    return [draw(scalars_in(d)) for _ in range(k)]
+
+
+@st.composite
+def any_fields(draw, k):
+    """k scalars, each with its own tag: the nonzero tags may differ."""
+    return [draw(st.sampled_from(FIELDS).flatmap(scalars_in))
+            for _ in range(k)]
+
+
+def outcome(fn):
+    """fn()'s value, or FieldMismatch when it raises that."""
+    try:
+        return fn()
+    except FieldMismatch:
+        return FieldMismatch
+
+
+@settings(max_examples=150, deadline=None)
+@given(same_field(4))
+def test_fused_cross_is_the_two_product_formula(xs):
+    a, b, c, e = xs
+    want = a * b - c * e
+    assert _cross(a, b, c, e)._t == want._t
+    assert _cross_sign(a, b, c, e) == want.sign()
+    assert _dot_sign(a, b, c, e) == (a * b + c * e).sign()
+    # cross(u, v) = u.x*v.y - u.y*v.x
+    u, v = Vec2(a, c), Vec2(e, b)
+    assert cross(u, v)._t == want._t
+    assert parallel(u, v) == (not want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(same_field(6))
+def test_orient_sign_is_the_cross_of_the_difference(xs):
+    ex, ey, ax, ay, px, py = xs
+    r = Vec2(px, py) - Vec2(ax, ay)
+    assert (_orient_sign(ex, ey, ax, ay, px, py)
+            == (ex * r.y - ey * r.x).sign()
+            == cross(Vec2(ex, ey), r).sign())
+
+
+@settings(max_examples=150, deadline=None)
+@given(same_field(3), st.one_of(st.integers(-3, 3), fracs()))
+def test_comparisons_agree_with_the_sign_of_the_difference(xs, k):
+    x, y, z = xs
+    s = (x - y).sign()
+    assert x._cmp(y) == s
+    assert (x < y, x <= y, x > y, x >= y) == (s < 0, s <= 0, s > 0, s >= 0)
+    assert x._cmp(k) == (x - k).sign()
+    assert (x > k, x <= k) == ((x - k).sign() > 0, (x - k).sign() <= 0)
+    # the exit screen of s <= 1: (c_e - den) against cx, not (c_e - cx) - den
+    assert (x - z)._cmp(y) == ((x - y) - z).sign()
+    # the leaf and barrier spans: y0 <= pt.y <= y1
+    assert (z <= x <= y) == ((x - z).sign() >= 0 and (x - y).sign() <= 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(any_fields(6))
+def test_kernels_raise_field_mismatch_exactly_where_the_operators_do(xs):
+    a, b, c, e, f, g = xs
+    u, v, w = Vec2(a, b), Vec2(c, e), Vec2(f, g)
+    pairs = [
+        (lambda: _cross(a, b, c, e)._t, lambda: (a * b - c * e)._t),
+        (lambda: _cross_sign(a, b, c, e), lambda: (a * b - c * e).sign()),
+        (lambda: _dot_sign(a, b, c, e), lambda: (a * b + c * e).sign()),
+        (lambda: _orient_sign(a, b, c, e, f, g),
+         lambda: (a * (g - e) - b * (f - c)).sign()),
+        (lambda: a._cmp(b), lambda: (a - b).sign()),
+        (lambda: a <= b, lambda: (a - b).sign() <= 0),
+        (lambda: cross(u, v)._t, lambda: (u.x * v.y - u.y * v.x)._t),
+        (lambda: parallel(u, v), lambda: not (u.x * v.y - u.y * v.x)),
+        (lambda: same_ray(u, v), lambda: reference_ray(u, v)),
+    ]
+    if not (u.is_zero() or v.is_zero() or w.is_zero()):
+        pairs.append((lambda: ccw_sector_contains(u, v, w),
+                      lambda: reference_sector(u, v, w)))
+    for fused, reference in pairs:
+        assert outcome(fused) == outcome(reference)
+
+
+def reference_cross(p, q):
+    return p.x * q.y - p.y * q.x
+
+
+def reference_ray(p, q):
+    """same_ray as it was, on the scalar operators."""
+    return not reference_cross(p, q) and (p.x * q.x + p.y * q.y).sign() > 0
+
+
+def reference_sector(u, w, v):
+    """ccw_sector_contains as it was, on the scalar operators."""
+    cr = reference_cross
+    if reference_ray(v, u):
+        return True
+    if reference_ray(v, w):
+        return False
+    cuw, cuv, cvw = cr(u, w).sign(), cr(u, v).sign(), cr(v, w).sign()
+    if cuw > 0:
+        return cuv > 0 and cvw > 0
+    if cuw < 0:
+        return not (cr(w, v).sign() > 0 and cr(v, u).sign() > 0)
+    return cuv > 0
+
+
+def test_vectors_whose_tags_mix_across_coordinates():
+    r5, r2 = FieldScalar.sqrt_of(5), FieldScalar.sqrt_of(2)
+    # sqrt5*sqrt5 - sqrt2*1: each product stays in one field, so no raise
+    assert cross(Vec2(r5, r2), Vec2(1, r5)) == 5 - r2
+    assert cross(Vec2(1, r5), Vec2(r5, r2)) == r2 - 5
+    assert not parallel(Vec2(r5, r2), Vec2(1, r5))
+    # sqrt2*sqrt5 is a product across fields
+    for fn in (cross, parallel):
+        with pytest.raises(FieldMismatch):
+            fn(Vec2(r5, r2), Vec2(r5, 1))
+    # parallel without a raise, but the dot product mixes the fields
+    assert parallel(Vec2(r2, 0), Vec2(r5, 0))
+    with pytest.raises(FieldMismatch):
+        same_ray(Vec2(r2, 0), Vec2(r5, 0))
+    # sqrt5 - sqrt2 inside p - a
+    with pytest.raises(FieldMismatch):
+        _orient_sign(scalar(1), scalar(1), r2, scalar(0), r5, scalar(0))
+    assert _orient_sign(scalar(1), scalar(0), r2, r5, r2, r5 + 1) == 1
 
 
 # ---------------------------------------------------------------------------
