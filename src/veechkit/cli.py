@@ -254,7 +254,8 @@ def _cmd_cover(args):
         base = Surface.from_json(obj["base"])
     else:
         raise InvalidParams("cover spec needs a 'base' key or --base FILE")
-    slits = [Slit.from_json(s) for s in obj.get("slits", [])]
+    slits = [Slit.from_json(s, i)
+             for i, s in enumerate(obj.get("slits", []))]
     if args.construction == "double":
         cover = double_cover(base, slits)
     else:

@@ -75,12 +75,19 @@ class Slit:
         return obj
 
     @classmethod
-    def from_json(cls, obj) -> "Slit":
+    def from_json(cls, obj, index=0) -> "Slit":
+        """The slit a JSON object describes; `index`, its place in the spec,
+        names it when the object is malformed."""
+        try:
+            direction, end = obj["dir"], obj["to"]
+        except (KeyError, TypeError) as exc:
+            raise InvalidParams("malformed slit %d JSON (%s: %s)"
+                                % (index, type(exc).__name__, exc)) from None
         return cls(polygon=obj.get("polygon"),
                    start=Vec2.from_json(obj["from"]) if "from" in obj else None,
-                   direction=Vec2.from_json(obj["dir"]),
+                   direction=Vec2.from_json(direction),
                    to_polygon=obj.get("to_polygon"),
-                   end=Vec2.from_json(obj["to"]),
+                   end=Vec2.from_json(end),
                    corner=obj.get("corner"))
 
 
@@ -111,9 +118,14 @@ class CoverSpec:
 
     @classmethod
     def from_json(cls, obj, base) -> "CoverSpec":
-        perms = [[i - 1 for i in p] for p in obj["perms"]]
-        return cls(base, obj["degree"],
-                   [Slit.from_json(s) for s in obj["slits"]], perms)
+        try:
+            perms = [[i - 1 for i in p] for p in obj["perms"]]
+            degree, slits = obj["degree"], list(obj["slits"])
+        except (KeyError, TypeError) as exc:
+            raise InvalidParams("malformed cover spec JSON (%s: %s)"
+                                % (type(exc).__name__, exc)) from None
+        return cls(base, degree,
+                   [Slit.from_json(s, i) for i, s in enumerate(slits)], perms)
 
 
 # -- slit resolution ----------------------------------------------------------

@@ -17,8 +17,10 @@ cylinder is recognised by its midline: the point is tested against the
 midlines already known, which in this frame is an x-equality and a
 y-interval check.  A leaf is closed up only once per new cylinder, through
 the midpoint of the first ray that crosses it (the height, and the
-cylinder's identity key).  Banks and marked points are placed by the same
-test, from the midpoints of their own transverse rays.
+cylinder's identity key).  Marked points are placed by the same test, from
+the midpoints of their own transverse rays.  Banks (which barrier leaves bound
+each cylinder) are computed the same way, but only on first read of
+`Decomposition.banks`, since no part of the decomposition depends on them.
 
 Every trace of a decomposition runs up, east or west, so a decomposition
 makes one flow per direction (trace._Flow) and passes it to each trace:
@@ -53,12 +55,14 @@ class Cylinder:
                cylinder is recognised.  It is closed up once, when the first
                ray meets the cylinder.
     key     -- phase-independent form of the midline (see _leaf_key)
-    west_boundary / east_boundary -- barrier ids bounding the band
     marks   -- indices of marked points strictly inside, set by decompose
+
+    The barrier leaves bounding the band are read from the decomposition:
+    `Decomposition.banks[index]`.
     """
 
     __slots__ = ("index", "width", "height", "midline", "key", "sample",
-                 "west_boundary", "east_boundary", "marks")
+                 "marks")
 
     def __init__(self, index, width, height, midline, key, sample):
         self.index = index
@@ -67,8 +71,6 @@ class Cylinder:
         self.midline = midline
         self.key = key
         self.sample = sample
-        self.west_boundary = []
-        self.east_boundary = []
         self.marks = []
 
     @property
@@ -108,7 +110,7 @@ class Decomposition:
 
     __slots__ = ("surface", "direction", "frame", "normalized", "status",
                  "cylinders", "connections", "vertex_leaves", "barriers",
-                 "barrier_vertices", "marks", "cap", "flows")
+                 "barrier_vertices", "marks", "cap", "flows", "_banks")
 
     def __init__(self, **kw):
         for k in self.__slots__:
@@ -120,6 +122,38 @@ class Decomposition:
 
     def inverse_moduli(self):
         return [c.inverse_modulus for c in self.cylinders]
+
+    @property
+    def banks(self):
+        """cylinder index -> (west ids, east ids): the barrier leaves on the
+        cylinder's west and east banks, numbered as the separatrices in
+        `connections` followed by the closed leaves in `vertex_leaves`.
+
+        Each barrier leaf separates two bands; a ray east (west) from the
+        middle of its first segment crosses the band on that side, and the
+        ray's midpoint lies on that band's midline.  Computed on first read
+        and kept.
+        """
+        if not self.complete:
+            raise NotComplete("banks need a complete decomposition")
+        if self._banks is None:
+            banks = {cyl.index: ([], []) for cyl in self.cylinders}
+            events = ([ev for _, ev in self.connections]
+                      + [ev for _, ev in self.vertex_leaves])
+            for bid, ev in enumerate(events):
+                seg = ev.segments[0]
+                q = seg.point_at((seg.tau0 + seg.tau1) / 2)
+                for direction, side in (("east", 0), ("west", 1)):
+                    ray = self._ray(seg.polygon, q, direction)
+                    mid = _point_on(ray, ray.param / 2)
+                    cyl = _cylinder_at(self.cylinders,
+                                       self.normalized.point_aliases(*mid))
+                    if cyl is None:
+                        raise InconsistentTopology(
+                            "bank belongs to no cylinder")
+                    banks[cyl.index][side].append(bid)
+            self._banks = banks
+        return self._banks
 
     # -- point location -------------------------------------------------------
 
@@ -382,7 +416,6 @@ def decompose(surface, direction, cap=None) -> Decomposition:
             "cylinder areas sum to %s but the surface has area %s"
             % (total, surface.area))
 
-    _attach_banks(deco, barrier_events)
     deco.marks = []
     for i, mp in enumerate(normalized.marked):
         pos = deco.locate_normalized(mp.polygon, mp.at)
@@ -390,24 +423,6 @@ def decompose(surface, direction, cap=None) -> Decomposition:
         if pos.state == "in":
             deco.cylinders[pos.cylinder].marks.append(i)
     return deco
-
-
-def _attach_banks(deco, barrier_events):
-    # each barrier leaf separates two bands; a ray east (west) from an
-    # interior point of the leaf crosses the band on that side, and the ray's
-    # midpoint lies on the band's midline
-    for bid, ev in enumerate(barrier_events):
-        seg = ev.segments[0]
-        q = seg.point_at((seg.tau0 + seg.tau1) / 2)
-        for direction, attr in (("east", "west_boundary"),
-                                ("west", "east_boundary")):
-            ray = deco._ray(seg.polygon, q, direction)
-            mid = _point_on(ray, ray.param / 2)
-            cyl = _cylinder_at(deco.cylinders,
-                               deco.normalized.point_aliases(*mid))
-            if cyl is None:
-                raise InconsistentTopology("bank belongs to no cylinder")
-            getattr(cyl, attr).append(bid)
 
 
 # -- signatures and classification -------------------------------------------

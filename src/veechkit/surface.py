@@ -17,6 +17,20 @@ vertex class if at a vertex.  Marked points, `point_aliases`, trace starts
 and slit endpoints all use it, so aliases[0] names a point the same way
 everywhere.
 
+`transform` maps the charts, the edge translations and the marked points and
+carries the combinatorics over unchecked: the partner map, vertex classes,
+corner cycles and cone windings are shared with the source surface.  That is
+sound because a positive-determinant linear map keeps every checked property:
+it maps edges to edges and opposite vectors to opposite vectors, keeps
+polygons counterclockwise and corners of nonzero angle, maps each corner
+sector onto a sector in the same cyclic order (so a cycle sweeps the same
+total angle), and keeps a point interior, on an edge or at a vertex.  Only
+the field can change, since the matrix can bring in a radical: it is
+settled again from the vertices, and a marked point whose coordinates leave
+that field is located again, so FieldMismatch is raised exactly where the
+constructor would raise it on the mapped description.  The constructor stays
+the only way in for outside descriptions.
+
 Corner convention: corner (p, v) sits at vertex v of polygon p, between the
 incoming edge v-1 and the outgoing edge v.  Its sector is swept CCW from the
 outgoing edge direction (included) to the direction back along the incoming
@@ -98,10 +112,7 @@ class Surface:
         if problems:
             _, exc, message = problems[0]
             raise exc(message)
-        # crossing edge e1 forward maps x to x + T
-        self.translation = {
-            (p1, e1): self.polygons[p2].vertex(e2 + 1) - self.polygons[p1].vertex(e1)
-            for (p1, e1), (p2, e2) in self.partner.items()}
+        self.translation = _translations(self.polygons, self.partner)
         self._build_vertex_classes()
         self._walk_corner_cycles()
         self.point_labels = dict(point_labels or {})
@@ -113,10 +124,7 @@ class Surface:
                 poly, at = m[0], m[1]
                 label = m[2] if len(m) > 2 and m[2] is not None else "m%d" % i
                 self._add_mark(poly, at if isinstance(at, Vec2) else Vec2(*at), label)
-        self._marks_by_polygon = {}
-        for idx, mp in enumerate(self.marked):
-            for (p, pt) in mp.aliases:
-                self._marks_by_polygon.setdefault(p, []).append((idx, pt))
+        self._marks_by_polygon = _marks_by_polygon(self.marked)
 
     # -- vertex identification and cone angles --------------------------------
 
@@ -304,14 +312,43 @@ class Surface:
     # -- transforms ------------------------------------------------------------
 
     def transform(self, mat: Mat2) -> "Surface":
-        """Apply a positive-determinant matrix to every chart."""
+        """Apply a positive-determinant matrix to every chart.
+
+        The image is not re-validated (see the module docstring): the charts,
+        translations and marked points are mapped, the combinatorial tables
+        are shared with this surface, and only the field is checked again.
+        """
         if mat.det().sign() <= 0:
             raise InvalidParams("transform must have positive determinant")
-        polys = [[mat * v for v in poly.vertices] for poly in self.polygons]
-        gluings = [(a, b) for a, b in self.partner.items() if a <= b]
-        marked = [(mp.polygon, mat * mp.at, mp.label) for mp in self.marked]
-        return Surface(polys, gluings, field_d=None,
-                       marked=marked, point_labels=self.point_labels)
+        polygons = [Polygon([mat * v for v in poly.vertices])
+                    for poly in self.polygons]
+        marked = []
+        for mp in self.marked:
+            aliases = [(p, mat * pt) for p, pt in mp.aliases]
+            marked.append(MarkedPoint(mp.polygon, aliases[0][1], mp.label,
+                                      mp.kind, aliases))
+        field_d, clash = _settle_field(polygons, None)
+        if clash:
+            raise FieldMismatch(clash)
+        image = Surface.__new__(Surface)
+        image.polygons = polygons
+        image.field_d = field_d
+        image.partner = self.partner
+        image.translation = _translations(polygons, self.partner)
+        image.vertex_classes = self.vertex_classes
+        image.class_of = self.class_of
+        image.corner_cycles = self.corner_cycles
+        image.cone_windings = self.cone_windings
+        image.singular_classes = self.singular_classes
+        image.point_labels = dict(self.point_labels)
+        image.marked = marked
+        image._marks_by_polygon = _marks_by_polygon(marked)
+        for mp in marked:
+            if {mp.at.x.d, mp.at.y.d} - {0, field_d}:
+                # a mark outside the charts' field: locating it, as the
+                # constructor does, raises FieldMismatch where the fields meet
+                image._point(mp.polygon, mp.at, "point %s outside polygon %d")
+        return image
 
     def with_marks(self, marks) -> "Surface":
         """Same complex, fresh marked-point list."""
@@ -412,6 +449,36 @@ def singularities(surface: Surface):
             for cls, w in enumerate(surface.cone_windings)]
 
 
+def _translations(polygons, partner):
+    """(polygon, edge) -> T: crossing the edge forward maps x to x + T."""
+    return {(p1, e1): polygons[p2].vertex(e2 + 1) - polygons[p1].vertex(e1)
+            for (p1, e1), (p2, e2) in partner.items()}
+
+
+def _marks_by_polygon(marked):
+    """polygon -> (mark index, chart point) for every alias of every mark."""
+    out = {}
+    for idx, mp in enumerate(marked):
+        for (p, pt) in mp.aliases:
+            out.setdefault(p, []).append((idx, pt))
+    return out
+
+
+def _settle_field(polygons, field_d):
+    """(field d, clash message or None) of the vertex coordinates, against a
+    declared field_d (None: take it from the coordinates, 0 if rational)."""
+    seen = {c.d for poly in polygons for v in poly.vertices for c in (v.x, v.y)}
+    seen.discard(0)
+    if field_d is None and len(seen) > 1:
+        return field_d, "coordinates span several quadratic fields"
+    if field_d is not None and seen - {field_d}:
+        return field_d, ("coordinate field tags %s clash with declared d=%d"
+                         % (sorted(seen), field_d))
+    if field_d is None:
+        field_d = seen.pop() if seen else 0
+    return field_d, None
+
+
 def _gluing_sides(item):
     """The two (polygon, edge) sides a gluing entry names -- a pair of pairs
     or a {p1, e1, p2, e2} dict -- or None when the entry is malformed."""
@@ -437,18 +504,9 @@ def _check(polygons, gluings, field_d):
     entries, unglued edges, then glued edges that are not
     translation-opposite.  The partner map holds the well-formed gluings.
     """
-    seen = {c.d for poly in polygons for v in poly.vertices for c in (v.x, v.y)}
-    seen.discard(0)
-    clash = None
-    if field_d is None and len(seen) > 1:
-        clash = "coordinates span several quadratic fields"
-    elif field_d is not None and seen - {field_d}:
-        clash = ("coordinate field tags %s clash with declared d=%d"
-                 % (sorted(seen), field_d))
+    field_d, clash = _settle_field(polygons, field_d)
     if clash:
         return field_d, {}, [("FieldMismatch: " + clash, FieldMismatch, clash)]
-    if field_d is None:
-        field_d = seen.pop() if seen else 0
     if not polygons:
         return field_d, {}, [("Empty: need at least one polygon",
                               InvalidParams, "need at least one polygon")]

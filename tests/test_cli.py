@@ -177,6 +177,18 @@ def test_cover_slit_with_a_short_vector_exits_1(tmp_path, capsys):
     assert rc == 1 and err.startswith("error: a vector is written as")
 
 
+def test_cover_slit_without_a_direction_exits_1(tmp_path, capsys):
+    path = build_cross(tmp_path, capsys)
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "degree": 2, "slits": [{"corner": [0, 11], "to": ["3/2", "3/2"]}],
+    }))
+    rc, _, err = run(capsys, "cover", "cyclic", "--spec", str(spec),
+                     "--base", path)
+    assert rc == 1
+    assert err == "error: malformed slit 0 JSON (KeyError: 'dir')\n"
+
+
 def test_twist_orbit_report(tmp_path, capsys):
     path = build_cross(tmp_path, capsys)
     out = tmp_path / "orbit.json"

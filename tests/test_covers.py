@@ -279,3 +279,31 @@ def test_malformed_slit_vectors_raise_invalid_params():
             with pytest.raises(InvalidParams, match="two-element list"):
                 Slit.from_json(dict(good, **{key: bad}))
     assert Slit.from_json(good).direction == Vec2(1, 1)
+
+
+def test_slit_json_without_a_key_names_the_slit():
+    good = {"corner": [0, 11], "dir": ["1", "1"], "to": ["3/2", "3/2"]}
+    for key in ("dir", "to"):
+        bad = {k: v for k, v in good.items() if k != key}
+        with pytest.raises(InvalidParams,
+                           match=r"malformed slit 2 JSON \(KeyError: '%s'\)"
+                           % key):
+            Slit.from_json(bad, 2)
+    with pytest.raises(InvalidParams, match="malformed slit 0 JSON"):
+        Slit.from_json(["1", "1"])
+    no_dir = {"corner": [0, 11], "to": ["1", "1"]}
+    spec = {"degree": 2, "slits": [good, no_dir], "perms": [[2, 1], [2, 1]]}
+    with pytest.raises(InvalidParams,
+                       match=r"malformed slit 1 JSON \(KeyError: 'dir'\)"):
+        CoverSpec.from_json(spec, Surface.cross(1, 1))
+
+
+def test_cover_spec_json_without_a_key_raises_invalid_params():
+    base = Surface.cross(1, 1)
+    spec = CoverSpec(base, 2, [diag_slit()], [shift(2)]).to_json()
+    for key in ("perms", "degree", "slits"):
+        bad = {k: v for k, v in spec.items() if k != key}
+        with pytest.raises(InvalidParams, match=r"malformed cover spec "
+                           r"JSON \(KeyError: '%s'\)" % key):
+            CoverSpec.from_json(bad, base)
+    assert CoverSpec.from_json(spec, base).perms == [(1, 0)]

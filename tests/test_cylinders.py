@@ -4,6 +4,7 @@ Frozen values below (cylinder dimensions, twist images, orbit ratios) were
 computed by hand from the flat pictures before being locked in here.
 """
 
+import gc
 import random
 from fractions import Fraction
 
@@ -15,7 +16,8 @@ from veechkit.field import FieldScalar, scalar
 from veechkit.geometry import Mat2, Vec2, segments_intersect
 from veechkit.linear import twist_matrix
 from veechkit.surface import Surface
-from veechkit.trace import CLOSED, STOPPED, Segment, advance, trace
+from veechkit.trace import (CLOSED, STOPPED, Segment, advance,
+                            departing_corners, trace)
 from veechkit.cylinders import (_barrier_hook, _leaf_key, classify_direction,
                                 decompose, dehn_twist_point, mark_ratios,
                                 signature_of_moduli, torus_signature,
@@ -132,9 +134,48 @@ def test_banks_are_attached():
         assert deco.complete
         west, east = _reference_banks(deco)
         for cyl in deco.cylinders:
-            assert cyl.west_boundary and cyl.east_boundary
-            assert cyl.west_boundary == west[cyl.index]
-            assert cyl.east_boundary == east[cyl.index]
+            west_ids, east_ids = deco.banks[cyl.index]
+            assert west_ids and east_ids
+            assert west_ids == west[cyl.index]
+            assert east_ids == east[cyl.index]
+
+
+def test_banks_are_traced_on_first_read_only(monkeypatch):
+    # decompose traces the separatrices, the vertex leaves, one width ray per
+    # east corner, one midline per cylinder and two rays per mark; the banks'
+    # two rays per barrier leaf wait for the first read of deco.banks
+    calls = []
+
+    def counting_trace(*args, **kwargs):
+        calls.append(args)
+        return trace(*args, **kwargs)
+
+    monkeypatch.setattr(veechkit.cylinders, "trace", counting_trace)
+    at = (GOLDEN_BIG + Fraction(1, 3), GOLDEN_BIG + Fraction(1, 7))
+    surf = Surface.cross(GOLDEN_BIG, 1, marked=[(0, at, "q")])
+    deco = decompose(surf, Vec2(2, 3))
+    assert deco.complete and [m.state for m in deco.marks] == ["in"]
+    normalized = deco.normalized
+    regular = [cls for cls, w in enumerate(normalized.cone_windings) if w == 1]
+    width_rays = len(departing_corners(normalized, Vec2(1, 0))) + sum(
+        len(departing_corners(normalized, Vec2(1, 0), cls=cls))
+        for cls in regular)
+    assert len(calls) == (len(deco.connections) + len(regular) + width_rays
+                          + len(deco.cylinders) + 2 * len(deco.marks))
+    before = len(calls)
+    banks = deco.banks
+    barrier_leaves = len(deco.connections) + len(deco.vertex_leaves)
+    assert len(calls) == before + 2 * barrier_leaves
+    assert deco.banks is banks
+    assert len(calls) == before + 2 * barrier_leaves
+
+
+def test_read_banks_leave_no_cyclic_garbage():
+    gc.collect()
+    deco = decompose(Surface.cross(GOLDEN_BIG, 1), Vec2(1, 2))
+    assert deco.banks
+    del deco
+    assert gc.collect() == 0
 
 
 def test_each_cylinder_closes_one_leaf(monkeypatch):

@@ -410,6 +410,127 @@ def test_polygon_contains_matches_reference(case, clockwise):
 
 
 # ---------------------------------------------------------------------------
+# transform: the validating constructor is the oracle
+# ---------------------------------------------------------------------------
+
+SQRT2 = FieldScalar(0, 1, 2)
+SQRT3 = FieldScalar(0, 1, 3)
+SIZES = {0: (1, Fraction(1, 2), Fraction(3, 2)),
+         2: (SQRT2, SQRT2 - 1, (SQRT2 + 1) / 2),
+         5: (PHI, PHI - 1, (PHI + 1) / 3)}
+SCALES = (2, Fraction(1, 3), SQRT2, PHI, SQRT3 + 1)
+
+
+def constructed_image(surf, mat):
+    """The image of `surf` under `mat`, built and checked from scratch."""
+    polys = [[mat * v for v in poly.vertices] for poly in surf.polygons]
+    gluings = [(a, b) for a, b in surf.partner.items() if a <= b]
+    marked = [(mp.polygon, mat * mp.at, mp.label) for mp in surf.marked]
+    return Surface(polys, gluings, marked=marked,
+                   point_labels=surf.point_labels)
+
+
+def assert_same_image(got, expect):
+    assert got == expect
+    for name in ("translation", "vertex_classes", "class_of",
+                 "corner_cycles", "cone_windings", "singular_classes",
+                 "_marks_by_polygon"):
+        assert getattr(got, name) == getattr(expect, name), name
+    assert [(mp.kind, mp.aliases) for mp in got.marked] == \
+        [(mp.kind, mp.aliases) for mp in expect.marked]
+
+
+@st.composite
+def marked_surfaces(draw):
+    """A cross or an L-shape over Q, Q(sqrt2) or Q(sqrt5) (one side from
+    the field, the others from the field or Q), with up to three marks at
+    interior, edge and regular-vertex points."""
+    d = draw(st.sampled_from(sorted(SIZES)))
+    make = draw(st.sampled_from((Surface.cross, Surface.l_shape)))
+    args = [draw(st.sampled_from(SIZES[0] + SIZES[d]))
+            for _ in range(2 if make == Surface.cross else 4)]
+    args[draw(st.integers(0, len(args) - 1))] = draw(st.sampled_from(SIZES[d]))
+    surf = make(*args)
+    marks = []
+    for i in range(draw(st.integers(0, 3))):
+        p = draw(st.integers(0, len(surf.polygons) - 1))
+        poly = surf.polygons[p]
+        k = draw(st.integers(0, poly.n - 1))
+        kind = draw(st.sampled_from(("interior", "edge", "vertex")))
+        if kind == "vertex":
+            at = poly.vertex(k)
+        elif kind == "edge":
+            at = poly.vertex(k) + poly.edge(k) * Fraction(
+                draw(st.integers(1, 7)), 8)
+        else:
+            x0, y0, x1, y1 = poly.bbox()
+            u, w = (Fraction(draw(st.integers(1, 15)), 16) for _ in range(2))
+            at = Vec2(x0 + (x1 - x0) * u, y0 + (y1 - y0) * w)
+        try:  # skip points outside the chart, on the cone or marked twice
+            make(*args, marked=marks + [(p, at, "m%d" % i)])
+        except InvalidParams:
+            continue
+        marks.append((p, at, "m%d" % i))
+    return make(*args, marked=marks)
+
+
+@st.composite
+def positive_matrices(draw):
+    """An SL2(Z) word of length <= 4, now and then times a diagonal scaling
+    (determinant 1 or not) or a shear whose entry may lie in another
+    quadratic field."""
+    mat = Mat2.identity()
+    for g in draw(st.lists(st.sampled_from(SL2_WORDS), max_size=4)):
+        mat = g * mat
+    extra = draw(st.sampled_from((None, None, "unimodular", "stretch",
+                                  "shear")))
+    if extra:
+        lam = draw(st.sampled_from(SCALES))
+        mat = {"unimodular": Mat2(lam, 0, 0, 1 / lam),
+               "stretch": Mat2(lam, 0, 0, 1),
+               "shear": Mat2(1, lam, 0, 1)}[extra] * mat
+    return mat
+
+
+@settings(max_examples=100, deadline=None)
+@given(marked_surfaces(), positive_matrices())
+def test_transform_matches_the_constructor(surf, mat):
+    try:
+        expect = constructed_image(surf, mat)
+    except FieldMismatch:
+        with pytest.raises(FieldMismatch):
+            surf.transform(mat)
+        return
+    assert_same_image(surf.transform(mat), expect)
+
+
+def test_transform_settles_the_field_as_the_constructor_does():
+    # a sqrt3 mark in a rational chart of a golden L-shape: both paths build
+    # the image, since the mark meets only rational coordinates
+    surf = Surface.l_shape(1, 1, 1, PHI,
+                           marked=[(0, (SQRT3 / 3, Fraction(1, 2)), "q")])
+    mat = Mat2(1, 1, 0, 1)
+    assert_same_image(surf.transform(mat), constructed_image(surf, mat))
+    for surf, mat, message in (
+            # rational x and golden y, x stretched into Q(sqrt2)
+            (Surface.l_shape(1, PHI, 1, PHI), Mat2(SQRT2, 0, 0, 1),
+             "coordinates span several quadratic fields"),
+            # a golden mark on a rational cross stretched into Q(sqrt2)
+            (Surface.cross(1, 1, marked=[(0, (PHI, Fraction(3, 2)), "q")]),
+             Mat2(1, 0, 0, SQRT2), "cannot mix")):
+        with pytest.raises(FieldMismatch, match=message):
+            constructed_image(surf, mat)
+        with pytest.raises(FieldMismatch, match=message):
+            surf.transform(mat)
+
+
+def test_transform_rejects_nonpositive_determinant():
+    for mat in (Mat2(0, 1, 1, 0), Mat2(1, 0, 0, 0)):
+        with pytest.raises(InvalidParams, match="positive determinant"):
+            Surface.cross(1, 1).transform(mat)
+
+
+# ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
 
