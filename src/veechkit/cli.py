@@ -16,7 +16,8 @@ import tempfile
 from fractions import Fraction
 
 from .census import census, census_to_json, fat_sequence
-from .covers import CoverSpec, Slit, build_cover, cyclic_slit_cover, double_cover
+from .covers import (CoverSpec, Slit, build_cover, cyclic_slit_cover,
+                     double_cover, sheets_from_json)
 from .cylinders import (classify_direction, decompose, torus_signature,
                         twist_orbit)
 from .errors import InvalidParams, VeechkitError
@@ -248,27 +249,23 @@ def _cmd_twist_orbit(args):
 
 def _cmd_cover(args):
     obj = _load_json(args.spec)
+    if not isinstance(obj, dict):
+        raise InvalidParams("cover spec must be a JSON object")
     if args.base:
         base = _load_surface(args.base)
     elif "base" in obj:
         base = Surface.from_json(obj["base"])
     else:
         raise InvalidParams("cover spec needs a 'base' key or --base FILE")
-    slits = [Slit.from_json(s, i)
-             for i, s in enumerate(obj.get("slits", []))]
+    slits = obj.get("slits", [])
+    if not isinstance(slits, list):
+        raise InvalidParams("cover spec 'slits' must be a list, not %r"
+                            % (slits,))
+    slits = [Slit.from_json(s, i) for i, s in enumerate(slits)]
     if args.construction == "double":
         cover = double_cover(base, slits)
     else:
-        degree = obj.get("degree")
-        if degree is None:
-            raise InvalidParams("cyclic cover spec needs 'degree'")
-        if "perms" in obj:
-            perms = [[i - 1 for i in p] for p in obj["perms"]]
-        elif "perm" in obj:
-            perms = [[i - 1 for i in obj["perm"]]] * len(slits)
-        else:
-            shift = list(range(1, degree)) + [0]
-            perms = [shift] * len(slits)
+        degree, perms = sheets_from_json(obj, len(slits), cyclic=True)
         spec = CoverSpec(base, degree, slits, perms)
         if len(slits) == 1:
             cover = cyclic_slit_cover(spec)

@@ -119,13 +119,46 @@ class CoverSpec:
     @classmethod
     def from_json(cls, obj, base) -> "CoverSpec":
         try:
-            perms = [[i - 1 for i in p] for p in obj["perms"]]
-            degree, slits = obj["degree"], list(obj["slits"])
+            slits = list(obj["slits"])
         except (KeyError, TypeError) as exc:
             raise InvalidParams("malformed cover spec JSON (%s: %s)"
                                 % (type(exc).__name__, exc)) from None
+        degree, perms = sheets_from_json(obj, len(slits))
         return cls(base, degree,
                    [Slit.from_json(s, i) for i, s in enumerate(slits)], perms)
+
+
+def sheets_from_json(obj, nslits, cyclic=False):
+    """(degree, 0-based sheet permutations) of a cover spec's JSON object.
+
+    "degree" is an integer and "perms" lists one 1-based permutation per
+    slit.  A cyclic spec (`cyclic`, as `veechkit cover cyclic` reads one)
+    may give instead "perm", one permutation for all `nslits` slits, or
+    neither, for the shift of sheet i to sheet i + 1.  A missing key or a
+    malformed value raises InvalidParams naming the key.
+    """
+    key = "perm" if cyclic and "perms" not in obj else "perms"
+    try:
+        degree = obj["degree"]
+        raw = obj[key] if key == "perms" or key in obj else None
+    except (KeyError, TypeError) as exc:
+        raise InvalidParams("malformed cover spec JSON (%s: %s)"
+                            % (type(exc).__name__, exc)) from None
+    if isinstance(degree, bool) or not isinstance(degree, int):
+        raise InvalidParams("cover spec 'degree' must be an integer, not %r"
+                            % (degree,))
+    if raw is None:
+        return degree, [list(range(1, degree)) + [0]] * nslits
+    perms = raw if key == "perms" else [raw]
+    if not (isinstance(raw, list) and all(
+            isinstance(p, list) and all(type(i) is int for i in p)
+            for p in perms)):
+        raise InvalidParams(
+            "cover spec %r must be %s of 1-based sheet numbers, not %r"
+            % (key, "one list per slit" if key == "perms" else "a list",
+               raw))
+    perms = [[i - 1 for i in p] for p in perms]
+    return degree, perms if key == "perms" else perms * nslits
 
 
 # -- slit resolution ----------------------------------------------------------

@@ -10,17 +10,30 @@ of the cone points plus the closed leaves through the regular vertex classes.
 A direction decomposes completely when all of those are accounted for within
 the cap -- every separatrix ends at a cone point, every vertex-class leaf
 either closes up or runs into a cone.  The union of these leaves is the
-barrier set; each cylinder is found by shooting an east ray from a
-distinguished corner to its first barrier crossing (the width).  The ray's
-midpoint lies on the band's closed midline, and on no other band's, so a
-cylinder is recognised by its midline: the point is tested against the
-midlines already known, which in this frame is an x-equality and a
-y-interval check.  A leaf is closed up only once per new cylinder, through
-the midpoint of the first ray that crosses it (the height, and the
-cylinder's identity key).  Marked points are placed by the same test, from
-the midpoints of their own transverse rays.  Banks (which barrier leaves bound
-each cylinder) are computed the same way, but only on first read of
-`Decomposition.banks`, since no part of the decomposition depends on them.
+barrier set.
+
+A band is found from its west bank, without tracing inside it.  A saddle
+connection arrives at its upper cone from direction -v (down); turning
+counterclockwise from there, the first corner that owns east opens onto the
+band east of the connection, and the next corner that owns up starts the next
+saddle connection on the same bank.  Each cycle of this permutation of the
+separatrices is the west bank of one band, whose height (circumference) is
+the sum of the bank's lengths; each closed vertex leaf is the west bank of
+one band too, with its own length as height.  Every corner a width ray leaves
+from (the corners owning east at the cones and at the regular vertices) opens
+onto the band east of the barrier through its vertex, so bands are numbered
+in the order of the first such corner, and one east ray from that corner to
+the next barrier gives the band's width and, at its midpoint, a sample point
+on the band's closed midline.  The midline itself (and the cylinder's key) is
+traced from that sample only when read -- at once only when the height
+exceeds the cap, since that midline may not close within it.
+
+A point is placed by one ray west and one ray east to the barriers: the band
+it lies in is the band east of where the west ray stops -- a barrier leaf
+(the segment the barrier hook returns) or a cone corner (the same east rule).
+Marked points are placed this way, and so are banks (which barrier leaves
+bound each cylinder), on first read of `Decomposition.banks`, since no part of
+the decomposition depends on them.
 
 Every trace of a decomposition runs up, east or west, so a decomposition
 makes one flow per direction (trace._Flow) and passes it to each trace:
@@ -36,11 +49,13 @@ from .errors import (InconsistentTopology, InvalidParams, NotComplete,
                      OnBoundaryPoint)
 from .field import (FieldScalar, commensurability_classes,
                     least_common_integer_multiple, scalar)
-from .geometry import Vec2, canonical_direction, normalize_to_vertical
+from .geometry import (Vec2, canonical_direction, ccw_sector_contains,
+                       normalize_to_vertical)
 from .trace import (CAPPED, CLOSED, SINGULAR, STOPPED, Segment, _Flow,
                     advance, departing_corners, trace)
 
 _UP = Vec2(0, 1)
+_DOWN = Vec2(0, -1)
 _EAST = Vec2(1, 0)
 _WEST = Vec2(-1, 0)
 
@@ -49,29 +64,57 @@ class Cylinder:
     """One band of parallel closed leaves, in the normalized frame.
 
     width   -- transverse extent (east across the band)
-    height  -- circumference of each closed leaf
-    midline -- closed central leaf, as traced segments; the midpoint of any
-               transverse ray across the band lies on it, which is how the
-               cylinder is recognised.  It is closed up once, when the first
-               ray meets the cylinder.
-    key     -- phase-independent form of the midline (see _leaf_key)
+    height  -- circumference of each closed leaf: the length of its west bank
+    sample  -- (polygon, point) midway across the band on its first width ray
+    midline -- closed central leaf through `sample`, as traced segments;
+               traced on first read
+    key     -- phase-independent form of the midline (see _leaf_key), read
+               from the midline
     marks   -- indices of marked points strictly inside, set by decompose
 
     The barrier leaves bounding the band are read from the decomposition:
     `Decomposition.banks[index]`.
     """
 
-    __slots__ = ("index", "width", "height", "midline", "key", "sample",
-                 "marks")
+    __slots__ = ("index", "width", "height", "sample", "marks", "_flow",
+                 "_cap", "_midline", "_key")
 
-    def __init__(self, index, width, height, midline, key, sample):
+    def __init__(self, index, width, height, sample, flow, cap):
         self.index = index
         self.width = width
         self.height = height
-        self.midline = midline
-        self.key = key
         self.sample = sample
         self.marks = []
+        self._flow = flow  # the upward flow of the normalized surface
+        self._cap = cap
+        self._midline = None
+        self._key = None
+
+    @property
+    def midline(self):
+        if self._midline is None:
+            self._close(self._trace_midline())
+        return self._midline
+
+    @property
+    def key(self):
+        if self._key is None:
+            self._key = _leaf_key(self.midline)
+        return self._key
+
+    def _trace_midline(self):
+        return trace(self._flow.surface, self.sample[0], self.sample[1],
+                     self._flow, stop_at_marked=False, cap=self._cap)
+
+    def _close(self, leaf):
+        if leaf.kind != CLOSED:
+            raise InconsistentTopology("cylinder midline failed to close (%s)"
+                                       % leaf.kind)
+        if leaf.param != self.height:
+            raise InconsistentTopology(
+                "cylinder %d midline has length %s, its bank %s"
+                % (self.index, leaf.param, self.height))
+        self._midline = leaf.segments
 
     @property
     def inverse_modulus(self) -> FieldScalar:
@@ -110,7 +153,8 @@ class Decomposition:
 
     __slots__ = ("surface", "direction", "frame", "normalized", "status",
                  "cylinders", "connections", "vertex_leaves", "barriers",
-                 "barrier_vertices", "marks", "cap", "flows", "_banks")
+                 "marks", "cap", "flows", "_hook", "_leaf_of", "_east_of",
+                 "_corner_east", "_banks")
 
     def __init__(self, **kw):
         for k in self.__slots__:
@@ -129,10 +173,10 @@ class Decomposition:
         cylinder's west and east banks, numbered as the separatrices in
         `connections` followed by the closed leaves in `vertex_leaves`.
 
-        Each barrier leaf separates two bands; a ray east (west) from the
-        middle of its first segment crosses the band on that side, and the
-        ray's midpoint lies on that band's midline.  Computed on first read
-        and kept.
+        A barrier leaf is on the west bank of the band east of it, known
+        from decompose.  A ray west from the middle of its first segment
+        crosses the band on its other side, which is named by where the ray
+        stops.  Computed on first read and kept.
         """
         if not self.complete:
             raise NotComplete("banks need a complete decomposition")
@@ -141,17 +185,11 @@ class Decomposition:
             events = ([ev for _, ev in self.connections]
                       + [ev for _, ev in self.vertex_leaves])
             for bid, ev in enumerate(events):
+                banks[self._east_of[bid]][0].append(bid)
                 seg = ev.segments[0]
                 q = seg.point_at((seg.tau0 + seg.tau1) / 2)
-                for direction, side in (("east", 0), ("west", 1)):
-                    ray = self._ray(seg.polygon, q, direction)
-                    mid = _point_on(ray, ray.param / 2)
-                    cyl = _cylinder_at(self.cylinders,
-                                       self.normalized.point_aliases(*mid))
-                    if cyl is None:
-                        raise InconsistentTopology(
-                            "bank belongs to no cylinder")
-                    banks[cyl.index][side].append(bid)
+                west = self._ray(seg.polygon, q, "west")
+                banks[self._band_of_west_ray(west)][1].append(bid)
             self._banks = banks
         return self._banks
 
@@ -171,19 +209,11 @@ class Decomposition:
         west = self._ray(polygon, point, "west")
         eastd, westd = east.param, west.param
         width = eastd + westd
-        # the band's midpoint lies on one of the two rays, or is the point
-        delta = width / 2 - westd
-        if delta.sign() > 0:
-            aliases = self.normalized.point_aliases(*_point_on(east, delta))
-        elif delta.sign() < 0:
-            aliases = self.normalized.point_aliases(*_point_on(west, -delta))
-        cyl = _cylinder_at(self.cylinders, aliases)
-        if cyl is None:
-            raise InconsistentTopology("point belongs to no known cylinder")
-        if cyl.width != width:
+        index = self._band_of_west_ray(west)
+        if self.cylinders[index].width != width:
             raise InconsistentTopology(
-                "band width %s disagrees with cylinder %d" % (width, cyl.index))
-        return MarkPosition("in", cyl.index, westd, eastd, westd / width)
+                "band width %s disagrees with cylinder %d" % (width, index))
+        return MarkPosition("in", index, westd, eastd, westd / width)
 
     def locate(self, polygon, point) -> MarkPosition:
         """Place an original-frame point inside the decomposition."""
@@ -193,12 +223,22 @@ class Decomposition:
     def _ray(self, polygon, point, direction):
         ev = trace(self.normalized, polygon, point, self.flows[direction],
                    stop_at_marked=False, cap=self.cap, detect_closure=False,
-                   stop_on=_barrier_hook(self.barriers,
-                                         self.barrier_vertices))
+                   stop_on=self._hook)
         if ev.kind not in (STOPPED, SINGULAR):
             raise InconsistentTopology(
                 "transverse ray escaped the decomposition (%s)" % ev.kind)
         return ev
+
+    def _band_of_west_ray(self, ray):
+        """Index of the cylinder east of where a westward ray stopped: past
+        the barrier leaf the hook met, or past the cone corner it reached."""
+        try:
+            if ray.kind == STOPPED:
+                return self._east_of[self._leaf_of[ray.payload]]
+            return self._corner_east[_owner_back(self.normalized, ray)]
+        except KeyError:
+            raise InconsistentTopology(
+                "point belongs to no known cylinder") from None
 
 
 def _vertical_span(seg):
@@ -215,26 +255,38 @@ def _on_leaf(seg, pt) -> bool:
     return pt.x == x and y0 <= pt.y <= y1
 
 
-def _cylinder_at(cylinders, aliases):
-    """The cylinder whose midline passes through the point named by
-    `aliases` (its chart representatives), or None if no known one does."""
-    for cyl in cylinders:
-        for seg in cyl.midline:
-            for (p, pt) in aliases:
-                if seg.polygon == p and _on_leaf(seg, pt):
-                    return cyl
-    return None
-
-
 def _point_on(ev, tau):
     """(polygon, point) reached at parameter tau along a traced ray."""
     seg = next(s for s in ev.segments if s.tau0 <= tau <= s.tau1)
     return seg.polygon, seg.point_at(tau)
 
 
+def _owner_back(surface, ev):
+    """The corner owning the direction back along a trace that ended at a
+    vertex: its arrival corner, or the next one after a slide, whose edge
+    is that corner's excluded incoming ray."""
+    if ev.segments[-1].slide:
+        return surface.next_corner(ev.corner)
+    return ev.corner
+
+
+def _turn(surface, corner, start, target):
+    """The first corner met turning counterclockwise from direction `start`,
+    which `corner` owns, whose sector holds direction `target`."""
+    if ccw_sector_contains(start, surface.ray_in(corner), target):
+        return corner
+    c = surface.next_corner(corner)
+    while c != corner:
+        if ccw_sector_contains(surface.ray_out(c), surface.ray_in(c), target):
+            return c
+        c = surface.next_corner(c)
+    raise InconsistentTopology("no corner at %s owns direction %s"
+                               % (corner, target))
+
+
 def _barrier_vertices(surface, barriers):
-    """polygon -> chart representatives of the regular vertices that lie on
-    a barrier leaf.
+    """polygon -> [(chart point, barrier segment)] for the regular vertices
+    that lie on a barrier leaf, with a segment of that leaf.
 
     A leaf through a regular vertex may touch only some of the vertex's
     corners, so a ray reaching the vertex at another corner meets no barrier
@@ -245,23 +297,29 @@ def _barrier_vertices(surface, barriers):
         if surface.cone_windings[cls] > 1:
             continue
         reps = [(p, surface.polygons[p].vertex(k)) for p, k in corners]
-        if any(_on_leaf(bs, pt) for p, pt in reps
-               for bs in barriers.get(p, [])):
+        hit = next((bs for p, pt in reps for bs in barriers.get(p, [])
+                    if _on_leaf(bs, pt)), None)
+        if hit is not None:
             for p, pt in reps:
-                out.setdefault(p, []).append(pt)
+                out.setdefault(p, []).append((pt, hit))
     return out
 
 
-def _barrier_hook(barriers, vertices=None):
-    """stop_on hook halting a horizontal ray at its first barrier crossing.
+def _barrier_hook(barriers, vertices=None, cones=None):
+    """stop_on hook halting a horizontal ray at its first barrier crossing,
+    with the barrier segment it crosses as payload.
 
     Barriers are vertical and the ray is horizontal, so a crossing is the
     barrier's x inside the ray segment's x-span with the ray's y inside the
     barrier's y-span; only the nearest one is turned into a parameter.  A
-    segment ending at one of `vertices` (see _barrier_vertices) crosses a
-    barrier at its end.  Any other shape is an inconsistency, never a guess.
+    segment ending at one of `vertices` (see _barrier_vertices) crosses that
+    vertex's barrier at its end.  A crossing at one of `cones` (polygon ->
+    chart points of the cone points) is left to the trace, which stops there
+    with the arrival corner: several barriers meet at a cone.  Any other
+    shape is an inconsistency, never a guess.
     """
     vertices = vertices or {}
+    cones = cones or {}
 
     def stop(seg):
         ax, bx, y = seg.a.x, seg.b.x, seg.a.y
@@ -270,7 +328,7 @@ def _barrier_hook(barriers, vertices=None):
                 "barrier hook needs a horizontal ray, got %r" % (seg,))
         sense = bx._cmp(ax)  # +1 east, -1 west
         at_start = not seg.tau0
-        best = None
+        best = hit = None
         for bs in barriers.get(seg.polygon, []):
             x, y0, y1 = _vertical_span(bs)
             if not y0 <= y <= y1:
@@ -282,12 +340,16 @@ def _barrier_hook(barriers, vertices=None):
             if x._cmp(bx) * sense > 0:
                 continue
             if best is None or x._cmp(best) * sense < 0:
-                best = x
-        if best is None and seg.b in vertices.get(seg.polygon, ()):
-            best = bx
+                best, hit = x, bs
         if best is None:
+            hit = next((bs for pt, bs in vertices.get(seg.polygon, ())
+                        if pt == seg.b), None)
+            if hit is None:
+                return None
+            best = bx
+        elif best == bx and seg.b in cones.get(seg.polygon, ()):
             return None
-        return (best - ax) / (bx - ax), None
+        return (best - ax) / (bx - ax), hit
     return stop
 
 
@@ -309,6 +371,83 @@ def _leaf_key(segments):
         if best is None or rot < best:
             best = rot
     return best
+
+
+def _west_banks(surface, connections, regular):
+    """The bands of a direction, found from their west banks.
+
+    `connections` are the (corner, event) separatrices, all saddle
+    connections; `regular` the (class, event) leaves of the regular vertex
+    classes, each closed or a piece of a saddle connection.  Returns
+    (heights, east_of, corner_band, class_band): the height of each band;
+    the band east of each barrier leaf (the separatrices, then the closed
+    leaves of `regular` in order); the band a ray leaving each east-owning
+    cone corner enters; and the band east of each regular vertex.
+    """
+    starts = {corner: i for i, (corner, _) in enumerate(connections)}
+    arrivals, succ, east_corners = {}, [], []
+    for i, (_, ev) in enumerate(connections):
+        down = _owner_back(surface, ev)
+        arrivals[down] = i
+        east = _turn(surface, down, _DOWN, _EAST)
+        east_corners.append(east)
+        nxt = starts.get(_turn(surface, east, _EAST, _UP))
+        if nxt is None:
+            raise InconsistentTopology("no separatrix leaves %s upward"
+                                       % (east,))
+        succ.append(nxt)
+    band_of, heights = [None] * len(connections), []
+    for i in range(len(connections)):
+        if band_of[i] is not None:
+            continue
+        height, j = scalar(0), i
+        while band_of[j] is None:
+            band_of[j] = len(heights)
+            height = height + connections[j][1].param
+            j = succ[j]
+        if j != i:
+            raise InconsistentTopology("west bank from separatrix %d does "
+                                       "not close up" % i)
+        heights.append(height)
+    corner_band = {east: band_of[i] for i, east in enumerate(east_corners)}
+    east_of = list(band_of)
+
+    class_band, closed = {}, []
+    for cls, ev in regular:
+        if ev.kind == CLOSED:
+            band = _closed_band(surface, cls, ev, closed)
+            if band is None:
+                band = len(heights)
+                heights.append(ev.param)
+                closed.append((band, ev))
+            east_of.append(band)
+        else:
+            i = arrivals.get(_owner_back(surface, ev))
+            if i is None:
+                raise InconsistentTopology(
+                    "leaf of vertex class %d ends on no separatrix" % cls)
+            band = band_of[i]
+        class_band[cls] = band
+    return heights, east_of, corner_band, class_band
+
+
+def _closed_band(surface, cls, ev, closed):
+    """The band of an earlier closed vertex leaf that `ev`, the closed leaf
+    of regular vertex class `cls`, is the same leaf as, or None.
+
+    A closed leaf may pass through several regular vertices; it is the
+    same leaf when it passes through this class's vertex, and then it has
+    the same length.
+    """
+    reps = {}
+    for p, k in surface.vertex_classes[cls]:
+        reps.setdefault(p, []).append(surface.polygons[p].vertex(k))
+    for band, other in closed:
+        if other.param == ev.param and any(
+                _on_leaf(seg, pt) for seg in other.segments
+                for pt in reps.get(seg.polygon, ())):
+            return band
+    return None
 
 
 def decompose(surface, direction, cap=None) -> Decomposition:
@@ -342,26 +481,26 @@ def decompose(surface, direction, cap=None) -> Decomposition:
 
     # leaves through the regular vertex classes: closed ones are extra cuts;
     # ones that run into a cone already lie inside the separatrix segments
-    vertex_leaves = []
-    ray_corners = list(departing_corners(normalized, _EAST))
+    regular = []
     for cls in range(len(normalized.vertex_classes)):
         if normalized.cone_windings[cls] > 1:
             continue
         p, k = normalized.vertex_classes[cls][0]
         ev = trace(normalized, p, normalized.polygons[p].vertex(k), up,
                    stop_at_marked=False, cap=run_cap)
-        if ev.kind == CLOSED:
-            vertex_leaves.append((cls, ev))
-        elif ev.kind != SINGULAR:
-            return bail(connections, vertex_leaves)
-        ray_corners.extend(departing_corners(normalized, _EAST, cls=cls))
+        if ev.kind not in (CLOSED, SINGULAR):
+            return bail(connections, [(c, e) for c, e in regular
+                                      if e.kind == CLOSED])
+        regular.append((cls, ev))
+    vertex_leaves = [(cls, ev) for cls, ev in regular if ev.kind == CLOSED]
 
     barrier_events = ([ev for _, ev in connections]
                       + [ev for _, ev in vertex_leaves])
-    barriers = {}
-    for ev in barrier_events:
+    barriers, leaf_of = {}, {}
+    for bid, ev in enumerate(barrier_events):
         for seg in ev.segments:
             barriers.setdefault(seg.polygon, []).append(seg)
+            leaf_of[seg] = bid
             if seg.slide:
                 # a leaf along a glued edge is a barrier in both charts
                 p2, e2 = normalized.partner[(seg.polygon, seg.edge)]
@@ -369,17 +508,31 @@ def decompose(surface, direction, cap=None) -> Decomposition:
                 twin = Segment(p2, seg.a + shift, seg.b + shift, True,
                                seg.tau0, seg.tau1, edge=e2)
                 barriers.setdefault(p2, []).append(twin)
+                leaf_of[twin] = bid
+    cones = {}
+    for cls in normalized.singular_classes:
+        for p, k in normalized.vertex_classes[cls]:
+            cones.setdefault(p, []).append(normalized.polygons[p].vertex(k))
+    hook = _barrier_hook(barriers, _barrier_vertices(normalized, barriers),
+                         cones)
 
-    deco = Decomposition(surface=surface, direction=dirc, frame=frame,
-                         normalized=normalized, status="complete",
-                         cylinders=[], connections=connections,
-                         vertex_leaves=vertex_leaves, barriers=barriers,
-                         barrier_vertices=_barrier_vertices(normalized,
-                                                            barriers),
-                         marks=None, cap=run_cap, flows=flows)
+    heights, east_of, corner_band, class_band = _west_banks(
+        normalized, connections, regular)
+    ray_corners = list(departing_corners(normalized, _EAST))
+    for cls, _ in regular:
+        for corner in departing_corners(normalized, _EAST, cls=cls):
+            ray_corners.append(corner)
+            corner_band[corner] = class_band[cls]
 
-    hook = _barrier_hook(barriers, deco.barrier_vertices)
+    # number the bands by their first ray corner; one width ray each
+    cylinders, index = [], {}
     for corner in ray_corners:
+        band = corner_band.get(corner)
+        if band is None:
+            raise InconsistentTopology("corner %s opens onto no band"
+                                       % (corner,))
+        if band in index:
+            continue
         ev = trace(normalized, corner=corner, direction=east,
                    stop_at_marked=False, cap=run_cap, stop_on=hook,
                    detect_closure=False)
@@ -387,41 +540,40 @@ def decompose(surface, direction, cap=None) -> Decomposition:
             raise InconsistentTopology(
                 "width ray from %s escaped the barriers (%s)"
                 % (corner, ev.kind))
-        width = ev.param
-        mid_p, mid_pt = _point_on(ev, width / 2)
-        known = _cylinder_at(deco.cylinders,
-                             normalized.point_aliases(mid_p, mid_pt))
-        if known is not None:
-            if known.width != width:
-                raise InconsistentTopology("two widths for one cylinder")
-            continue
-        leaf = trace(normalized, mid_p, mid_pt, up, stop_at_marked=False,
-                     cap=run_cap)
-        if leaf.kind == CAPPED:
-            # every separatrix is a saddle connection, but this band's
-            # circumference is beyond the cap: undetermined, not inconsistent
-            return bail(connections, vertex_leaves)
-        if leaf.kind != CLOSED:
-            raise InconsistentTopology("cylinder midline failed to close (%s)"
-                                       % leaf.kind)
-        deco.cylinders.append(Cylinder(
-            len(deco.cylinders), width, leaf.param, leaf.segments,
-            _leaf_key(leaf.segments), (mid_p, mid_pt)))
+        cyl = Cylinder(len(cylinders), ev.param, heights[band],
+                       _point_on(ev, ev.param / 2), up, run_cap)
+        if cyl.height > run_cap:
+            # the midline may not close within the cap: every separatrix is
+            # a saddle connection, so that is undetermined, not inconsistent
+            leaf = cyl._trace_midline()
+            if leaf.kind == CAPPED:
+                return bail(connections, vertex_leaves)
+            cyl._close(leaf)
+        index[band] = cyl.index
+        cylinders.append(cyl)
 
     total = scalar(0)
-    for cyl in deco.cylinders:
+    for cyl in cylinders:
         total = total + cyl.width * cyl.height
     if total != surface.area:
         raise InconsistentTopology(
             "cylinder areas sum to %s but the surface has area %s"
             % (total, surface.area))
 
+    deco = Decomposition(
+        surface=surface, direction=dirc, frame=frame, normalized=normalized,
+        status="complete", cylinders=cylinders, connections=connections,
+        vertex_leaves=vertex_leaves, barriers=barriers, cap=run_cap,
+        flows=flows, _hook=hook, _leaf_of=leaf_of,
+        _east_of=[index[band] for band in east_of],
+        _corner_east={corner: index[band]
+                      for corner, band in corner_band.items()})
     deco.marks = []
     for i, mp in enumerate(normalized.marked):
         pos = deco.locate_normalized(mp.polygon, mp.at)
         deco.marks.append(pos)
         if pos.state == "in":
-            deco.cylinders[pos.cylinder].marks.append(i)
+            cylinders[pos.cylinder].marks.append(i)
     return deco
 
 

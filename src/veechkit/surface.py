@@ -26,10 +26,12 @@ polygons counterclockwise and corners of nonzero angle, maps each corner
 sector onto a sector in the same cyclic order (so a cycle sweeps the same
 total angle), and keeps a point interior, on an edge or at a vertex.  Only
 the field can change, since the matrix can bring in a radical: it is
-settled again from the vertices, and a marked point whose coordinates leave
-that field is located again, so FieldMismatch is raised exactly where the
-constructor would raise it on the mapped description.  The constructor stays
-the only way in for outside descriptions.
+settled again from the vertices, and the marked points' field tags are
+tested against it by the constructor's own test (`_mark_field_clash`: all
+nonzero tags of the surface and its marks agree), so FieldMismatch is
+raised exactly where the constructor would raise it on the mapped
+description.  The constructor stays the only way in for outside
+descriptions.
 
 Corner convention: corner (p, v) sits at vertex v of polygon p, between the
 incoming edge v-1 and the outgoing edge v.  Its sector is swept CCW from the
@@ -116,14 +118,21 @@ class Surface:
         self._build_vertex_classes()
         self._walk_corner_cycles()
         self.point_labels = dict(point_labels or {})
-        self.marked = []
+        marks = []
         for i, m in enumerate(marked):
             if isinstance(m, MarkedPoint):
-                self._add_mark(m.polygon, m.at, m.label)
+                marks.append((m.polygon, m.at, m.label))
             else:
                 poly, at = m[0], m[1]
                 label = m[2] if len(m) > 2 and m[2] is not None else "m%d" % i
-                self._add_mark(poly, at if isinstance(at, Vec2) else Vec2(*at), label)
+                marks.append((poly, at if isinstance(at, Vec2) else Vec2(*at),
+                              label))
+        clash = _mark_field_clash(self.field_d, marks)
+        if clash:
+            raise FieldMismatch(clash)
+        self.marked = []
+        for poly, at, label in marks:
+            self._add_mark(poly, at, label)
         self._marks_by_polygon = _marks_by_polygon(self.marked)
 
     # -- vertex identification and cone angles --------------------------------
@@ -328,6 +337,9 @@ class Surface:
             marked.append(MarkedPoint(mp.polygon, aliases[0][1], mp.label,
                                       mp.kind, aliases))
         field_d, clash = _settle_field(polygons, None)
+        if not clash:
+            clash = _mark_field_clash(
+                field_d, [(mp.polygon, mp.at, mp.label) for mp in marked])
         if clash:
             raise FieldMismatch(clash)
         image = Surface.__new__(Surface)
@@ -343,11 +355,6 @@ class Surface:
         image.point_labels = dict(self.point_labels)
         image.marked = marked
         image._marks_by_polygon = _marks_by_polygon(marked)
-        for mp in marked:
-            if {mp.at.x.d, mp.at.y.d} - {0, field_d}:
-                # a mark outside the charts' field: locating it, as the
-                # constructor does, raises FieldMismatch where the fields meet
-                image._point(mp.polygon, mp.at, "point %s outside polygon %d")
         return image
 
     def with_marks(self, marks) -> "Surface":
@@ -477,6 +484,25 @@ def _settle_field(polygons, field_d):
     if field_d is None:
         field_d = seen.pop() if seen else 0
     return field_d, None
+
+
+def _mark_field_clash(field_d, marks):
+    """The FieldMismatch message for the first (polygon, point, label) mark
+    whose coordinates leave the surface's field, or None.
+
+    Every nonzero field tag must agree: the surface's `field_d` (declared,
+    or settled from the vertices) and each mark coordinate's.  So a rational
+    surface may carry irrational marks, all from one quadratic field; its
+    field_d stays 0.
+    """
+    seen = field_d
+    for _, at, label in marks:
+        for tag in (at.x.d, at.y.d):
+            if tag and seen and tag != seen:
+                return ("marked point %r at %s cannot mix sqrt(%d) with "
+                        "sqrt(%d)" % (label, at, seen, tag))
+            seen = seen or tag
+    return None
 
 
 def _gluing_sides(item):

@@ -442,6 +442,8 @@ def separatrices(surface, direction, *, cap=None, stop_at_marked=False):
     v = direction if isinstance(direction, Vec2) else Vec2(*direction)
     corners = departing_corners(surface, v)
     flow = _Flow(surface, v) if corners else None
+    if cap is None and corners:
+        cap = surface.default_cap()  # once for all of them
     out = []
     for corner in corners:
         ev = trace(surface, corner=corner, direction=flow, cap=cap,

@@ -3,6 +3,8 @@
 import gc
 import json
 
+import pytest
+
 from veechkit import cli
 from veechkit.cylinders import decompose
 from veechkit.geometry import Vec2
@@ -187,6 +189,25 @@ def test_cover_slit_without_a_direction_exits_1(tmp_path, capsys):
                      "--base", path)
     assert rc == 1
     assert err == "error: malformed slit 0 JSON (KeyError: 'dir')\n"
+
+
+@pytest.mark.parametrize("bad, message", [
+    ({"perms": [2, 1]}, "cover spec 'perms' must be one list per slit"),
+    ({"perm": [2, "x"]}, "cover spec 'perm' must be a list"),
+    ({"perms": [[2, "x"]]}, "cover spec 'perms' must be one list per slit"),
+    ({"degree": "x"}, "cover spec 'degree' must be an integer"),
+])
+def test_cover_cyclic_with_malformed_sheets_exits_1(tmp_path, capsys, bad,
+                                                     message):
+    path = build_cross(tmp_path, capsys)
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(dict({
+        "degree": 2, "slits": [{"corner": [0, 11], "dir": ["1", "1"],
+                                "to": ["3/2", "3/2"]}]}, **bad)))
+    rc, _, err = run(capsys, "cover", "cyclic", "--spec", str(spec),
+                     "--base", path)
+    assert rc == 1
+    assert err.startswith("error: " + message)
 
 
 def test_twist_orbit_report(tmp_path, capsys):

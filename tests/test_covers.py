@@ -307,3 +307,12 @@ def test_cover_spec_json_without_a_key_raises_invalid_params():
                            r"JSON \(KeyError: '%s'\)" % key):
             CoverSpec.from_json(bad, base)
     assert CoverSpec.from_json(spec, base).perms == [(1, 0)]
+
+
+def test_cover_spec_json_with_malformed_sheets_names_the_key():
+    base = Surface.cross(1, 1)
+    spec = CoverSpec(base, 2, [diag_slit()], [shift(2)]).to_json()
+    for key, bad in (("perms", [2, 1]), ("perms", [[2, "x"]]),
+                     ("degree", "x"), ("degree", 2.0)):
+        with pytest.raises(InvalidParams, match="cover spec '%s'" % key):
+            CoverSpec.from_json(dict(spec, **{key: bad}), base)

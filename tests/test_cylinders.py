@@ -9,11 +9,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import veechkit.cylinders
-from veechkit.errors import InconsistentTopology, NotComplete, OnBoundaryPoint
+from test_surface import marked_surfaces, positive_matrices
+from veechkit.covers import CoverSpec, Slit, cyclic_slit_cover
+from veechkit.errors import (FieldMismatch, InconsistentTopology, NotComplete,
+                             OnBoundaryPoint, VeechkitError)
 from veechkit.field import FieldScalar, scalar
-from veechkit.geometry import Mat2, Vec2, segments_intersect
+from veechkit.geometry import (Mat2, Vec2, canonical_direction,
+                               normalize_to_vertical, segments_intersect)
 from veechkit.linear import twist_matrix
 from veechkit.surface import Surface
 from veechkit.trace import (CLOSED, STOPPED, Segment, advance,
@@ -142,8 +148,8 @@ def test_banks_are_attached():
 
 def test_banks_are_traced_on_first_read_only(monkeypatch):
     # decompose traces the separatrices, the vertex leaves, one width ray per
-    # east corner, one midline per cylinder and two rays per mark; the banks'
-    # two rays per barrier leaf wait for the first read of deco.banks
+    # cylinder and two rays per mark; the banks' one west ray per barrier
+    # leaf waits for the first read of deco.banks
     calls = []
 
     def counting_trace(*args, **kwargs):
@@ -157,17 +163,14 @@ def test_banks_are_traced_on_first_read_only(monkeypatch):
     assert deco.complete and [m.state for m in deco.marks] == ["in"]
     normalized = deco.normalized
     regular = [cls for cls, w in enumerate(normalized.cone_windings) if w == 1]
-    width_rays = len(departing_corners(normalized, Vec2(1, 0))) + sum(
-        len(departing_corners(normalized, Vec2(1, 0), cls=cls))
-        for cls in regular)
-    assert len(calls) == (len(deco.connections) + len(regular) + width_rays
+    assert len(calls) == (len(deco.connections) + len(regular)
                           + len(deco.cylinders) + 2 * len(deco.marks))
     before = len(calls)
     banks = deco.banks
     barrier_leaves = len(deco.connections) + len(deco.vertex_leaves)
-    assert len(calls) == before + 2 * barrier_leaves
+    assert len(calls) == before + barrier_leaves
     assert deco.banks is banks
-    assert len(calls) == before + 2 * barrier_leaves
+    assert len(calls) == before + barrier_leaves
 
 
 def test_read_banks_leave_no_cyclic_garbage():
@@ -179,8 +182,9 @@ def test_read_banks_leave_no_cyclic_garbage():
 
 
 def test_each_cylinder_closes_one_leaf(monkeypatch):
-    # a band is recognised by its midline, so the only closed leaves traced
-    # are one midline per cylinder and the closed vertex leaves
+    # a band is found from its west bank, so decompose closes no leaf but the
+    # vertex leaves; a cylinder's midline is closed on the first read of its
+    # key, once
     closed = []
 
     def counting_trace(*args, **kwargs):
@@ -192,7 +196,13 @@ def test_each_cylinder_closes_one_leaf(monkeypatch):
     monkeypatch.setattr(veechkit.cylinders, "trace", counting_trace)
     deco = decompose(Surface.cross(GOLDEN_BIG, 1), Vec2(2, 3))
     assert deco.complete
-    assert len(closed) == len(deco.cylinders) + len(deco.vertex_leaves)
+    assert len(closed) == len(deco.vertex_leaves)
+    for n, cyl in enumerate(deco.cylinders, 1):
+        key = cyl.key
+        assert len(closed) == len(deco.vertex_leaves) + n
+        assert cyl.key is key and cyl.midline is closed[-1].segments
+        assert closed[-1].param == cyl.height
+        assert len(closed) == len(deco.vertex_leaves) + n
 
 
 def test_barrier_hook_refuses_slanted_segments():
@@ -201,7 +211,14 @@ def test_barrier_hook_refuses_slanted_segments():
                            scalar(0), scalar(1))]}
     across = Segment(0, Vec2(0, half), Vec2(1, half), False,
                      scalar(0), scalar(1))
-    assert _barrier_hook(upright)(across) == (scalar(half), None)
+    # the payload is the barrier segment the ray crosses
+    assert _barrier_hook(upright)(across) == (scalar(half), upright[0][0])
+    # a crossing at a cone point is left to the trace
+    to_cone = Segment(0, Vec2(0, half), Vec2(half, half), False,
+                      scalar(0), scalar(half))
+    assert _barrier_hook(upright)(to_cone) == (scalar(1), upright[0][0])
+    assert _barrier_hook(upright, cones={0: [Vec2(half, half)]})(
+        to_cone) is None
     slanted_ray = Segment(0, Vec2(0, 0), Vec2(1, 1), False,
                           scalar(0), scalar(1))
     with pytest.raises(InconsistentTopology):
@@ -263,6 +280,220 @@ def test_midline_past_the_cap_is_undetermined_not_inconsistent():
     assert deco.status == "undetermined"
     assert all(ev.kind == "HitSingularity" for _, ev in deco.connections)
     assert decompose(Surface.cross(1, 3), (1, -3)).complete
+
+
+# ---------------------------------------------------------------------------
+# bank cycles against the midline recognition they replace
+# ---------------------------------------------------------------------------
+
+def _on(seg, pt):
+    return pt.x == seg.a.x and seg.a.y <= pt.y <= seg.b.y
+
+
+def _reference_hook(barriers, vertices):
+    """Nearest vertical barrier crossing of a horizontal ray segment, or the
+    segment's end at a regular vertex that lies on a barrier."""
+    def stop(seg):
+        ax, bx, y = seg.a.x, seg.b.x, seg.a.y
+        sense = (bx - ax).sign()
+        best = None
+        for bs in barriers.get(seg.polygon, []):
+            x = bs.a.x
+            if not bs.a.y <= y <= bs.b.y:
+                continue
+            ahead = (x - ax).sign() * sense
+            if ahead < 0 or (ahead == 0 and not seg.tau0):
+                continue
+            if (x - bx).sign() * sense <= 0 and (
+                    best is None or (x - best).sign() * sense < 0):
+                best = x
+        if best is None and seg.b in vertices.get(seg.polygon, ()):
+            best = bx
+        return None if best is None else ((best - ax) / (bx - ax), None)
+    return stop
+
+
+def reference_decompose(surface, direction, cap=None):
+    """The decomposition by midline recognition.
+
+    One width ray per east corner, to the next barrier; a ray whose midpoint
+    lies on no known midline closes the leaf through it, a new cylinder.
+    Marks and banks are placed by the midpoints of their rays across the
+    band, matched by chart aliases against the midlines.  Returns the form
+    of `summary`.
+    """
+    s = surface.transform(normalize_to_vertical(
+        canonical_direction(Vec2(*direction))))
+    cap = scalar(cap) if cap is not None else s.default_cap()
+    up, east, west = Vec2(0, 1), Vec2(1, 0), Vec2(-1, 0)
+    leaves = []
+    for corner in departing_corners(s, up):
+        ev = trace(s, corner=corner, direction=up, stop_at_marked=False,
+                   cap=cap)
+        if ev.kind != "HitSingularity":
+            return ("undetermined",)
+        leaves.append(ev)
+    corners = departing_corners(s, east)
+    for cls, w in enumerate(s.cone_windings):
+        if w > 1:
+            continue
+        p, k = s.vertex_classes[cls][0]
+        ev = trace(s, p, s.polygons[p].vertex(k), up, stop_at_marked=False,
+                   cap=cap)
+        if ev.kind == CLOSED:
+            leaves.append(ev)
+        elif ev.kind != "HitSingularity":
+            return ("undetermined",)
+        corners += departing_corners(s, east, cls=cls)
+    barriers = {}
+    for ev in leaves:
+        for seg in ev.segments:
+            barriers.setdefault(seg.polygon, []).append(seg)
+            if seg.slide:
+                p2, _ = s.partner[(seg.polygon, seg.edge)]
+                shift = s.translation[(seg.polygon, seg.edge)]
+                barriers.setdefault(p2, []).append(Segment(
+                    p2, seg.a + shift, seg.b + shift, True, seg.tau0,
+                    seg.tau1))
+    vertices = {}
+    for cls, group in enumerate(s.vertex_classes):
+        reps = [(p, s.polygons[p].vertex(k)) for p, k in group]
+        if s.cone_windings[cls] == 1 and any(
+                _on(bs, pt) for p, pt in reps for bs in barriers.get(p, [])):
+            for p, pt in reps:
+                vertices.setdefault(p, []).append(pt)
+    hook = _reference_hook(barriers, vertices)
+
+    def ray(v, p=None, pt=None, corner=None):
+        ev = trace(s, p, pt, v, corner=corner, stop_at_marked=False,
+                   detect_closure=False, stop_on=hook, cap=cap)
+        assert ev.kind in (STOPPED, "HitSingularity")
+        return ev
+
+    def point_on(ev, tau):
+        seg = next(g for g in ev.segments if g.tau0 <= tau <= g.tau1)
+        return seg.polygon, seg.point_at(tau)
+
+    def cylinder_at(aliases):
+        for index, (_, _, midline, _) in enumerate(cylinders):
+            for seg in midline:
+                if any(seg.polygon == p and _on(seg, pt) for p, pt in aliases):
+                    return index
+        return None
+
+    cylinders = []  # (width, height, midline, sample)
+    for corner in corners:
+        ev = ray(east, corner=corner)
+        mid = point_on(ev, ev.param / 2)
+        known = cylinder_at(s.point_aliases(*mid))
+        if known is not None:
+            assert cylinders[known][0] == ev.param
+            continue
+        leaf = trace(s, mid[0], mid[1], up, stop_at_marked=False, cap=cap)
+        if leaf.kind == "CapExceeded":
+            return ("undetermined",)
+        assert leaf.kind == CLOSED
+        cylinders.append((ev.param, leaf.param, leaf.segments, mid))
+
+    marks = []
+    for mp in s.marked:
+        aliases = s.point_aliases(mp.polygon, mp.at)
+        if any(_on(bs, pt) for p, pt in aliases for bs in barriers.get(p, [])):
+            marks.append(("boundary",))
+            continue
+        e, w = ray(east, mp.polygon, mp.at), ray(west, mp.polygon, mp.at)
+        delta = (e.param + w.param) / 2 - w.param
+        if delta.sign() > 0:
+            aliases = s.point_aliases(*point_on(e, delta))
+        elif delta.sign() < 0:
+            aliases = s.point_aliases(*point_on(w, -delta))
+        index = cylinder_at(aliases)
+        assert cylinders[index][0] == e.param + w.param
+        marks.append(("in", index, w.param, e.param,
+                      w.param / cylinders[index][0]))
+    banks = {i: ([], []) for i in range(len(cylinders))}
+    for bid, ev in enumerate(leaves):
+        seg = ev.segments[0]
+        q = seg.point_at((seg.tau0 + seg.tau1) / 2)
+        for v, side in ((east, 0), (west, 1)):
+            r = ray(v, seg.polygon, q)
+            index = cylinder_at(s.point_aliases(*point_on(r, r.param / 2)))
+            banks[index][side].append(bid)
+    return ("complete",
+            [(w, h, _leaf_key(m), sample) for w, h, m, sample in cylinders],
+            [[i for i, mk in enumerate(marks) if mk[1:2] == (c,)]
+             for c in range(len(cylinders))],
+            marks, banks)
+
+
+def summary(deco):
+    """What `reference_decompose` reports, read from a decomposition."""
+    if not deco.complete:
+        return ("undetermined",)
+    return ("complete",
+            [(c.width, c.height, c.key, c.sample) for c in deco.cylinders],
+            [c.marks for c in deco.cylinders],
+            [("boundary",) if m.state == "boundary" else
+             ("in", m.cylinder, m.westd, m.eastd, m.ratio)
+             for m in deco.marks],
+            deco.banks)
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except VeechkitError as exc:
+        return ("raised", type(exc).__name__)
+
+
+HEIGHT_3 = [(1, 0), (0, 1), (1, 1), (1, -1), (1, 2), (2, 1), (1, -2),
+            (2, -1), (1, 3), (3, 1), (1, -3), (3, -1), (2, 3), (3, 2),
+            (2, -3), (3, -2)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(marked_surfaces(), positive_matrices(), st.sampled_from(HEIGHT_3),
+       st.sampled_from((None, 20, 50)))
+def test_bank_cycles_match_midline_recognition(surf, mat, direction, cap):
+    try:
+        image = surf.transform(mat)
+    except FieldMismatch:
+        return
+    expect = _outcome(reference_decompose, image, direction, cap)
+    got = _outcome(lambda: summary(decompose(image, direction, cap=cap)))
+    assert got == expect
+
+
+def test_bank_cycles_match_midline_recognition_fixed_cases():
+    spec = CoverSpec(Surface.cross(1, 1), 3,
+                     [Slit(corner=(0, 11), direction=(1, 1),
+                           end=(Fraction(3, 2), Fraction(3, 2)))],
+                     [(1, 2, 0)])
+    cases = [(Surface.cross(1, 3), (1, -3), 20),  # a midline past the cap
+             (Surface.cross(1, 3), (1, -3), None)]
+    cases += [(cyclic_slit_cover(spec), d, None)
+              for d in ((1, 0), (0, 1), (1, 1), (1, 2))]
+    for surf, direction, cap in cases:
+        assert summary(decompose(surf, direction, cap=cap)) == \
+            reference_decompose(surf, direction, cap)
+    assert summary(decompose(Surface.cross(1, 3), (1, -3), cap=20)) == \
+        ("undetermined",)
+    # the west ray from this mark ends on the cone point (1, 1)
+    surf = Surface.cross(1, 1, marked=[(0, (Fraction(3, 2), 1), "c")])
+    deco = decompose(surf, (0, 1))
+    mp = deco.normalized.marked[0]
+    assert deco._ray(mp.polygon, mp.at, "west").kind == "HitSingularity"
+    assert summary(deco) == reference_decompose(surf, (0, 1))
+    assert [(m.state, m.ratio) for m in deco.marks] == [
+        ("in", scalar(Fraction(1, 2)))]
+    # the east ray of the first mark and the west ray of the second reach
+    # the regular vertex (2, 2) at a corner no barrier segment touches
+    surf = Surface.cross(1, 1).transform(Mat2(1, 0, 1, 1)).with_marks(
+        [(0, (Fraction(11, 4), 4), "e"), (0, (Fraction(5, 4), 4), "w")])
+    deco = decompose(surf, (1, 2))
+    assert summary(deco) == reference_decompose(surf, (1, 2))
+    assert [(m.state, m.westd, m.eastd) for m in deco.marks] == [
+        ("in", scalar(Fraction(1, 2)), scalar(Fraction(1, 2)))] * 2
 
 
 # ---------------------------------------------------------------------------

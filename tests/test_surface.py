@@ -505,12 +505,11 @@ def test_transform_matches_the_constructor(surf, mat):
 
 
 def test_transform_settles_the_field_as_the_constructor_does():
-    # a sqrt3 mark in a rational chart of a golden L-shape: both paths build
-    # the image, since the mark meets only rational coordinates
-    surf = Surface.l_shape(1, 1, 1, PHI,
-                           marked=[(0, (SQRT3 / 3, Fraction(1, 2)), "q")])
-    mat = Mat2(1, 1, 0, 1)
-    assert_same_image(surf.transform(mat), constructed_image(surf, mat))
+    # a sqrt3 mark in a rational chart of a golden L-shape is refused,
+    # though it meets only rational coordinates
+    with pytest.raises(FieldMismatch, match=r"sqrt\(5\) with sqrt\(3\)"):
+        Surface.l_shape(1, 1, 1, PHI,
+                        marked=[(0, (SQRT3 / 3, Fraction(1, 2)), "q")])
     for surf, mat, message in (
             # rational x and golden y, x stretched into Q(sqrt2)
             (Surface.l_shape(1, PHI, 1, PHI), Mat2(SQRT2, 0, 0, 1),
@@ -522,6 +521,34 @@ def test_transform_settles_the_field_as_the_constructor_does():
             constructed_image(surf, mat)
         with pytest.raises(FieldMismatch, match=message):
             surf.transform(mat)
+
+
+def test_marks_from_a_second_quadratic_field_are_refused():
+    golden = Surface.l_shape(1, 1, 1, PHI)
+    polys = [poly.vertices for poly in golden.polygons]
+    gluings = [(a, b) for a, b in golden.partner.items() if a <= b]
+    third = (0, (SQRT3 / 3, Fraction(1, 2)))
+    for field_d, marks in ((5, [third]), (None, [third]),
+                           (None, [(0, (Fraction(1, 3), SQRT2 / 2))])):
+        with pytest.raises(FieldMismatch, match="cannot mix"):
+            Surface(polys, gluings, field_d=field_d, marked=marks)
+    square = [[(0, 0), (1, 0), (1, 1), (0, 1)]]
+    with pytest.raises(FieldMismatch, match="cannot mix"):
+        Surface(square, SQ_GLUE, field_d=5, marked=[third])
+    with pytest.raises(FieldMismatch, match="cannot mix"):
+        Surface(square, SQ_GLUE, marked=[(0, (PHI - 1, Fraction(1, 2))),
+                                         third])
+    with pytest.raises(FieldMismatch, match="cannot mix"):
+        Surface(square, SQ_GLUE, marked=[(0, (PHI - 1, SQRT2 / 2))])
+    # a rational surface keeps field 0 with marks from one quadratic field
+    surf = Surface(square, SQ_GLUE, marked=[(0, (PHI - 1, Fraction(1, 2))),
+                                           (0, (Fraction(1, 3), PHI - 1))])
+    assert surf.field_d == 0 and surf.to_json()["field"] == {"d": 0}
+    assert Surface.from_json(surf.to_json()) == surf
+    # a rational mark on a golden surface, and a golden one
+    assert Surface(polys, gluings, marked=[
+        (0, (Fraction(1, 3), Fraction(1, 2))),
+        (2, (Fraction(1, 2), PHI))]).field_d == 5
 
 
 def test_transform_rejects_nonpositive_determinant():

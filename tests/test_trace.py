@@ -120,6 +120,25 @@ def test_cross_separatrix_count():
     assert len(evs) == 3
 
 
+def test_separatrices_compute_the_default_cap_once(monkeypatch):
+    c = Surface.cross(GOLDEN, 1)
+    capped = [(corner, ev.kind, ev.param)
+              for corner, ev in separatrices(c, Vec2(2, 3),
+                                             cap=c.default_cap())]
+    calls = []
+    real = Surface.default_cap
+
+    def counting(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(Surface, "default_cap", counting)
+    got = separatrices(c, Vec2(2, 3))
+    assert calls == [c]
+    assert [(corner, ev.kind, ev.param) for corner, ev in got] == capped
+    assert len(got) == 3
+
+
 def test_cross_horizontal_connections():
     c = Surface.cross(1, 1)
     assert sc_params(c, Vec2(1, 0)) == [1, 1, 2]
