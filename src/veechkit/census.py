@@ -23,6 +23,11 @@ class CuspInvariant:
     away from euclidean length, so the ratios are the same either way),
     sorted ascending; ratios is the multiset length[i]/length[j] over i < j,
     also sorted, so every entry is <= 1.
+
+    `cusp_invariant` traces the connections in the surface's own frame,
+    capped by euclidean length.  A census row reads them off its complete
+    decomposition instead, which holds every forward saddle connection
+    once, found within a cap on flow time in the normalized frame.
     """
 
     __slots__ = ("lengths", "ratios")
@@ -154,7 +159,11 @@ def census(surface, directions, cap=None):
     A direction the machinery cannot settle (incomplete decomposition, a
     domain error along the way) comes back Undetermined rather than
     raising, so a long run always produces a full table; a domain error is
-    kept on the report's `error`.
+    kept on the report's `error`.  A Parabolic row's cusp invariant is built
+    from the saddle connections of its decomposition, so `cap` bounds it as
+    it bounds `decompose`: by flow time in the normalized frame, where the
+    direction is (0, 1).  It is None when the direction has no saddle
+    connection.
     """
     reports = []
     for d in directions:
@@ -169,10 +178,10 @@ def census(surface, directions, cap=None):
         m = cls.signature.m if cls.signature else None
         cusp = None
         if cls.kind == "Parabolic":
-            try:
-                cusp = cusp_invariant(surface, dirc, cap=cap)
-            except NoConnections:
-                cusp = None
+            # the frame maps dirc exactly to (0, 1), so a connection's flow
+            # parameter in the normalized frame is its parameter along dirc
+            lengths = [ev.param for _, ev in cls.decomposition.connections]
+            cusp = CuspInvariant(lengths) if lengths else None
         reports.append(DirectionReport(dirc, cls.kind, xi, m=m,
                                        s_prime=cls.s_prime, cusp=cusp,
                                        certificate=cls.certificate,

@@ -98,8 +98,11 @@ class CoverSpec:
     __slots__ = ("base", "degree", "slits", "perms")
 
     def __init__(self, base, degree, slits, perms):
+        if isinstance(degree, bool) or not isinstance(degree, int):
+            raise InvalidParams("covering degree must be an integer, not %r"
+                                % (degree,))
         self.base = base
-        self.degree = int(degree)
+        self.degree = degree
         self.slits = list(slits)
         self.perms = [tuple(p) for p in perms]
         if self.degree < 2:

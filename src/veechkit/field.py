@@ -11,10 +11,10 @@ computation, and __float__ exists only so callers can render approximate
 pictures.
 
 The rational and radical parts a = n/q and b = m/q are read as Fractions
-(`.a`, `.b`); Fractions are built only there and in `as_fraction`, for text,
-JSON and hashing.  A rational scalar hashes like the int or Fraction it
-equals, a quadratic one like (d, a, b).  Mixing two different nonzero tags
-raises FieldMismatch.
+(`.a`, `.b`); Fractions are built only there and in `as_fraction`, for text
+and JSON.  A rational scalar hashes like the int or Fraction it equals (by
+Python's numeric hash of n/q), a quadratic one like its tuple.  Mixing two
+different nonzero tags raises FieldMismatch.
 
 The tuple layout is private to this module.  Exact predicates elsewhere use
 the fused kernels below instead of unpacking it:
@@ -25,6 +25,8 @@ the fused kernels below instead of unpacking it:
   _orient_sign(...)        the sign of ex*(py - ay) - ey*(px - ax), without
                            building p - a
   x._cmp(y)                the sign of x - y, without building it
+  _compass(x, y)           the compass class of the vector (x, y) and its
+                           field tag, from the signs of x and y
 When the operands' nonzero tags differ, the kernels fall back to the scalar
 operators, so FieldMismatch is raised on exactly the inputs that raise it
 there.
@@ -34,12 +36,15 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from fractions import Fraction
 from math import gcd
 
 from .errors import FieldMismatch, InvalidParams, NotCommensurable, ZeroInput
 
 _squarefree_ok: set[int] = set()
+_HASH_MODULUS = sys.hash_info.modulus
+_HASH_INF = sys.hash_info.inf
 
 
 def _check_squarefree(d: int) -> None:
@@ -151,6 +156,29 @@ def _orient_sign(ex, ey, ax, ay, px, py) -> int:
     if q1 == q2:
         return _sign(n1 - n2, m1 - m2, d1 or d2)
     return _sign(n1 * q2 - n2 * q1, m1 * q2 - m2 * q1, d1 or d2)
+
+
+# _compass's class by 3*sign(x) + sign(y) + 4
+_COMPASS = (5, 4, 3, 6, None, 2, 7, 0, 1)
+
+
+def _compass(x, y):
+    """(class, tag) of the nonzero vector (x, y).
+
+    The class is 0 on the east ray, 1 in the open first quadrant, 2 on the
+    north ray, and so on counterclockwise to 7 in the open fourth quadrant,
+    so vectors of different classes are ordered by angle in [0, 2pi) as
+    their classes are.  The tag is the nonzero field tag of x and y, 0 when
+    both are rational, and -1 when they carry two different ones.  Signs
+    never mix fields, so this raises nothing.
+    """
+    n, m, _, d = x._t
+    sx = _sign(n, m, d) if m else (n > 0) - (n < 0)
+    n, m, _, e = y._t
+    sy = _sign(n, m, e) if m else (n > 0) - (n < 0)
+    if d != e and d and e:
+        d = -1
+    return _COMPASS[3 * sx + sy + 4], d or e
 
 
 def _parts(x):
@@ -334,10 +362,19 @@ class FieldScalar:
         return NotImplemented if t is None else self._t == t
 
     def __hash__(self):
-        n, m, q, d = self._t
-        if not m:
-            return hash(n) if q == 1 else hash(Fraction(n, q))
-        return hash((d, Fraction(n, q), Fraction(m, q)))
+        n, m, q, _ = self._t
+        if m:  # equal only to scalars with this very tuple
+            return hash(self._t)
+        if q == 1:
+            return hash(n)
+        # Python's hash of the rational n/q (as Fraction computes it), so a
+        # rational scalar hashes like the int or Fraction it equals
+        try:
+            h = hash(hash(abs(n)) * pow(q, -1, _HASH_MODULUS))
+        except ValueError:  # q is a multiple of the modulus
+            h = _HASH_INF
+        h = h if n >= 0 else -h
+        return -2 if h == -1 else h
 
     def __lt__(self, other):
         c = self._cmp(other)

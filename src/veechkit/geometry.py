@@ -3,9 +3,10 @@
 Everything here returns exact answers and never touches floats.  The sign
 predicates (`parallel`, `same_ray`, `ccw_sector_contains` and the winding
 loop of `_locate`) never build intermediate scalars: each sign of a cross
-or dot product, of an orientation or of a difference comes from a fused
-kernel of `field` (`_cross_sign`, `_dot_sign`, `_orient_sign`, comparisons)
-that works on the integer form.  `cross` itself reduces its value once.
+or dot product, of an orientation or of a difference, and each compass
+class, comes from a fused kernel of `field` (`_cross_sign`, `_dot_sign`,
+`_orient_sign`, `_compass`, comparisons) that works on the integer form.
+`cross` itself reduces its value once.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import math
 
 from .errors import InvalidParams, NonPositive
-from .field import (FieldScalar, _cross, _cross_sign, _dot_sign,
+from .field import (FieldScalar, _compass, _cross, _cross_sign, _dot_sign,
                     _orient_sign, scalar)
 
 _ZERO = FieldScalar.rational(0)
@@ -96,7 +97,46 @@ def ccw_sector_contains(u: Vec2, w: Vec2, v: Vec2) -> bool:
     The sector starts on ray u (included) and sweeps counterclockwise to ray w
     (excluded).  u and w are never parallel-opposite-free here: every caller
     guarantees u != 0 != w and the sector angle lies in (0, 2pi).
+
+    With angles measured counterclockwise from u, v is inside exactly when
+    its angle is less than w's.  Angles from the east ray are compared by
+    compass class (`field._compass`), and by a cross sign only within one
+    open quadrant, so an axis direction v needs a cross sign only when u
+    and w share an open quadrant.  Coordinates of two different fields,
+    and u and w on one ray, go to the cross-product form
+    (`_sector_by_crosses`), which raises FieldMismatch where the scalar
+    operators would.
     """
+    cu, du = _compass(u.x, u.y)
+    cw, dw = _compass(w.x, w.y)
+    cv, dv = _compass(v.x, v.y)
+    d = du or dw or dv
+    if d and (d < 0 or (dw and dw != d) or (dv and dv != d)):
+        return _sector_by_crosses(u, w, v)
+    vu = _angle_cmp(v, u, cv, cu)
+    if not vu:
+        return True
+    wu = _angle_cmp(w, u, cw, cu)
+    if not wu:
+        return _sector_by_crosses(u, w, v)
+    if (vu < 0) != (wu < 0):
+        # one of v, w lies past the east ray going round from u
+        return vu > 0
+    return _angle_cmp(v, w, cv, cw) < 0
+
+
+def _angle_cmp(a: Vec2, b: Vec2, ca: int, cb: int) -> int:
+    """Sign of angle(a) - angle(b), angles in [0, 2pi) from the east ray,
+    for a and b of compass classes ca and cb."""
+    if ca != cb:
+        return 1 if ca > cb else -1
+    if ca & 1:  # one open quadrant: a is further round when cross(b, a) > 0
+        return _cross_sign(b.x, a.y, b.y, a.x)
+    return 0
+
+
+def _sector_by_crosses(u: Vec2, w: Vec2, v: Vec2) -> bool:
+    """ccw_sector_contains by cross and dot signs alone."""
     if same_ray(v, u):
         return True
     if same_ray(v, w):

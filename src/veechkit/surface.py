@@ -14,8 +14,9 @@ chart it is given in and lists every chart representative of it, canonical
 one first -- the point itself if interior, the side with the lesser
 (polygon, edge) of its two glued edges if on an edge, the first corner of its
 vertex class if at a vertex.  Marked points, `point_aliases`, trace starts
-and slit endpoints all use it, so aliases[0] names a point the same way
-everywhere.
+from a point and slit endpoints all use it, so aliases[0] names a point the
+same way everywhere; a trace started from a corner takes the vertex's
+aliases from `_class_points`, which `_point` uses too.
 
 `transform` maps the charts, the edge translations and the marked points and
 carries the combinatorics over unchecked: the partner map, vertex classes,
@@ -314,9 +315,13 @@ class Surface:
             there = (self.partner[side][0], point + self.translation[side])
             return where, ([here, there] if side <= self.partner[side]
                            else [there, here])
-        cls = self.class_of[(polygon, where[1])]
-        return where, [(p, self.polygons[p].vertices[k])
-                       for (p, k) in self.vertex_classes[cls]]
+        return where, self._class_points(self.class_of[(polygon, where[1])])
+
+    def _class_points(self, cls: int):
+        """(polygon, chart point) of every corner of vertex class `cls`, in
+        the class's order."""
+        return [(p, self.polygons[p].vertices[k])
+                for (p, k) in self.vertex_classes[cls]]
 
     # -- transforms ------------------------------------------------------------
 

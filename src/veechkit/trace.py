@@ -206,10 +206,13 @@ def _start_state(flow, polygon, point, corner):
     """
     surface, v = flow.surface, flow.v
     if corner is not None and point is None:
-        point = surface.polygons[corner[0]].vertex(corner[1])
+        # a corner names its vertex: nothing to locate
         polygon = corner[0]
-    where, aliases = surface._point(polygon, point,
-                                    "start point %s lies outside polygon %d")
+        where = ("vertex", corner[1] % surface.polygons[polygon].n)
+        aliases = None
+    else:
+        where, aliases = surface._point(
+            polygon, point, "start point %s lies outside polygon %d")
     if where == "interior":
         return ("go", polygon, point), aliases
     if where[0] == "edge":
@@ -230,6 +233,8 @@ def _start_state(flow, polygon, point, corner):
     vi = where[1]
     cls = surface.class_of[(polygon, vi)]
     if surface.cone_windings[cls] <= 1:  # regular vertex
+        if aliases is None:
+            aliases = surface._class_points(cls)
         return flow.leave((polygon, vi)), aliases
     if corner is None:
         raise AmbiguousStart("start at a cone point needs an explicit corner")

@@ -4,7 +4,11 @@ import importlib
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from test_cylinders import HEIGHT_3
+from test_surface import marked_surfaces
 from veechkit.errors import (InconsistentTopology, NoConnections,
                              NotParabolicMatrix)
 from veechkit.field import FieldScalar, scalar
@@ -158,6 +162,40 @@ def test_census_records_why_a_row_is_undetermined(monkeypatch):
     # the reason stays out of the canonical JSON
     bare = DirectionReport(reps[1].direction, "Undetermined", reps[1].xi)
     assert census_to_json(reps) == census_to_json([reps[0], bare])
+
+
+@pytest.mark.parametrize("direction, cap, lengths", [
+    ((1, 3), 3, [1, 1, 2]), ((3, 1), 3, [1, 1, 2]), ((2, 3), 2, [1, 1, 1])])
+def test_census_cusp_holds_every_connection_of_its_decomposition(
+        direction, cap, lengths):
+    # a euclidean cap of this size cuts the traced scan short; the
+    # decomposition, capped by flow time, holds every connection
+    rep, = census(Surface.cross(1, 1), [direction], cap=cap)
+    assert rep.kind == "Parabolic"
+    assert rep.cusp.lengths == lengths
+    assert rep.cusp == cusp_invariant(Surface.cross(1, 1), direction)
+    assert len(cusp_invariant(Surface.cross(1, 1), direction,
+                              cap=cap).lengths) < len(lengths)
+
+
+@settings(max_examples=60, deadline=None)
+@given(marked_surfaces(), st.sampled_from(HEIGHT_3),
+       st.sampled_from((None, 20)))
+def test_census_cusp_is_the_traced_cusp_under_a_long_enough_cap(
+        surf, direction, cap):
+    rep, = census(surf, [direction], cap=cap)
+    if rep.kind != "Parabolic":
+        return
+    params = [ev.param for _, ev in rep.decomposition.connections]
+    # |d| <= |x| + |y| bounds every connection's euclidean length
+    d = rep.direction
+    long_enough = max(params, default=1) * (abs(d.x) + abs(d.y)) + 1
+    if rep.cusp is None:
+        with pytest.raises(NoConnections):
+            cusp_invariant(surf, direction, cap=long_enough)
+        return
+    assert rep.cusp.lengths == cusp_invariant(surf, direction,
+                                              cap=long_enough).lengths
 
 
 def test_census_json_is_deterministic():

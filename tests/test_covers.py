@@ -5,6 +5,7 @@ regluing the sheet copies, then cross-checked against the Euler-count route
 inside Surface.genus (which independently compares angle excess).
 """
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -316,3 +317,13 @@ def test_cover_spec_json_with_malformed_sheets_names_the_key():
                      ("degree", "x"), ("degree", 2.0)):
         with pytest.raises(InvalidParams, match="cover spec '%s'" % key):
             CoverSpec.from_json(dict(spec, **{key: bad}), base)
+
+
+def test_cover_spec_refuses_a_degree_that_is_not_an_integer():
+    base = Surface.cross(1, 1)
+    for bad in ("x", None, 2.0, "3", True):
+        with pytest.raises(InvalidParams,
+                           match="covering degree must be an integer, not %s"
+                           % re.escape(repr(bad))):
+            CoverSpec(base, bad, [], [])
+    assert CoverSpec(base, 2, [diag_slit()], [shift(2)]).degree == 2

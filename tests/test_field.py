@@ -5,6 +5,7 @@ imports it.
 """
 
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -240,10 +241,36 @@ def test_floor_examples():
     assert scalar(3).floor_frac() == (3, scalar(0))
 
 
+HASH_MODULUS = sys.hash_info.modulus
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(-3 * HASH_MODULUS, 3 * HASH_MODULUS),
+       st.one_of(st.integers(1, 10**25),
+                 st.integers(1, 3).map(lambda k: k * HASH_MODULUS)),
+       st.sampled_from(FIELDS), fracs().filter(bool))
+def test_equal_values_hash_equal(n, q, d, b):
+    x = Fraction(n, q)
+    s = FieldScalar.rational(x)
+    assert hash(s) == hash(x)
+    if x.denominator == 1:
+        assert hash(s) == hash(int(x))
+    r = FieldScalar(0, b, d) if d else scalar(b)
+    for z in (s + r - r, s * r / r, -(-s)):
+        assert z == s and hash(z) == hash(s)
+    t = FieldScalar(x, b, d) if d else FieldScalar.rational(x + b)
+    for z in (s + r, r + x, (t * r) / r):
+        assert z == t and hash(z) == hash(t)
+
+
 def test_hash_consistent_with_fraction():
     assert hash(scalar(Fraction(3, 2))) == hash(Fraction(3, 2))
     s = {scalar(1), 1}
     assert len(s) == 1
+    # hash(-1) is -2 for ints and Fractions alike
+    assert hash(scalar(-1)) == hash(-1) == hash(Fraction(-1)) == -2
+    assert hash(scalar(Fraction(1, HASH_MODULUS))) == hash(
+        Fraction(1, HASH_MODULUS))
 
 
 # ---------------------------------------------------------------------------
@@ -362,6 +389,47 @@ def reference_sector(u, w, v):
     if cuw < 0:
         return not (cr(w, v).sign() > 0 and cr(v, u).sign() > 0)
     return cuv > 0
+
+
+AXES = (Vec2(1, 0), Vec2(0, 1), Vec2(-1, 0), Vec2(0, -1))
+
+
+@st.composite
+def sector_triples(draw):
+    """(u, w, v), nonzero, over one of Q, Q(sqrt2), Q(sqrt5): v often on an
+    axis, on ray u or on ray w; w now and then opposite u or on ray u."""
+    d = draw(st.sampled_from(FIELDS))
+    positive = scalars_in(d).map(lambda x: abs(x) + Fraction(1, 16))
+    free = st.builds(Vec2, scalars_in(d), scalars_in(d)).filter(
+        lambda p: not p.is_zero())
+    axis = st.builds(lambda a, k: a * k, st.sampled_from(AXES), positive)
+    u = draw(st.one_of(free, free, axis))
+    w = draw(st.one_of(free, free, axis, positive.map(lambda k: u * -k),
+                       positive.map(lambda k: u * k)))
+    v = draw(st.one_of(free, axis, axis, positive.map(lambda k: u * k),
+                       positive.map(lambda k: w * k)))
+    return u, w, v
+
+
+@settings(max_examples=300, deadline=None)
+@given(sector_triples())
+def test_sector_test_matches_the_cross_product_form(uwv):
+    assert ccw_sector_contains(*uwv) == reference_sector(*uwv)
+
+
+def test_sector_test_on_the_corners_of_a_square():
+    east, north, west, south = AXES
+    assert ccw_sector_contains(east, north, east)
+    assert not ccw_sector_contains(east, north, north)
+    assert ccw_sector_contains(east, north, Vec2(1, 1))
+    assert not ccw_sector_contains(east, north, west)
+    # reflex: from north all the way round to east
+    assert ccw_sector_contains(north, east, south)
+    assert ccw_sector_contains(north, east, Vec2(1, -1))
+    assert not ccw_sector_contains(north, east, Vec2(1, 1))
+    # a half plane
+    assert ccw_sector_contains(east, west, north)
+    assert not ccw_sector_contains(east, west, south)
 
 
 def test_vectors_whose_tags_mix_across_coordinates():

@@ -16,10 +16,10 @@ from veechkit.cylinders import decompose, dehn_twist_point
 from veechkit.errors import (AmbiguousStart, InconsistentTopology,
                              InvalidParams, TraceOverflow, VeechkitError)
 from veechkit.field import FieldScalar, scalar
-from veechkit.geometry import Mat2, Vec2, cross
+from veechkit.geometry import Mat2, Vec2, ccw_sector_contains, cross
 from veechkit.surface import Surface
 from veechkit.trace import (CAPPED, CLOSED, MARKED, SINGULAR, _exit_solve,
-                            _Flow, advance, departing_corners,
+                            _Flow, _start_state, advance, departing_corners,
                             is_connection_point_up_to, saddle_connections,
                             separatrices, trace)
 
@@ -408,6 +408,36 @@ def test_a_flow_belongs_to_its_surface():
         trace(Surface.cross(1, 1), 0, _v(F(3, 2), F(1, 2)), flow, cap=10)
     with pytest.raises(InvalidParams):
         _Flow(c, (0, 0))
+
+
+def test_a_corner_start_names_its_vertex_as_point_location_does():
+    # the corner start skips locating the vertex; its state and aliases
+    # are what the same start given as a chart point gets
+    mark = (0, _v(PHI + F(1, 2), 1), "m")
+    surfaces = [Surface.square_torus(), Surface.cross(1, 1),
+                Surface.l_shape(1, 1, 1, 1), Surface.cross(PHI, 1, [mark])]
+    for surf in surfaces:
+        for v in ((1, 0), (0, 1), (-1, 0), (1, 1), (2, -3)):
+            flow = _Flow(surf, v)
+            for p, poly in enumerate(surf.polygons):
+                for k in range(poly.n):
+                    corner = (p, k)
+                    if not surf.is_singular_corner(corner):
+                        got = _start_state(flow, None, None, corner)
+                        assert got == _start_state(flow, p, poly.vertex(k),
+                                                   None)
+                        assert got[1] == surf.point_aliases(p, poly.vertex(k))
+                    elif ccw_sector_contains(surf.ray_out(corner),
+                                             surf.ray_in(corner), flow.v):
+                        assert _start_state(flow, None, None, corner)[1] == []
+                    else:
+                        with pytest.raises(InvalidParams):
+                            _start_state(flow, None, None, corner)
+    c = Surface.cross(1, 1)
+    with pytest.raises(InvalidParams, match="does not leave through"):
+        trace(c, corner=(0, 2), direction=Vec2(1, -1), cap=4)
+    with pytest.raises(IndexError):
+        trace(c, corner=(len(c.polygons), 0), direction=Vec2(1, 0), cap=4)
 
 
 # ---------------------------------------------------------------------------
