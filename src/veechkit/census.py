@@ -5,10 +5,10 @@ from __future__ import annotations
 import json
 
 from .cylinders import classify_direction
-from .errors import NoConnections, VeechkitError
+from .errors import NoConnections, NotComplete, VeechkitError
 from .geometry import Vec2, boundary_point, canonical_direction, cross, dot
 from .linear import is_parabolic_fixing
-from .trace import saddle_connections
+from .trace import departing_corners, saddle_connections
 
 __all__ = [
     "CuspInvariant", "cusp_invariant", "FatStep", "fat_sequence",
@@ -64,14 +64,19 @@ def _as_vec(d) -> Vec2:
 def cusp_invariant(surface, direction, cap=None) -> CuspInvariant:
     """The ratio multiset of the saddle connections along `direction`.
 
-    Only the forward direction is scanned.  Raises NoConnections when the
-    direction carries no saddle connection at all (a once-punctured torus
-    has none, for instance).
+    Only the forward direction is scanned.  Raises NotComplete when a
+    separatrix runs past the cap, since its connection, if any, would be
+    missing, and NoConnections when the direction carries no saddle
+    connection at all (a once-punctured torus has none, for instance).
     """
-    conns = saddle_connections(surface, direction, cap=cap)
+    v = _as_vec(direction)
+    conns = saddle_connections(surface, v, cap=cap)
+    if len(conns) < len(departing_corners(surface, v)):
+        raise NotComplete("a separatrix along %s runs past the cap"
+                          % canonical_direction(v))
     if not conns:
-        raise NoConnections("no saddle connection along %s" %
-                            canonical_direction(_as_vec(direction)))
+        raise NoConnections("no saddle connection along %s"
+                            % canonical_direction(v))
     return CuspInvariant([ev.param for _, ev in conns])
 
 

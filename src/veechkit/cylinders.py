@@ -28,9 +28,18 @@ on the band's closed midline.  The midline itself (and the cylinder's key) is
 traced from that sample only when read -- at once only when the height
 exceeds the cap, since that midline may not close within it.
 
+The barrier set is one table, `Decomposition.barriers`: chart -> (xs, rows),
+the rows (x, y_low, y_high, leaf id) of the leaf segments in that chart --
+vertical spans in the normalized frame -- sorted by x, and xs their x's; leaf
+ids number `connections`, then `vertex_leaves`.  A segment sliding along a
+glued edge has a row in both charts.  A leaf through a regular vertex may
+touch only some of its corners, so each chart point of such a vertex has a
+point row (x, y, y, leaf id).  The barrier hook, the boundary test of
+`locate_normalized` and the closed-leaf dedup of `_west_banks` bisect it.
+
 A point is placed by one ray west and one ray east to the barriers: the band
 it lies in is the band east of where the west ray stops -- a barrier leaf
-(the segment the barrier hook returns) or a cone corner (the same east rule).
+(whose id the barrier hook returns) or a cone corner (the same east rule).
 Marked points are placed this way, and so are banks (which barrier leaves
 bound each cylinder), on first read of `Decomposition.banks`, since no part of
 the decomposition depends on them.
@@ -45,14 +54,16 @@ and `twist_orbit` reuse the same tables.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+
 from .errors import (InconsistentTopology, InvalidParams, NotComplete,
                      OnBoundaryPoint)
-from .field import (FieldScalar, commensurability_classes,
+from .field import (FieldScalar, _sort_key, commensurability_classes,
                     least_common_integer_multiple, scalar)
 from .geometry import (Vec2, canonical_direction, ccw_sector_contains,
                        normalize_to_vertical)
-from .trace import (CAPPED, CLOSED, SINGULAR, STOPPED, Segment, _Flow,
-                    advance, departing_corners, trace)
+from .trace import (CAPPED, CLOSED, SINGULAR, STOPPED, _Flow, advance,
+                    departing_corners, trace)
 
 _UP = Vec2(0, 1)
 _DOWN = Vec2(0, -1)
@@ -153,8 +164,8 @@ class Decomposition:
 
     __slots__ = ("surface", "direction", "frame", "normalized", "status",
                  "cylinders", "connections", "vertex_leaves", "barriers",
-                 "marks", "cap", "flows", "_hook", "_leaf_of", "_east_of",
-                 "_corner_east", "_banks")
+                 "marks", "cap", "flows", "_hook", "_east_of", "_corner_east",
+                 "_banks")
 
     def __init__(self, **kw):
         for k in self.__slots__:
@@ -200,11 +211,9 @@ class Decomposition:
         if not self.complete:
             raise NotComplete("cannot locate points in an undetermined "
                               "decomposition")
-        aliases = self.normalized.point_aliases(polygon, point)
-        for (p, pt) in aliases:
-            for bs in self.barriers.get(p, []):
-                if _on_leaf(bs, pt):
-                    return MarkPosition("boundary")
+        if any(_leaves_at(self.barriers, p, pt)
+               for p, pt in self.normalized.point_aliases(polygon, point)):
+            return MarkPosition("boundary")
         east = self._ray(polygon, point, "east")
         west = self._ray(polygon, point, "west")
         eastd, westd = east.param, west.param
@@ -234,25 +243,11 @@ class Decomposition:
         the barrier leaf the hook met, or past the cone corner it reached."""
         try:
             if ray.kind == STOPPED:
-                return self._east_of[self._leaf_of[ray.payload]]
+                return self._east_of[ray.payload]
             return self._corner_east[_owner_back(self.normalized, ray)]
         except KeyError:
             raise InconsistentTopology(
                 "point belongs to no known cylinder") from None
-
-
-def _vertical_span(seg):
-    """(x, y_low, y_high) of a leaf segment, vertical in the normalized frame."""
-    x = seg.a.x
-    if seg.b.x != x:
-        raise InconsistentTopology("leaf segment %r is not vertical" % (seg,))
-    return x, seg.a.y, seg.b.y
-
-
-def _on_leaf(seg, pt) -> bool:
-    """Does the upward leaf segment `seg` pass through `pt` (ends included)?"""
-    x, y0, y1 = _vertical_span(seg)
-    return pt.x == x and y0 <= pt.y <= y1
 
 
 def _point_on(ev, tau):
@@ -284,41 +279,63 @@ def _turn(surface, corner, start, target):
                                % (corner, target))
 
 
-def _barrier_vertices(surface, barriers):
-    """polygon -> [(chart point, barrier segment)] for the regular vertices
-    that lie on a barrier leaf, with a segment of that leaf.
-
-    A leaf through a regular vertex may touch only some of the vertex's
-    corners, so a ray reaching the vertex at another corner meets no barrier
-    segment of its own chart; it crosses the leaf all the same.
-    """
-    out = {}
-    for cls, corners in enumerate(surface.vertex_classes):
-        if surface.cone_windings[cls] > 1:
+def _barrier_table(surface, leaves):
+    """The barrier table (see the module docstring) of `leaves`, the barrier
+    leaves traced upward, numbered in order.  A leaf segment that is not
+    vertical is an inconsistency."""
+    charts = {}
+    for leaf, ev in enumerate(leaves):
+        for seg in ev.segments:
+            x, y0, y1 = seg.a.x, seg.a.y, seg.b.y
+            if seg.b.x != x:
+                raise InconsistentTopology("leaf segment %r is not vertical"
+                                           % (seg,))
+            charts.setdefault(seg.polygon, []).append((x, y0, y1, leaf))
+            if seg.slide:
+                p2, _ = surface.partner[(seg.polygon, seg.edge)]
+                shift = surface.translation[(seg.polygon, seg.edge)]
+                charts.setdefault(p2, []).append(
+                    (x + shift.x, y0 + shift.y, y1 + shift.y, leaf))
+    table = {}
+    for p, rows in charts.items():
+        rows.sort(key=lambda row: _sort_key(row[0]))
+        table[p] = ([row[0] for row in rows], rows)
+    for cls, w in enumerate(surface.cone_windings):
+        if w > 1:
             continue
-        reps = [(p, surface.polygons[p].vertex(k)) for p, k in corners]
-        hit = next((bs for p, pt in reps for bs in barriers.get(p, [])
-                    if _on_leaf(bs, pt)), None)
-        if hit is not None:
-            for p, pt in reps:
-                out.setdefault(p, []).append((pt, hit))
-    return out
+        reps = surface._class_points(cls)
+        leaf = next((leaf for p, pt in reps
+                     for leaf in _leaves_at(table, p, pt)), None)
+        if leaf is None:
+            continue
+        for p, pt in reps:
+            xs, rows = table.setdefault(p, ([], []))
+            i = bisect_right(xs, pt.x)
+            xs.insert(i, pt.x)
+            rows.insert(i, (pt.x, pt.y, pt.y, leaf))
+    return table
 
 
-def _barrier_hook(barriers, vertices=None, cones=None):
+def _leaves_at(barriers, polygon, pt):
+    """Ids of the barrier leaves whose rows in chart `polygon` hold `pt`."""
+    xs, rows = barriers.get(polygon, ((), ()))
+    return [leaf for _, y0, y1, leaf
+            in rows[bisect_left(xs, pt.x):bisect_right(xs, pt.x)]
+            if y0 <= pt.y <= y1]
+
+
+def _barrier_hook(barriers, cones=None):
     """stop_on hook halting a horizontal ray at its first barrier crossing,
-    with the barrier segment it crosses as payload.
+    with the id of the barrier leaf it crosses as payload.
 
-    Barriers are vertical and the ray is horizontal, so a crossing is the
-    barrier's x inside the ray segment's x-span with the ray's y inside the
-    barrier's y-span; only the nearest one is turned into a parameter.  A
-    segment ending at one of `vertices` (see _barrier_vertices) crosses that
-    vertex's barrier at its end.  A crossing at one of `cones` (polygon ->
-    chart points of the cone points) is left to the trace, which stops there
-    with the arrival corner: several barriers meet at a cone.  Any other
-    shape is an inconsistency, never a guess.
+    A crossing is a row of the barrier table whose x lies in the ray
+    segment's x-span and whose y-span holds the ray's y.  The hook bisects
+    to the segment's start and visits the rows nearest first; a row at the
+    start counts only past the ray's first segment.  A crossing at one of
+    `cones` (polygon -> chart points of the cone points) is left to the
+    trace, which stops there with the arrival corner: several barriers meet
+    at a cone.  A ray that is not horizontal is an inconsistency.
     """
-    vertices = vertices or {}
     cones = cones or {}
 
     def stop(seg):
@@ -326,30 +343,23 @@ def _barrier_hook(barriers, vertices=None, cones=None):
         if seg.b.y != y:
             raise InconsistentTopology(
                 "barrier hook needs a horizontal ray, got %r" % (seg,))
+        xs, rows = barriers.get(seg.polygon, ((), ()))
         sense = bx._cmp(ax)  # +1 east, -1 west
-        at_start = not seg.tau0
-        best = hit = None
-        for bs in barriers.get(seg.polygon, []):
-            x, y0, y1 = _vertical_span(bs)
-            if not y0 <= y <= y1:
-                continue
-            ahead = x._cmp(ax) * sense
-            # the hook must skip crossings at the ray start itself
-            if ahead < 0 or (ahead == 0 and at_start):
-                continue
+        if sense > 0:
+            i = bisect_left(xs, ax) if seg.tau0 else bisect_right(xs, ax)
+            ahead = range(i, len(rows))
+        else:
+            i = bisect_right(xs, ax) if seg.tau0 else bisect_left(xs, ax)
+            ahead = range(i - 1, -1, -1)
+        for i in ahead:
+            x, y0, y1, leaf = rows[i]
             if x._cmp(bx) * sense > 0:
-                continue
-            if best is None or x._cmp(best) * sense < 0:
-                best, hit = x, bs
-        if best is None:
-            hit = next((bs for pt, bs in vertices.get(seg.polygon, ())
-                        if pt == seg.b), None)
-            if hit is None:
                 return None
-            best = bx
-        elif best == bx and seg.b in cones.get(seg.polygon, ()):
-            return None
-        return (best - ax) / (bx - ax), hit
+            if y0._cmp(y) <= 0 <= y1._cmp(y):
+                if x == bx and seg.b in cones.get(seg.polygon, ()):
+                    return None
+                return (x - ax) / (bx - ax), leaf
+        return None
     return stop
 
 
@@ -373,7 +383,7 @@ def _leaf_key(segments):
     return best
 
 
-def _west_banks(surface, connections, regular):
+def _west_banks(surface, connections, regular, barriers):
     """The bands of a direction, found from their west banks.
 
     `connections` are the (corner, event) separatrices, all saddle
@@ -382,7 +392,9 @@ def _west_banks(surface, connections, regular):
     (heights, east_of, corner_band, class_band): the height of each band;
     the band east of each barrier leaf (the separatrices, then the closed
     leaves of `regular` in order); the band a ray leaving each east-owning
-    cone corner enters; and the band east of each regular vertex.
+    cone corner enters; and the band east of each regular vertex.  A closed
+    leaf through several regular vertices is traced from each; the barrier
+    table names the earlier one through this class's vertex, if any.
     """
     starts = {corner: i for i, (corner, _) in enumerate(connections)}
     arrivals, succ, east_corners = {}, [], []
@@ -412,14 +424,17 @@ def _west_banks(surface, connections, regular):
     corner_band = {east: band_of[i] for i, east in enumerate(east_corners)}
     east_of = list(band_of)
 
-    class_band, closed = {}, []
+    class_band = {}
     for cls, ev in regular:
         if ev.kind == CLOSED:
-            band = _closed_band(surface, cls, ev, closed)
+            # this leaf's id is len(east_of); no separatrix passes a vertex
+            # whose leaf closes, so a smaller id here is an earlier closed leaf
+            band = next((east_of[leaf] for p, pt in surface._class_points(cls)
+                         for leaf in _leaves_at(barriers, p, pt)
+                         if leaf < len(east_of)), None)
             if band is None:
                 band = len(heights)
                 heights.append(ev.param)
-                closed.append((band, ev))
             east_of.append(band)
         else:
             i = arrivals.get(_owner_back(surface, ev))
@@ -429,25 +444,6 @@ def _west_banks(surface, connections, regular):
             band = band_of[i]
         class_band[cls] = band
     return heights, east_of, corner_band, class_band
-
-
-def _closed_band(surface, cls, ev, closed):
-    """The band of an earlier closed vertex leaf that `ev`, the closed leaf
-    of regular vertex class `cls`, is the same leaf as, or None.
-
-    A closed leaf may pass through several regular vertices; it is the
-    same leaf when it passes through this class's vertex, and then it has
-    the same length.
-    """
-    reps = {}
-    for p, k in surface.vertex_classes[cls]:
-        reps.setdefault(p, []).append(surface.polygons[p].vertex(k))
-    for band, other in closed:
-        if other.param == ev.param and any(
-                _on_leaf(seg, pt) for seg in other.segments
-                for pt in reps.get(seg.polygon, ())):
-            return band
-    return None
 
 
 def decompose(surface, direction, cap=None) -> Decomposition:
@@ -485,39 +481,24 @@ def decompose(surface, direction, cap=None) -> Decomposition:
     for cls in range(len(normalized.vertex_classes)):
         if normalized.cone_windings[cls] > 1:
             continue
-        p, k = normalized.vertex_classes[cls][0]
-        ev = trace(normalized, p, normalized.polygons[p].vertex(k), up,
-                   stop_at_marked=False, cap=run_cap)
+        ev = trace(normalized, corner=normalized.vertex_classes[cls][0],
+                   direction=up, stop_at_marked=False, cap=run_cap)
         if ev.kind not in (CLOSED, SINGULAR):
             return bail(connections, [(c, e) for c, e in regular
                                       if e.kind == CLOSED])
         regular.append((cls, ev))
     vertex_leaves = [(cls, ev) for cls, ev in regular if ev.kind == CLOSED]
 
-    barrier_events = ([ev for _, ev in connections]
-                      + [ev for _, ev in vertex_leaves])
-    barriers, leaf_of = {}, {}
-    for bid, ev in enumerate(barrier_events):
-        for seg in ev.segments:
-            barriers.setdefault(seg.polygon, []).append(seg)
-            leaf_of[seg] = bid
-            if seg.slide:
-                # a leaf along a glued edge is a barrier in both charts
-                p2, e2 = normalized.partner[(seg.polygon, seg.edge)]
-                shift = normalized.translation[(seg.polygon, seg.edge)]
-                twin = Segment(p2, seg.a + shift, seg.b + shift, True,
-                               seg.tau0, seg.tau1, edge=e2)
-                barriers.setdefault(p2, []).append(twin)
-                leaf_of[twin] = bid
+    barriers = _barrier_table(normalized, [ev for _, ev in connections]
+                              + [ev for _, ev in vertex_leaves])
     cones = {}
     for cls in normalized.singular_classes:
         for p, k in normalized.vertex_classes[cls]:
             cones.setdefault(p, []).append(normalized.polygons[p].vertex(k))
-    hook = _barrier_hook(barriers, _barrier_vertices(normalized, barriers),
-                         cones)
+    hook = _barrier_hook(barriers, cones)
 
     heights, east_of, corner_band, class_band = _west_banks(
-        normalized, connections, regular)
+        normalized, connections, regular, barriers)
     ray_corners = list(departing_corners(normalized, _EAST))
     for cls, _ in regular:
         for corner in departing_corners(normalized, _EAST, cls=cls):
@@ -564,7 +545,7 @@ def decompose(surface, direction, cap=None) -> Decomposition:
         surface=surface, direction=dirc, frame=frame, normalized=normalized,
         status="complete", cylinders=cylinders, connections=connections,
         vertex_leaves=vertex_leaves, barriers=barriers, cap=run_cap,
-        flows=flows, _hook=hook, _leaf_of=leaf_of,
+        flows=flows, _hook=hook,
         _east_of=[index[band] for band in east_of],
         _corner_east={corner: index[band]
                       for corner, band in corner_band.items()})

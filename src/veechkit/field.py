@@ -27,6 +27,8 @@ the fused kernels below instead of unpacking it:
   x._cmp(y)                the sign of x - y, without building it
   _compass(x, y)           the compass class of the vector (x, y) and its
                            field tag, from the signs of x and y
+  _sort_key(x)             (floor(x * 2**32), x): sorts scalars by value,
+                           comparing two scalars only when their floors tie
 When the operands' nonzero tags differ, the kernels fall back to the scalar
 operators, so FieldMismatch is raised on exactly the inputs that raise it
 there.
@@ -179,6 +181,13 @@ def _compass(x, y):
     if d != e and d and e:
         d = -1
     return _COMPASS[3 * sx + sy + 4], d or e
+
+
+def _sort_key(x):
+    """(floor(x * 2**32), x), ordered as x is: the floor is exact, as
+    floor((A + B) / q) == floor((A + floor(B)) / q) for an integer A."""
+    n, m, q, d = x._t
+    return ((n << 32) + _floor_times_sqrt(m << 32, d)) // q, x
 
 
 def _parts(x):

@@ -43,7 +43,7 @@ edge (excluded).
 from __future__ import annotations
 
 from .errors import (FieldMismatch, InconsistentTopology, InvalidParams,
-                     NonMultipleOf2Pi, VeechkitError)
+                     VeechkitError)
 from .field import FieldScalar, scalar
 from .geometry import (Mat2, Vec2, _locate, ccw_sector_contains, cross, parallel,
                        same_ray)
@@ -194,20 +194,14 @@ class Surface:
             while True:
                 cycle.append(c)
                 seen.add(c)
-                nxt = self.next_corner(c)
-                if not same_ray(self.ray_in(c), self.ray_out(nxt)):
-                    raise NonMultipleOf2Pi(
-                        "corner chain breaks between %s and %s" % (c, nxt))
                 if ccw_sector_contains(self.ray_out(c), self.ray_in(c), east):
                     windings += 1
-                c = nxt
+                # opposite gluings: ray_in(c) == ray_out(next_corner(c))
+                c = self.next_corner(c)
                 if c == start:
                     break
-            cls = self.class_of[start]
-            if set(cycle) != set(self.vertex_classes[cls]):
-                raise InconsistentTopology(
-                    "corner cycle at %s does not match its vertex class" % (start,))
-            cycles_by_class[cls] = (cycle, windings)
+            # classes are unions along exactly the next_corner steps
+            cycles_by_class[self.class_of[start]] = (cycle, windings)
         for i in range(len(self.vertex_classes)):
             cycle, windings = cycles_by_class[i]
             self.corner_cycles.append(cycle)

@@ -22,10 +22,11 @@ from veechkit.geometry import (Mat2, Vec2, canonical_direction,
                                normalize_to_vertical, segments_intersect)
 from veechkit.linear import twist_matrix
 from veechkit.surface import Surface
-from veechkit.trace import (CLOSED, STOPPED, Segment, advance,
-                            departing_corners, trace)
-from veechkit.cylinders import (_barrier_hook, _leaf_key, classify_direction,
-                                decompose, dehn_twist_point, mark_ratios,
+from veechkit.trace import (CLOSED, SINGULAR, STOPPED, Segment, TraceEvent,
+                            advance, departing_corners, trace)
+from veechkit.cylinders import (_barrier_hook, _barrier_table, _leaf_key,
+                                classify_direction, decompose,
+                                dehn_twist_point, mark_ratios,
                                 signature_of_moduli, torus_signature,
                                 twist_displacement, twist_orbit)
 
@@ -101,8 +102,9 @@ def _reference_banks(deco):
     the leaf through the band's midpoint, and match its key."""
     def hook(seg):
         best = None
-        for bs in deco.barriers.get(seg.polygon, []):
-            got = segments_intersect(seg.a, seg.b, bs.a, bs.b)
+        _, rows = deco.barriers.get(seg.polygon, ((), ()))
+        for x, y0, y1, _ in rows:
+            got = segments_intersect(seg.a, seg.b, Vec2(x, y0), Vec2(x, y1))
             if got is None or (seg.tau0 + got[0] * (seg.tau1 - seg.tau0)
                                ).sign() <= 0:
                 continue
@@ -206,33 +208,69 @@ def test_each_cylinder_closes_one_leaf(monkeypatch):
 
 
 def test_barrier_hook_refuses_slanted_segments():
-    half = Fraction(1, 2)
-    upright = {0: [Segment(0, Vec2(half, 0), Vec2(half, 1), False,
-                           scalar(0), scalar(1))]}
+    half = scalar(Fraction(1, 2))
+    table = {0: ([half], [(half, scalar(0), scalar(1), 7)])}
     across = Segment(0, Vec2(0, half), Vec2(1, half), False,
                      scalar(0), scalar(1))
-    # the payload is the barrier segment the ray crosses
-    assert _barrier_hook(upright)(across) == (scalar(half), upright[0][0])
+    # the payload is the id of the barrier leaf the ray crosses
+    assert _barrier_hook(table)(across) == (half, 7)
     # a crossing at a cone point is left to the trace
     to_cone = Segment(0, Vec2(0, half), Vec2(half, half), False,
-                      scalar(0), scalar(half))
-    assert _barrier_hook(upright)(to_cone) == (scalar(1), upright[0][0])
-    assert _barrier_hook(upright, cones={0: [Vec2(half, half)]})(
+                      scalar(0), half)
+    assert _barrier_hook(table)(to_cone) == (scalar(1), 7)
+    assert _barrier_hook(table, cones={0: [Vec2(half, half)]})(
         to_cone) is None
     slanted_ray = Segment(0, Vec2(0, 0), Vec2(1, 1), False,
                           scalar(0), scalar(1))
     with pytest.raises(InconsistentTopology):
-        _barrier_hook(upright)(slanted_ray)
-    slanted = {0: [Segment(0, Vec2(0, 0), Vec2(1, 1), False,
-                           scalar(0), scalar(1))]}
+        _barrier_hook(table)(slanted_ray)
+    # a leaf segment that is not vertical is refused when the table is built
+    slanted = TraceEvent(SINGULAR, [Segment(0, Vec2(0, 0), Vec2(1, 1), False,
+                                            scalar(0), scalar(1))],
+                         scalar(1), None, scalar(2))
     with pytest.raises(InconsistentTopology):
-        _barrier_hook(slanted)(across)
+        _barrier_table(Surface.cross(1, 1), [slanted])
     # a transverse ray that is not horizontal in the normalized frame
     deco = decompose(Surface.cross(1, 1), Vec2(1, 0))
     start = deco.frame * Vec2(Fraction(3, 2), Fraction(3, 2))
     with pytest.raises(InconsistentTopology):
         trace(deco.normalized, 0, start, Vec2(1, 1), stop_at_marked=False,
               detect_closure=False, stop_on=_barrier_hook(deco.barriers))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 4),
+                          st.integers(0, 2), st.integers(0, 3)), max_size=12),
+       st.integers(0, 6), st.integers(0, 6), st.integers(0, 6),
+       st.booleans(), st.booleans())
+def test_barrier_hook_visits_rows_nearest_first(raw, ax, bx, y, later, cone):
+    # rows (x, y_low, y_high, leaf) on a small grid, so that crossings tie,
+    # touch the rows' ends and sit at both ends of the ray
+    if ax == bx:
+        return
+    rows = sorted([(scalar(x), scalar(y0), scalar(y0 + h), leaf)
+                   for x, y0, h, leaf in raw], key=lambda row: row[0])
+    table = {0: ([row[0] for row in rows], rows)}
+    tau0 = scalar(1 if later else 0)
+    seg = Segment(0, Vec2(ax, y), Vec2(bx, y), False, tau0,
+                  tau0 + abs(bx - ax))
+    cones = {0: [Vec2(bx, y)]} if cone else None
+    # brute force: every row the ray crosses, past its start on a first
+    # segment, the nearest first
+    hits = [(abs(x - ax), x, leaf) for x, y0, y1, leaf in rows
+            if y0 <= y <= y1 and min(ax, bx) <= x <= max(ax, bx)
+            and (later or x != ax)]
+    got = _barrier_hook(table, cones)(seg)
+    if not hits:
+        assert got is None
+        return
+    near = min(hits)[0]
+    x = next(x for d, x, _ in hits if d == near)
+    if cone and x == bx:
+        assert got is None
+        return
+    assert got[0] == scalar(near) / abs(bx - ax)
+    assert got[1] in {leaf for d, _, leaf in hits if d == near}
 
 
 def _shape(deco):

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from veechkit.errors import (FieldMismatch, NotCommensurable, ZeroInput)
 from veechkit.field import (ContinuedFraction, FieldScalar, _cross,
-                            _cross_sign, _dot_sign, _orient_sign,
+                            _cross_sign, _dot_sign, _orient_sign, _sort_key,
                             commensurable, commensurability_classes,
                             continued_fraction, field_sqrt,
                             least_common_integer_multiple, parse_scalar,
@@ -341,6 +341,17 @@ def test_comparisons_agree_with_the_sign_of_the_difference(xs, k):
     assert (x - z)._cmp(y) == ((x - y) - z).sign()
     # the leaf and barrier spans: y0 <= pt.y <= y1
     assert (z <= x <= y) == ((x - z).sign() >= 0 and (x - y).sign() <= 0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(same_field(2), st.integers(-40, 40))
+def test_sort_key_orders_as_the_values(xs, k):
+    x, y = xs
+    # y + k / 2**36 sits closer to y than the key's resolution
+    for z in (y, y + Fraction(k, 2 ** 36), scalar(0)):
+        assert (_sort_key(x) < _sort_key(z)) == (x < z)
+        assert (_sort_key(x) == _sort_key(z)) == (x == z)
+    assert _sort_key(x)[0] == math.floor(x * 2 ** 32)
 
 
 @settings(max_examples=200, deadline=None)

@@ -504,6 +504,16 @@ def test_transform_matches_the_constructor(surf, mat):
     assert_same_image(surf.transform(mat), expect)
 
 
+@settings(max_examples=50, deadline=None)
+@given(marked_surfaces())
+def test_corner_cycles_chain_and_fill_their_classes(surf):
+    # the two invariants the corner walk relies on without checking them
+    for c in surf.class_of:
+        assert surf.ray_in(c) == surf.ray_out(surf.next_corner(c))
+    for cycle, group in zip(surf.corner_cycles, surf.vertex_classes):
+        assert sorted(cycle) == group
+
+
 def test_transform_settles_the_field_as_the_constructor_does():
     # a sqrt3 mark in a rational chart of a golden L-shape is refused,
     # though it meets only rational coordinates
