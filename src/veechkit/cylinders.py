@@ -24,9 +24,10 @@ from (the corners owning east at the cones and at the regular vertices) opens
 onto the band east of the barrier through its vertex, so bands are numbered
 in the order of the first such corner, and one east ray from that corner to
 the next barrier gives the band's width and, at its midpoint, a sample point
-on the band's closed midline.  The midline itself (and the cylinder's key) is
-traced from that sample only when read -- at once only when the height
-exceeds the cap, since that midline may not close within it.
+on the band's central closed leaf.  No leaf inside a band is traced: once every
+separatrix is a saddle connection the direction is completely periodic, and
+the bank sums and the area identity (sum of width * height == area) give each
+cylinder exactly, so the cap binds only the barrier leaves.
 
 The barrier set is one table, `Decomposition.barriers`: chart -> (xs, rows),
 the rows (x, y_low, y_high, leaf id) of the leaf segments in that chart --
@@ -62,7 +63,7 @@ from .field import (FieldScalar, _sort_key, commensurability_classes,
                     least_common_integer_multiple, scalar)
 from .geometry import (Vec2, canonical_direction, ccw_sector_contains,
                        normalize_to_vertical)
-from .trace import (CAPPED, CLOSED, SINGULAR, STOPPED, _Flow, advance,
+from .trace import (CLOSED, SINGULAR, STOPPED, _Flow, advance,
                     departing_corners, trace)
 
 _UP = Vec2(0, 1)
@@ -76,56 +77,22 @@ class Cylinder:
 
     width   -- transverse extent (east across the band)
     height  -- circumference of each closed leaf: the length of its west bank
-    sample  -- (polygon, point) midway across the band on its first width ray
-    midline -- closed central leaf through `sample`, as traced segments;
-               traced on first read
-    key     -- phase-independent form of the midline (see _leaf_key), read
-               from the midline
+    sample  -- (polygon, point) midway across the band on its first width ray,
+               a point of the band's central closed leaf
     marks   -- indices of marked points strictly inside, set by decompose
 
     The barrier leaves bounding the band are read from the decomposition:
     `Decomposition.banks[index]`.
     """
 
-    __slots__ = ("index", "width", "height", "sample", "marks", "_flow",
-                 "_cap", "_midline", "_key")
+    __slots__ = ("index", "width", "height", "sample", "marks")
 
-    def __init__(self, index, width, height, sample, flow, cap):
+    def __init__(self, index, width, height, sample):
         self.index = index
         self.width = width
         self.height = height
         self.sample = sample
         self.marks = []
-        self._flow = flow  # the upward flow of the normalized surface
-        self._cap = cap
-        self._midline = None
-        self._key = None
-
-    @property
-    def midline(self):
-        if self._midline is None:
-            self._close(self._trace_midline())
-        return self._midline
-
-    @property
-    def key(self):
-        if self._key is None:
-            self._key = _leaf_key(self.midline)
-        return self._key
-
-    def _trace_midline(self):
-        return trace(self._flow.surface, self.sample[0], self.sample[1],
-                     self._flow, stop_at_marked=False, cap=self._cap)
-
-    def _close(self, leaf):
-        if leaf.kind != CLOSED:
-            raise InconsistentTopology("cylinder midline failed to close (%s)"
-                                       % leaf.kind)
-        if leaf.param != self.height:
-            raise InconsistentTopology(
-                "cylinder %d midline has length %s, its bank %s"
-                % (self.index, leaf.param, self.height))
-        self._midline = leaf.segments
 
     @property
     def inverse_modulus(self) -> FieldScalar:
@@ -363,26 +330,6 @@ def _barrier_hook(barriers, cones=None):
     return stop
 
 
-def _leaf_key(segments):
-    """Phase-independent key for a closed leaf.
-
-    The trace may start mid-run; merge the wrap-around split, then rotate the
-    cyclic run sequence to its lexicographic minimum.
-    """
-    runs = [(s.polygon, s.a.x, s.a.y, s.b.x, s.b.y) for s in segments]
-    if len(runs) > 1:
-        p0, a0x, a0y, b0x, b0y = runs[0]
-        pk, akx, aky, bkx, bky = runs[-1]
-        if pk == p0 and bkx == a0x and bky == a0y:
-            runs = [(p0, akx, aky, b0x, b0y)] + runs[1:-1]
-    best = None
-    for r in range(len(runs)):
-        rot = tuple(runs[r:] + runs[:r])
-        if best is None or rot < best:
-            best = rot
-    return best
-
-
 def _west_banks(surface, connections, regular, barriers):
     """The bands of a direction, found from their west banks.
 
@@ -521,17 +468,9 @@ def decompose(surface, direction, cap=None) -> Decomposition:
             raise InconsistentTopology(
                 "width ray from %s escaped the barriers (%s)"
                 % (corner, ev.kind))
-        cyl = Cylinder(len(cylinders), ev.param, heights[band],
-                       _point_on(ev, ev.param / 2), up, run_cap)
-        if cyl.height > run_cap:
-            # the midline may not close within the cap: every separatrix is
-            # a saddle connection, so that is undetermined, not inconsistent
-            leaf = cyl._trace_midline()
-            if leaf.kind == CAPPED:
-                return bail(connections, vertex_leaves)
-            cyl._close(leaf)
-        index[band] = cyl.index
-        cylinders.append(cyl)
+        index[band] = len(cylinders)
+        cylinders.append(Cylinder(len(cylinders), ev.param, heights[band],
+                                  _point_on(ev, ev.param / 2)))
 
     total = scalar(0)
     for cyl in cylinders:
@@ -676,6 +615,14 @@ def dehn_twist_point(deco: Decomposition, polygon, point, n: int):
     return out[0], back * out[1]
 
 
+def _index(i, n, what):
+    """`i` if it names one of `n` items; InvalidParams otherwise, negative
+    indices included."""
+    if not 0 <= i < n:
+        raise InvalidParams("no %s %r (there are %d)" % (what, i, n))
+    return i
+
+
 def twist_orbit(surface, mark, twist_direction, target_direction, n_samples,
                 target_cylinder=None, cap=None):
     """Track a marked point through repeated twists in its own cylinder.
@@ -689,7 +636,7 @@ def twist_orbit(surface, mark, twist_direction, target_direction, n_samples,
     """
     if isinstance(mark, str):
         mark = surface.mark_by_label(mark)
-    mp = surface.marked[mark]
+    mp = surface.marked[_index(mark, len(surface.marked), "marked point")]
 
     deco_c = decompose(surface, twist_direction, cap=cap)
     if not deco_c.complete:
@@ -713,7 +660,8 @@ def twist_orbit(surface, mark, twist_direction, target_direction, n_samples,
             raise OnBoundaryPoint(
                 "marked point sits on a boundary leaf of the target "
                 "direction; pass target_cylinder explicitly")
-    cyl_d = deco_d.cylinders[target_cylinder]
+    cyl_d = deco_d.cylinders[_index(target_cylinder, len(deco_d.cylinders),
+                                    "target cylinder")]
 
     npt = deco_c.frame * mp.at
     back = deco_c.frame.inverse()

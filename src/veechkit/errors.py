@@ -29,12 +29,15 @@ class NonPositive(VeechkitError, ValueError):
     pass
 
 
-class NonMultipleOf2Pi(VeechkitError):
-    """A vertex class whose total angle fails to close up to a multiple of 2pi."""
-
-
 class InconsistentTopology(VeechkitError):
-    """Genus computed from the Euler characteristic disagrees with the angle count."""
+    """Two exact computations of the decomposition disagree.
+
+    For example a cylinder's width and the rays across it, or the cylinder
+    areas and the surface's area; exact arithmetic leaves no tolerance.  The
+    gluing validator raises it too, for gluings that cannot close up into a
+    translation surface (an edge glued to itself, twice, to nothing, or to an
+    edge that is not its opposite translate).
+    """
 
 
 class AmbiguousStart(VeechkitError):

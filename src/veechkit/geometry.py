@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import InvalidParams, NonPositive
+from .errors import InvalidParams, NonPositive, ZeroInput
 from .field import (FieldScalar, _compass, _cross, _cross_sign, _dot_sign,
                     _orient_sign, scalar)
 
@@ -340,7 +340,7 @@ def normalize_to_vertical(direction: Vec2) -> Mat2:
     p, q = direction.x, direction.y
     if not q:
         if not p:
-            raise ValueError("zero direction")
+            raise ZeroInput("zero direction")
         return Mat2(0, -p, 1 / p, 0)
     return Mat2(q, -p, 0, 1 / q)
 
@@ -352,7 +352,7 @@ def canonical_direction(v: Vec2) -> Vec2:
     and x > 0.  Irrational slopes are scaled so some coordinate is 1.
     """
     if v.is_zero():
-        raise ValueError("zero direction")
+        raise ZeroInput("zero direction")
     if v.x.is_rational and v.y.is_rational:
         fx, fy = v.x.as_fraction(), v.y.as_fraction()
         m = math.lcm(fx.denominator, fy.denominator)

@@ -262,8 +262,6 @@ class Surface:
     # -- marked points ---------------------------------------------------------
 
     def _add_mark(self, poly: int, at: Vec2, label):
-        if not (0 <= poly < len(self.polygons)):
-            raise InvalidParams("marked point names missing polygon %d" % poly)
         where, aliases = self._point(poly, at,
                                      "marked point %s lies outside polygon %d")
         kind = where if where == "interior" else where[0]
@@ -296,8 +294,11 @@ class Surface:
     def _point(self, polygon: int, point: Vec2, outside: str):
         """(where, aliases) of a point given in chart `polygon`: where is
         Polygon.locate's answer there, aliases every (polygon, point) naming
-        the point in canonical order (see the module docstring).  A point
-        outside the chart raises InvalidParams(outside % (point, polygon))."""
+        the point in canonical order (see the module docstring).  A chart
+        index out of range raises InvalidParams, and a point outside the
+        chart InvalidParams(outside % (point, polygon))."""
+        if not 0 <= polygon < len(self.polygons):
+            raise InvalidParams("no polygon %r on this surface" % (polygon,))
         where = self.polygons[polygon].locate(point)
         if where == "outside":
             raise InvalidParams(outside % (point, polygon))

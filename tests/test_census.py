@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from test_cylinders import HEIGHT_3
 from test_surface import marked_surfaces
 from veechkit.errors import (InconsistentTopology, NoConnections,
-                             NotComplete, NotParabolicMatrix)
+                             NotComplete, NotParabolicMatrix, ZeroInput)
 from veechkit.field import FieldScalar, scalar
 from veechkit.geometry import Mat2, Vec2
 from veechkit.linear import twist_matrix
@@ -132,11 +132,18 @@ def test_census_reports_undetermined_instead_of_raising():
     assert reps[1].m is None and reps[1].s_prime is None
 
 
+def test_census_of_the_zero_direction_is_refused():
+    with pytest.raises(ZeroInput):
+        census(Surface.cross(1, 1), [(0, 0)])
+
+
 def test_census_row_with_a_midline_past_the_cap_has_no_error():
+    # every separatrix closes within the cap, so the row is certified
     reps = census(Surface.cross(1, 3), [(1, -3)], cap=20)
-    assert reps[0].kind == "Undetermined"
+    assert reps[0].kind == "Parabolic"
+    assert reps[0].s_prime == 21
     assert reps[0].error is None
-    assert not reps[0].decomposition.complete
+    assert reps[0].decomposition.complete
 
 
 def test_census_records_why_a_row_is_undetermined(monkeypatch):

@@ -15,8 +15,9 @@ from hypothesis import strategies as st
 import veechkit.cylinders
 from test_surface import marked_surfaces, positive_matrices
 from veechkit.covers import CoverSpec, Slit, cyclic_slit_cover
-from veechkit.errors import (FieldMismatch, InconsistentTopology, NotComplete,
-                             OnBoundaryPoint, VeechkitError)
+from veechkit.errors import (FieldMismatch, InconsistentTopology,
+                             InvalidParams, NotComplete, OnBoundaryPoint,
+                             VeechkitError, ZeroInput)
 from veechkit.field import FieldScalar, scalar
 from veechkit.geometry import (Mat2, Vec2, canonical_direction,
                                normalize_to_vertical, segments_intersect)
@@ -24,7 +25,7 @@ from veechkit.linear import twist_matrix
 from veechkit.surface import Surface
 from veechkit.trace import (CLOSED, SINGULAR, STOPPED, Segment, TraceEvent,
                             advance, departing_corners, trace)
-from veechkit.cylinders import (_barrier_hook, _barrier_table, _leaf_key,
+from veechkit.cylinders import (_barrier_hook, _barrier_table,
                                 classify_direction, decompose,
                                 dehn_twist_point, mark_ratios,
                                 signature_of_moduli, torus_signature,
@@ -96,6 +97,40 @@ def test_area_identity():
             assert total == surf.area
 
 
+def _leaf_key(segments):
+    """Phase-independent key for a closed leaf.
+
+    The trace may start mid-run; merge the wrap-around split, then rotate the
+    cyclic run sequence to its lexicographic minimum.
+    """
+    runs = [(s.polygon, s.a.x, s.a.y, s.b.x, s.b.y) for s in segments]
+    if len(runs) > 1:
+        p0, a0x, a0y, b0x, b0y = runs[0]
+        pk, akx, aky, bkx, bky = runs[-1]
+        if pk == p0 and bkx == a0x and bky == a0y:
+            runs = [(p0, akx, aky, b0x, b0y)] + runs[1:-1]
+    return min(tuple(runs[r:] + runs[:r]) for r in range(len(runs)))
+
+
+def _barrier_length(leaves):
+    """Total length of the barrier leaves: a band's circumference is the
+    length of its west bank, part of that set, so this caps every midline."""
+    total = scalar(0)
+    for ev in leaves:
+        total = total + ev.param
+    return total
+
+
+def _key(deco, cyl):
+    """Key of the closed leaf through `cyl.sample`, the cylinder's midline."""
+    leaf = trace(deco.normalized, cyl.sample[0], cyl.sample[1], Vec2(0, 1),
+                 stop_at_marked=False,
+                 cap=_barrier_length([ev for _, ev in deco.connections]
+                                     + [ev for _, ev in deco.vertex_leaves]))
+    assert leaf.kind == CLOSED and leaf.param == cyl.height
+    return _leaf_key(leaf.segments)
+
+
 def _reference_banks(deco):
     """Banks by their definition: from the middle of each barrier leaf's
     first segment, cross the band east (west) to the next barrier, close up
@@ -112,7 +147,7 @@ def _reference_banks(deco):
                 best = got[0]
         return None if best is None else (best, None)
 
-    by_key = {cyl.key: cyl.index for cyl in deco.cylinders}
+    by_key = {_key(deco, cyl): cyl.index for cyl in deco.cylinders}
     west = {cyl.index: [] for cyl in deco.cylinders}
     east = {cyl.index: [] for cyl in deco.cylinders}
     events = ([ev for _, ev in deco.connections]
@@ -185,8 +220,7 @@ def test_read_banks_leave_no_cyclic_garbage():
 
 def test_each_cylinder_closes_one_leaf(monkeypatch):
     # a band is found from its west bank, so decompose closes no leaf but the
-    # vertex leaves; a cylinder's midline is closed on the first read of its
-    # key, once
+    # vertex leaves
     closed = []
 
     def counting_trace(*args, **kwargs):
@@ -199,12 +233,6 @@ def test_each_cylinder_closes_one_leaf(monkeypatch):
     deco = decompose(Surface.cross(GOLDEN_BIG, 1), Vec2(2, 3))
     assert deco.complete
     assert len(closed) == len(deco.vertex_leaves)
-    for n, cyl in enumerate(deco.cylinders, 1):
-        key = cyl.key
-        assert len(closed) == len(deco.vertex_leaves) + n
-        assert cyl.key is key and cyl.midline is closed[-1].segments
-        assert closed[-1].param == cyl.height
-        assert len(closed) == len(deco.vertex_leaves) + n
 
 
 def test_barrier_hook_refuses_slanted_segments():
@@ -303,6 +331,13 @@ def test_ray_through_a_regular_vertex_on_a_barrier():
         assert _shape(deco) == _shape(base)
 
 
+def test_zero_direction_is_refused():
+    with pytest.raises(ZeroInput):
+        decompose(Surface.cross(1, 1), (0, 0))
+    with pytest.raises(ValueError):  # ZeroInput is a ValueError too
+        classify_direction(Surface.cross(1, 1), Vec2(0, 0))
+
+
 def test_incomplete_direction_stays_open():
     deco = decompose(Surface.cross(1, 1), Vec2(scalar(1), GOLDEN), cap=8)
     assert not deco.complete
@@ -311,13 +346,19 @@ def test_incomplete_direction_stays_open():
         torus_signature(deco)
 
 
-def test_midline_past_the_cap_is_undetermined_not_inconsistent():
-    # every separatrix of (1, -3) on cross(1, 3) is a saddle connection, but
-    # a cylinder's midline is longer than 20
-    deco = decompose(Surface.cross(1, 3), (1, -3), cap=20)
-    assert deco.status == "undetermined"
-    assert all(ev.kind == "HitSingularity" for _, ev in deco.connections)
-    assert decompose(Surface.cross(1, 3), (1, -3)).complete
+def test_midline_past_the_cap_does_not_bind():
+    # every separatrix of (1, -3) on cross(1, 3) is a saddle connection within
+    # 20, though a cylinder's midline is longer: the decomposition is complete
+    # and the same as at the default cap
+    capped = decompose(Surface.cross(1, 3), (1, -3), cap=20)
+    assert capped.complete
+    assert max(cyl.height for cyl in capped.cylinders) > 20
+    plain = decompose(Surface.cross(1, 3), (1, -3))
+    assert [(c.width, c.height, c.marks) for c in capped.cylinders] == \
+        [(c.width, c.height, c.marks) for c in plain.cylinders]
+    assert [(m.state, m.ratio) for m in capped.marks] == \
+        [(m.state, m.ratio) for m in plain.marks]
+    assert capped.banks == plain.banks
 
 
 # ---------------------------------------------------------------------------
@@ -427,9 +468,8 @@ def reference_decompose(surface, direction, cap=None):
         if known is not None:
             assert cylinders[known][0] == ev.param
             continue
-        leaf = trace(s, mid[0], mid[1], up, stop_at_marked=False, cap=cap)
-        if leaf.kind == "CapExceeded":
-            return ("undetermined",)
+        leaf = trace(s, mid[0], mid[1], up, stop_at_marked=False,
+                     cap=_barrier_length(leaves))
         assert leaf.kind == CLOSED
         cylinders.append((ev.param, leaf.param, leaf.segments, mid))
 
@@ -469,7 +509,8 @@ def summary(deco):
     if not deco.complete:
         return ("undetermined",)
     return ("complete",
-            [(c.width, c.height, c.key, c.sample) for c in deco.cylinders],
+            [(c.width, c.height, _key(deco, c), c.sample)
+             for c in deco.cylinders],
             [c.marks for c in deco.cylinders],
             [("boundary",) if m.state == "boundary" else
              ("in", m.cylinder, m.westd, m.eastd, m.ratio)
@@ -502,6 +543,23 @@ def test_bank_cycles_match_midline_recognition(surf, mat, direction, cap):
     assert got == expect
 
 
+@settings(max_examples=30, deadline=None)
+@given(marked_surfaces(), positive_matrices(), st.sampled_from(HEIGHT_3),
+       st.sampled_from((20, 50)))
+def test_a_longer_cap_keeps_a_complete_decomposition(surf, mat, direction,
+                                                      cap):
+    # the cap binds only the barrier leaves: once they all end within it,
+    # doubling it changes nothing
+    try:
+        image = surf.transform(mat)
+    except FieldMismatch:
+        return
+    deco = decompose(image, direction, cap=cap)
+    if not deco.complete:
+        return
+    assert summary(decompose(image, direction, cap=2 * cap)) == summary(deco)
+
+
 def test_bank_cycles_match_midline_recognition_fixed_cases():
     spec = CoverSpec(Surface.cross(1, 1), 3,
                      [Slit(corner=(0, 11), direction=(1, 1),
@@ -515,7 +573,7 @@ def test_bank_cycles_match_midline_recognition_fixed_cases():
         assert summary(decompose(surf, direction, cap=cap)) == \
             reference_decompose(surf, direction, cap)
     assert summary(decompose(Surface.cross(1, 3), (1, -3), cap=20)) == \
-        ("undetermined",)
+        summary(decompose(Surface.cross(1, 3), (1, -3)))
     # the west ray from this mark ends on the cone point (1, 1)
     surf = Surface.cross(1, 1, marked=[(0, (Fraction(3, 2), 1), "c")])
     deco = decompose(surf, (0, 1))
@@ -561,6 +619,16 @@ def test_marks_located_by_decompose():
     vert = decompose(c, Vec2(0, 1))
     (mk,) = vert.marks
     assert (mk.state, mk.ratio) == ("in", GOLDEN)
+
+
+def test_locate_refuses_a_missing_chart():
+    deco = decompose(Surface.cross(1, 1), Vec2(1, 0))
+    centre = Vec2(Fraction(3, 2), Fraction(3, 2))
+    assert deco.locate(0, centre).state == "in"
+    # -1 would name the last (here the only) chart
+    for polygon in (7, -1):
+        with pytest.raises(InvalidParams, match="no polygon"):
+            deco.locate(polygon, centre)
 
 
 # ---------------------------------------------------------------------------
@@ -627,6 +695,14 @@ def test_dehn_twist_point_torus():
         dehn_twist_point(deco, 0, Vec2(Fraction(1, 4), 0), 1)
 
 
+def test_dehn_twist_point_refuses_a_missing_chart():
+    deco = decompose(Surface.square_torus(), Vec2(1, 0))
+    start = Vec2(Fraction(1, 4), Fraction(1, 3))
+    for polygon in (5, -1):
+        with pytest.raises(InvalidParams, match="no polygon"):
+            dehn_twist_point(deco, polygon, start, 1)
+
+
 def test_twist_periodicity_matches_transverse_ratio():
     # a point at rational transverse ratio p/q returns home after q twists;
     # an irrational ratio never does
@@ -681,6 +757,20 @@ def test_twist_orbit_cross():
     assert ratios[0] == FieldScalar(2, Fraction(-1, 2), 5)
     assert all(not r.is_rational for r in ratios)
     assert len(set(ratios)) == 6
+
+
+def test_twist_orbit_refuses_indices_out_of_range():
+    c = Surface.cross(1, 1, marked=[(0, (GOLDEN, Fraction(3, 2)), "q")])
+    args = (Vec2(0, 1), Vec2(1, 0), 2)
+    # -1 would pick the last mark or cylinder
+    for mark in (3, -1):
+        with pytest.raises(InvalidParams, match="no marked point"):
+            twist_orbit(c, mark, *args)
+    for target in (9, -1):
+        with pytest.raises(InvalidParams, match="no target cylinder"):
+            twist_orbit(c, 0, *args, target_cylinder=target)
+    report, _ = twist_orbit(c, 0, *args, target_cylinder=2)
+    assert report["target_cylinder"].index == 2
 
 
 def test_twist_orbit_rejects_boundary_start():
