@@ -12,29 +12,45 @@ The flow parameter tau is normalised so the position is start + tau * v in the
 developed picture; the geometric length is tau * |v|.
 
 Everything that depends only on the surface and the direction v is computed
-once per direction, by a flow object (_Flow): v, dot(v, v), the field length
-of v, and for each chart, built the first time a trace enters it, a table
-with one row per edge not parallel to v: (e, edge, den = cross(v, edge),
-sign(den), cross(P_e, v), cross(P_e, v) - den, cross(P_e, edge)), P_e the
-edge's start vertex.  With c = cross(x, v) of the current point x, the edge
-parameter of the exit is s = (cross(P_e, v) - c) / den, so a trace step
-costs one cross product plus two comparisons of c with row constants per
-edge (s >= 0, s <= 1); the ray parameter cross(P_e, edge) - cross(x, edge)
-is screened by a comparison too, and formed only for edges that pass.  A
-point pt lies on the current leaf exactly when cross(pt, v) == c.  The flow
-also caches, per chart, its marked points with their cross(pt, v), and, per
-corner of a regular vertex, where a trace arriving there goes on.  A flow
-lives as long as its caller keeps it -- one trace, or one decomposition --
-and is never stored on the surface.
+once per direction, by a flow object (_Flow).  A point x has the transverse
+coordinate u(x) = cross(x, v): the leaf through x is the line u = u(x), and
+a point lies on the current leaf exactly when its u is the leaf's.  For the
+unit axis directions -- up, down, east and west, the only ones a
+decomposition traces -- u is read off one coordinate (x.x, -x.x, -x.y, x.y)
+and x + v * t moves one coordinate; any other direction takes the cross
+product.  For each chart, the first time a trace enters it, the flow reads
+each vertex's u_k once and builds a table with one row per edge e not
+parallel to v: (e, edge, den = u_e - u_{e+1}, sign(den), u_e, u_{e+1},
+cross(P_e, edge)), P_e the edge's start vertex.  The edge parameter of an
+exit is s = (u_e - u(x)) / den, so the full scan of a chart compares u(x)
+with two row constants per edge (s >= 0, s <= 1); the ray parameter
+(cross(P_e, edge) - cross(x, edge)) / den is screened by a comparison too,
+and formed only for edges that pass.
+
+The distinct u_k of a chart, sorted, cut it into slabs.  A ray that enters
+chart p through edge e at a u strictly inside slab j meets no vertex there,
+and it leaves through the edge the first such ray of the flow left through:
+that row is memoized under (p, e, j), and the exit is one cross product and
+one division away.  Starts, departures from a vertex and entries that land
+exactly on some u_k run the full scan, which fills the memo.  The flow also
+caches, per chart, its marked points with their u, and, per corner of a
+regular vertex, where a trace arriving there goes on.  A flow lives as long
+as its caller keeps it -- one trace, or one decomposition -- and is never
+stored on the surface.  The memo relies on what the full scan relies on:
+each chart is a simple polygon, whose edges meet only at its vertices.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from operator import attrgetter
+
 from .errors import (AmbiguousStart, InconsistentTopology, InvalidParams,
                      TraceOverflow)
-from .field import FieldScalar, field_sqrt, scalar
-from .geometry import (Vec2, canonical_direction, ccw_sector_contains, cross,
-                       dist2_point_segment, dot, polygon_contains, same_ray)
+from .field import FieldScalar, _sort_key, field_sqrt, scalar
+from .geometry import (Vec2, _vec, canonical_direction, ccw_sector_contains,
+                       cross, dist2_point_segment, dot, polygon_contains,
+                       same_ray)
 
 _ZERO = FieldScalar.rational(0)
 
@@ -120,19 +136,50 @@ def _resolve_regular(surface, corner, v):
                                % (corner, v))
 
 
+def _up(x, t):
+    return _vec(x.x, x.y + t)
+
+
+def _down(x, t):
+    return _vec(x.x, x.y - t)
+
+
+def _east(x, t):
+    return _vec(x.x + t, x.y)
+
+
+def _west(x, t):
+    return _vec(x.x - t, x.y)
+
+
+# unit axis direction -> (u(x) = cross(x, v), x + v * t)
+_AXES = {(0, 1): (attrgetter("x"), _up),
+         (0, -1): (lambda x: -x.x, _down),
+         (1, 0): (lambda x: -x.y, _east),
+         (-1, 0): (attrgetter("y"), _west)}
+
+
 class _Flow:
     """The flow in direction v on one surface, shared by the traces that
     run in that direction.
 
-    Holds v, vv = dot(v, v) and vlen, the length of v in the surface's field
-    (None when it has no square root there).  Per chart, built on first
-    use: the edge table rows (e, edge, den, sign(den), cross(P_e, v),
-    cross(P_e, v) - den, cross(P_e, edge)) for the edges not parallel to v,
-    the marked points as (index, point, cross(point, v)), and the state a
-    trace takes on from each regular-vertex corner it arrives at.
+    Holds v, vv = dot(v, v), vlen, the length of v in the surface's field
+    (None when it has no square root there), and the two maps a trace step
+    applies: across(x) = cross(x, v), the transverse coordinate u, and
+    move(x, t) = x + v * t; for a unit axis v they read and move one
+    coordinate.  Per chart, built on first use from the vertices' u_k: the
+    edge table rows (e, edge, den = u_e - u_{e+1}, sign(den), u_e, u_{e+1},
+    cross(P_e, edge)) for the edges not parallel to v, and the u_k as
+    _sort_key tuples in order (the slab bounds; a repeated u_k repeats a
+    bound, and each slab still gets one index); the marked points as
+    (index, point, u); and the state a trace takes on from each
+    regular-vertex corner it arrives at.  _exits memoizes, per (chart, entry
+    edge, slab), the row the full scan chose for the first ray of the flow
+    that entered the chart through that edge strictly inside that slab.
     """
 
-    __slots__ = ("surface", "v", "vv", "vlen", "_tables", "_marks", "_leave")
+    __slots__ = ("surface", "v", "vv", "vlen", "across", "move", "_tables",
+                 "_slabs", "_exits", "_marks", "_leave")
 
     def __init__(self, surface, direction):
         v = direction if isinstance(direction, Vec2) else Vec2(*direction)
@@ -142,7 +189,15 @@ class _Flow:
         self.v = v
         self.vv = dot(v, v)
         self.vlen = field_sqrt(self.vv, surface.field_d)
+        axis = _AXES.get((v.x, v.y))
+        if axis is None:
+            self.across = lambda x: cross(x, v)
+            self.move = lambda x, t: x + v * t
+        else:
+            self.across, self.move = axis
         self._tables = {}
+        self._slabs = {}
+        self._exits = {}
         self._marks = {}
         self._leave = {}
 
@@ -150,25 +205,26 @@ class _Flow:
         rows = self._tables.get(p)
         if rows is None:
             poly = self.surface.polygons[p]
-            v = self.v
+            us = [self.across(a) for a in poly.vertices]
             rows = []
             for e in range(poly.n):
-                edge = poly.edge(e)
-                den = cross(v, edge)
+                u_e, u_f = us[e], us[(e + 1) % poly.n]
+                den = u_e - u_f
                 sd = den.sign()
                 if not sd:
                     continue  # parallel: its vertices are caught via its mates
-                a = poly.vertices[e]
-                c_e = cross(a, v)
-                rows.append((e, edge, den, sd, c_e, c_e - den, cross(a, edge)))
+                edge = poly.edge(e)
+                rows.append((e, edge, den, sd, u_e, u_f,
+                             cross(poly.vertices[e], edge)))
             self._tables[p] = rows
+            self._slabs[p] = sorted(map(_sort_key, us))
         return rows
 
     def marks(self, p):
         rows = self._marks.get(p)
         if rows is None:
             rows = self._marks[p] = [
-                (idx, pt, cross(pt, self.v))
+                (idx, pt, self.across(pt))
                 for idx, pt in self.surface.marks_in_polygon(p)]
         return rows
 
@@ -205,10 +261,21 @@ def _start_state(flow, polygon, point, corner):
     closed loop.
     """
     surface, v = flow.surface, flow.v
+    if corner is not None:
+        try:
+            p, k = corner
+        except (TypeError, ValueError):
+            p = k = None
+        if not (isinstance(p, int) and isinstance(k, int)
+                and 0 <= p < len(surface.polygons)
+                and 0 <= k < surface.polygons[p].n):
+            raise InvalidParams("corner %r names no vertex of this surface"
+                                % (corner,))
+        corner = (p, k)
     if corner is not None and point is None:
         # a corner names its vertex: nothing to locate
         polygon = corner[0]
-        where = ("vertex", corner[1] % surface.polygons[polygon].n)
+        where = ("vertex", corner[1])
         aliases = None
     else:
         where, aliases = surface._point(
@@ -252,27 +319,43 @@ def _start_state(flow, polygon, point, corner):
     return ("go", p, x), []
 
 
-def _exit_solve(surface, p, x, v, cx=None):
+def _exit_solve(surface, p, x, v, cx=None, entry=None):
     """First boundary crossing of the ray x + t v, t > 0, in polygon p.
 
     v is a direction or a _Flow on `surface`; cx, when given, is
-    cross(x, v).  Returns (t, y, vertex_or_None, edge) where vertex is set
-    when the crossing is a polygon vertex.  The edge parameter
-    s = (cross(P_e, v) - cx) / den is screened by comparing cx with the
-    row's cross(P_e, v) (s >= 0) and cross(P_e, v) - den (s <= 1); the ray
-    parameter t = (cross(P_e, edge) - cross(x, edge)) / den is screened by
-    comparing cross(P_e, edge) with cross(x, edge), and formed and divided
-    out only for edges that pass.
+    u(x) = cross(x, v), and entry, when given, the edge of p that x lies on
+    (the ray entered p through it).  Returns (t, y, vertex_or_None, edge)
+    where vertex is set when the crossing is a polygon vertex.
+
+    An entry strictly inside a slab of p reuses the memoized row of its
+    (p, entry, slab): t = (cross(P_e, edge) - cross(x, edge)) / den.  Any
+    other ray runs the full scan, which screens the edge parameter
+    s = (u_e - cx) / den by comparing cx with the row's u_e (s >= 0) and
+    u_{e+1} (s <= 1), and the ray parameter t by comparing cross(P_e, edge)
+    with cross(x, edge); t is formed and divided out only for edges that
+    pass.  A scan for an entry inside a slab fills that slab's memo.
     """
     flow = _as_flow(surface, v)
+    rows = flow.table(p)
     if cx is None:
-        cx = cross(x, flow.v)
+        cx = flow.across(x)
+    key = None
+    if entry is not None:
+        bounds = flow._slabs[p]
+        j = bisect_left(bounds, _sort_key(cx))
+        if 0 < j < len(bounds) and bounds[j][1] != cx:
+            key = (p, entry, j)
+            row = flow._exits.get(key)
+            if row is not None:
+                t = (row[6] - cross(x, row[1])) / row[2]
+                return t, flow.move(x, t), None, row[0]
     best = None
-    for e, edge, den, sd, c_e, c_e_den, k_e in flow.table(p):
-        s_lo = c_e._cmp(cx) * sd
+    for row in rows:
+        e, edge, den, sd, u_e, u_f, k_e = row
+        s_lo = u_e._cmp(cx) * sd
         if s_lo < 0:
             continue  # s < 0
-        s_hi = c_e_den._cmp(cx) * sd
+        s_hi = u_f._cmp(cx) * sd
         if s_hi > 0:
             continue  # s > 1
         k_x = cross(x, edge)
@@ -285,14 +368,16 @@ def _exit_solve(surface, p, x, v, cx=None):
                 vert = e
             elif not s_hi:
                 vert = (e + 1) % surface.polygons[p].n
-            best = (t, e, vert)
+            best = (t, row, vert)
     if best is None:
         raise InconsistentTopology(
             "ray from %s in polygon %d found no exit" % (x, p))
-    t, e, vert = best
+    t, row, vert = best
+    if key is not None:
+        flow._exits[key] = row
     y = (surface.polygons[p].vertices[vert] if vert is not None
-         else x + flow.v * t)
-    return t, y, vert, e
+         else flow.move(x, t))
+    return t, y, vert, row[0]
 
 
 def _param_on(seg, pt, v, vv):
@@ -323,21 +408,25 @@ def trace(surface, polygon=None, point=None, direction=None, *, corner=None,
     one direction share.
     """
     flow = _as_flow(surface, direction)
-    v, vv, vlen = flow.v, flow.vv, flow.vlen
+    v, vv, vlen, across = flow.v, flow.vv, flow.vlen, flow.across
     state, aliases = _start_state(flow, polygon, point, corner)
-    # per chart, the start's aliases as (payload, point, cross(point, v)):
-    # a point is on the current leaf when its cross(point, v) is the leaf's
+    # per chart, the start's aliases as (payload, point, u(point)): a point
+    # is on the current leaf when its u is the leaf's
     closing = {}
     for pa, pt in aliases if detect_closure else ():
-        closing.setdefault(pa, []).append((None, pt, cross(pt, v)))
+        closing.setdefault(pa, []).append((None, pt, across(pt)))
 
     if cap is None:
         cap = surface.default_cap()
     cap = scalar(cap)
-    cap2 = cap * cap
+    # the cap on tau itself: tau * vlen > cap, or tau^2 * vv > cap^2 when
+    # vlen is not in the field
+    squared = vlen is None
+    limit = cap * cap / vv if squared else cap / vlen
 
     segments: list[Segment] = []
     tau = _ZERO
+    entry = None  # the edge the current chart was entered through
 
     def finish(kind, param, mark=None, corner=None, payload=None):
         length = vlen * param if vlen is not None else None
@@ -356,8 +445,9 @@ def trace(surface, polygon=None, point=None, direction=None, *, corner=None,
             cx = None
         else:
             _, p, x = state
-            cx = cross(x, v)
-            t, y, vert, exit_edge = _exit_solve(surface, p, x, flow, cx)
+            cx = across(x)
+            t, y, vert, exit_edge = _exit_solve(surface, p, x, flow, cx,
+                                                entry)
             seg = Segment(p, x, y, False, tau, tau + t)
             arrive = (p, vert) if vert is not None else None
 
@@ -367,7 +457,7 @@ def trace(surface, polygon=None, point=None, direction=None, *, corner=None,
         for kind, rows in ((CLOSED, closing.get(p, ())), (MARKED, marks)):
             for payload, pt, cp in rows:
                 if cx is None:
-                    cx = cross(x, v)
+                    cx = across(x)
                 if cp != cx:
                     continue
                 th = _param_on(seg, pt, v, vv)
@@ -406,16 +496,15 @@ def trace(surface, polygon=None, point=None, direction=None, *, corner=None,
         tau = seg.tau1
 
         # ---- cap ------------------------------------------------------------
-        over = (tau * vlen > cap if vlen is not None
-                else tau * tau * vv > cap2)
-        if over:
+        if (tau * tau if squared else tau) > limit:
             return finish(CAPPED, tau)
 
         # ---- continue into the next chart ----------------------------------
         if arrive is not None:
             state = flow.leave(arrive)
+            entry = None
         else:
-            p2, e2 = surface.partner[(p, exit_edge)]
+            p2, entry = surface.partner[(p, exit_edge)]
             state = ("go", p2, seg.b + surface.translation[(p, exit_edge)])
     raise TraceOverflow("trace exceeded %d segments without resolving"
                         % max_steps, segments)

@@ -13,8 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from veechkit.cylinders import decompose, dehn_twist_point
-from veechkit.errors import (AmbiguousStart, InconsistentTopology,
-                             InvalidParams, TraceOverflow, VeechkitError)
+from veechkit.errors import (AmbiguousStart, FieldMismatch,
+                             InconsistentTopology, InvalidParams,
+                             TraceOverflow, VeechkitError)
 from veechkit.field import FieldScalar, scalar
 from veechkit.geometry import Mat2, Vec2, ccw_sector_contains, cross
 from veechkit.surface import Surface
@@ -22,6 +23,8 @@ from veechkit.trace import (CAPPED, CLOSED, MARKED, SINGULAR, _exit_solve,
                             _Flow, _start_state, advance, departing_corners,
                             is_connection_point_up_to, saddle_connections,
                             separatrices, trace)
+
+from test_surface import marked_surfaces, positive_matrices
 
 GOLDEN = FieldScalar(Fraction(-1, 2), Fraction(1, 2), 5)
 PHI = GOLDEN + 1
@@ -338,6 +341,68 @@ def test_exit_solve_matches_reference(case):
     assert _exit_or_error(_exit_solve, surf, p, x, flow, cross(x, v)) == want
 
 
+SLANTS = ((1, 2), (2, 1), (1, -1), (-2, 3), (3, -1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(marked_surfaces(), positive_matrices(), st.sampled_from(SLANTS))
+def test_memoized_exits_match_the_reference(surf, mat, slant):
+    # one warm flow per direction runs every separatrix, every vertex leaf
+    # and a leaf from every mark; most exits after the first few come from
+    # the memo, and each must be the exit the reference solves for afresh.
+    # A thin image chart can hold thousands of segments within the cap, so
+    # each trace also stops after 200 and its partial path is checked
+    try:
+        image = surf.transform(mat)
+    except FieldMismatch:
+        return
+    cap = image.default_cap() / 8
+    starts = [(p, pt, None) for cls in range(len(image.vertex_classes))
+              if not image.cone_windings[cls] > 1
+              for p, pt in image._class_points(cls)[:1]]
+    starts += [(mp.polygon, mp.at, None) for mp in image.marked]
+    for direction in ((0, 1), (1, 0), (-1, 0), slant):
+        flow = _Flow(image, direction)
+        runs = [(None, None, c) for c in departing_corners(image, flow.v)]
+        for p, pt, corner in runs + starts:
+            try:
+                segments = trace(image, p, pt, flow, corner=corner, cap=cap,
+                                 stop_at_marked=False, detect_closure=False,
+                                 max_steps=200).segments
+            except TraceOverflow as exc:
+                segments = exc.segments
+            for seg in segments:
+                if seg.slide:
+                    continue
+                t, y, _, _ = reference_exit_solve(image, seg.polygon, seg.a,
+                                                  flow.v)
+                assert (seg.tau1 - seg.tau0, seg.b) == (t, y)
+
+
+def test_a_trace_that_reaches_the_cap_exactly_is_not_capped():
+    # tau * |v| == cap at a chart edge goes on; a hair less stops there
+    torus = Surface.square_torus()
+    start = _v(F(1, 3), F(1, 5))
+    for direction, exit_tau in (((0, 1), F(4, 5)), ((0, 2), F(2, 5))):
+        ev = trace(torus, 0, start, direction, cap=F(4, 5))
+        assert (ev.kind, ev.param) == (CLOSED, 1 / scalar(direction[1]))
+        ev = trace(torus, 0, start, direction, cap=F(4, 5) - F(1, 1000))
+        assert (ev.kind, ev.param) == (CAPPED, exit_tau)
+    # |(1, 1)| = sqrt(2) is not in Q(sqrt5): the cap is compared squared.
+    # The ray leaves the right arm's top edge at tau = 3/4, and a mark waits
+    # 1/8 further on, past the glued edge
+    a = PHI
+    g = Surface.cross(a, 1, marked=[(0, _v(a + F(11, 8), a + F(1, 8)), "m")])
+    start = _v(a + F(1, 2), a + F(1, 4))
+    assert _Flow(g, (1, 1)).vlen is None
+    sqrt2 = FieldScalar(0, 1, 2)
+    ev = trace(g, 0, start, (1, 1), cap=sqrt2 * F(3, 4))
+    assert (ev.kind, ev.param) == (MARKED, F(7, 8))
+    ev = trace(g, 0, start, (1, 1), cap=sqrt2 * (F(3, 4) - F(1, 1000)))
+    assert (ev.kind, ev.param) == (CAPPED, F(3, 4))
+    assert ev.segments[0].b == _v(a + F(5, 4), a + 1)
+
+
 def _event(ev):
     return (ev.kind, ev.param, ev.mark,
             [(s.polygon, s.a, s.b, s.slide) for s in ev.segments])
@@ -436,8 +501,10 @@ def test_a_corner_start_names_its_vertex_as_point_location_does():
     c = Surface.cross(1, 1)
     with pytest.raises(InvalidParams, match="does not leave through"):
         trace(c, corner=(0, 2), direction=Vec2(1, -1), cap=4)
-    with pytest.raises(IndexError):
-        trace(c, corner=(len(c.polygons), 0), direction=Vec2(1, 0), cap=4)
+    for bad in ((len(c.polygons), 0), (-1, 0), (0, -1),
+                (0, c.polygons[0].n)):
+        with pytest.raises(InvalidParams, match="names no vertex"):
+            trace(c, corner=bad, direction=Vec2(1, 0), cap=4)
 
 
 # ---------------------------------------------------------------------------
