@@ -143,14 +143,14 @@ def _cmd_info(args):
     return 0
 
 
-def _cap_of(args, surf):
+def _cap_of(args):
     return parse_scalar(args.cap) if args.cap else None
 
 
 def _cmd_decompose(args):
     surf = _load_surface(args.surface)
     direction = _parse_vec(args.dir)
-    deco = decompose(surf, direction, cap=_cap_of(args, surf))
+    deco = decompose(surf, direction, cap=_cap_of(args))
     sig = torus_signature(deco) if deco.complete else None
     rows = []
     for cyl in deco.cylinders:
@@ -190,7 +190,7 @@ def _cmd_decompose(args):
 def _cmd_classify(args):
     surf = _load_surface(args.surface)
     cls = classify_direction(surf, _parse_vec(args.dir),
-                             cap=_cap_of(args, surf))
+                             cap=_cap_of(args))
     if cls.kind == "Parabolic":
         print("Parabolic s'=%s" % cls.s_prime)
     elif cls.kind == "Fat":
@@ -218,7 +218,7 @@ def _cmd_twist_orbit(args):
     report, samples = twist_orbit(
         surf, mark, _parse_vec(args.twist_dir), _parse_vec(args.target_dir),
         args.n, target_cylinder=args.target_cylinder,
-        cap=_cap_of(args, surf))
+        cap=_cap_of(args))
     landed = [s for s in samples if s["state"] == "ratio"]
     distinct = len({str(s["ratio"]) for s in landed})
     print("n=%d landed=%d distinct_ratios=%d theta=%s nu=%s"
@@ -294,7 +294,7 @@ def _cmd_census(args):
     if isinstance(obj, dict):
         obj = obj.get("directions", [])
     directions = [_parse_seed_entry(e) for e in obj]
-    cap = _cap_of(args, surf)
+    cap = _cap_of(args)
     reports = census(surf, directions, cap=cap)
     for rep in reports:
         extra = ""
@@ -336,7 +336,7 @@ def _cmd_fat_seq(args):
     surf = _load_surface(args.surface)
     steps = fat_sequence(surf, _parse_vec(args.theta), _parse_mat(args.twist),
                          _parse_vec(args.seed), args.n,
-                         cap=_cap_of(args, surf))
+                         cap=_cap_of(args))
     for st in steps:
         print("n=%d dir=%s %s%s gap=%s"
               % (st.n, _dir_str(st.direction), st.kind,
@@ -352,7 +352,7 @@ def _cmd_fat_seq(args):
 def _cmd_render(args):
     surf = _load_surface(args.surface)
     direction = _parse_vec(args.dir)
-    deco = decompose(surf, direction, cap=_cap_of(args, surf))
+    deco = decompose(surf, direction, cap=_cap_of(args))
     _atomic_write(args.svg, decomposition_svg(
         deco, label="dir %s: %s" % (_dir_str(deco.direction), deco.status)))
     print("wrote %s" % args.svg)

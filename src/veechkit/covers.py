@@ -25,7 +25,8 @@ from .field import scalar
 from .geometry import (Vec2, canonical_direction, cross, dot, parallel,
                        segment_point, segments_intersect)
 from .surface import Polygon, Surface
-from .trace import CLOSED, MARKED, SINGULAR, STOPPED, _exit_solve, trace
+from .trace import (CLOSED, MARKED, SINGULAR, STOPPED, _checked_corner,
+                    _exit_solve, trace)
 
 
 class Slit:
@@ -60,7 +61,7 @@ class Slit:
 
     def start_point(self, base: Surface):
         if self.corner is not None:
-            p, k = self.corner
+            p, k = _checked_corner(base, self.corner)
             return p, base.polygons[p].vertex(k)
         return self.polygon, self.start
 

@@ -8,9 +8,10 @@ reported in that frame; ratios and moduli are frame-independent.
 Bands are cut along every leaf through a distinguished point: the separatrices
 of the cone points plus the closed leaves through the regular vertex classes.
 A direction decomposes completely when all of those are accounted for within
-the cap -- every separatrix ends at a cone point, every vertex-class leaf
-either closes up or runs into a cone.  The union of these leaves is the
-barrier set.
+the cap -- every separatrix ends at a cone point, and every regular vertex
+that no saddle connection passes lies on a closed leaf, traced once from the
+first such vertex on it.  The union of these leaves is the barrier set, and
+each regular vertex's band is read off the barrier leaf through it.
 
 A band is found from its west bank, without tracing inside it.  A saddle
 connection arrives at its upper cone from direction -v (down); turning
@@ -35,8 +36,8 @@ vertical spans in the normalized frame -- sorted by x, and xs their x's; leaf
 ids number `connections`, then `vertex_leaves`.  A segment sliding along a
 glued edge has a row in both charts.  A leaf through a regular vertex may
 touch only some of its corners, so each chart point of such a vertex has a
-point row (x, y, y, leaf id).  The barrier hook, the boundary test of
-`locate_normalized` and the closed-leaf dedup of `_west_banks` bisect it.
+point row (x, y, y, leaf id).  The barrier hook and the boundary test of
+`locate_normalized` bisect it.
 
 A point is placed by one ray west and one ray east to the barriers: the band
 it lies in is the band east of where the west ray stops -- a barrier leaf
@@ -68,9 +69,8 @@ from .errors import (InconsistentTopology, InvalidParams, NotComplete,
                      OnBoundaryPoint)
 from .field import (FieldScalar, _sort_key, commensurability_classes,
                     least_common_integer_multiple, scalar)
-from .geometry import (Vec2, canonical_direction, ccw_sector_contains,
-                       normalize_to_vertical)
-from .trace import (CLOSED, SINGULAR, STOPPED, _Flow, advance,
+from .geometry import Vec2, canonical_direction, normalize_to_vertical
+from .trace import (CLOSED, SINGULAR, STOPPED, _Flow, _turn, advance,
                     departing_corners, trace)
 
 _UP = Vec2(0, 1)
@@ -239,24 +239,11 @@ def _owner_back(surface, ev):
     return ev.corner
 
 
-def _turn(surface, corner, start, target):
-    """The first corner met turning counterclockwise from direction `start`,
-    which `corner` owns, whose sector holds direction `target`."""
-    if ccw_sector_contains(start, surface.ray_in(corner), target):
-        return corner
-    c = surface.next_corner(corner)
-    while c != corner:
-        if ccw_sector_contains(surface.ray_out(c), surface.ray_in(c), target):
-            return c
-        c = surface.next_corner(c)
-    raise InconsistentTopology("no corner at %s owns direction %s"
-                               % (corner, target))
-
-
-def _barrier_table(surface, leaves):
+def _barrier_table(surface, leaves, leaf_of):
     """The barrier table (see the module docstring) of `leaves`, the barrier
-    leaves traced upward, numbered in order.  A leaf segment that is not
-    vertical is an inconsistency."""
+    leaves traced upward, numbered in order, with the point rows of the
+    regular vertex classes in `leaf_of` (class -> id of the leaf through
+    it).  A leaf segment that is not vertical is an inconsistency."""
     charts = {}
     for leaf, ev in enumerate(leaves):
         for seg in ev.segments:
@@ -274,15 +261,8 @@ def _barrier_table(surface, leaves):
     for p, rows in charts.items():
         rows.sort(key=lambda row: _sort_key(row[0]))
         table[p] = ([row[0] for row in rows], rows)
-    for cls, w in enumerate(surface.cone_windings):
-        if w > 1:
-            continue
-        reps = surface._class_points(cls)
-        leaf = next((leaf for p, pt in reps
-                     for leaf in _leaves_at(table, p, pt)), None)
-        if leaf is None:
-            continue
-        for p, pt in reps:
+    for cls, leaf in sorted(leaf_of.items()):
+        for p, pt in surface._class_points(cls):
             xs, rows = table.setdefault(p, ([], []))
             i = bisect_right(xs, pt.x)
             xs.insert(i, pt.x)
@@ -337,25 +317,21 @@ def _barrier_hook(barriers, cones=None):
     return stop
 
 
-def _west_banks(surface, connections, regular, barriers):
+def _west_banks(surface, connections, vertex_leaves):
     """The bands of a direction, found from their west banks.
 
     `connections` are the (corner, event) separatrices, all saddle
-    connections; `regular` the (class, event) leaves of the regular vertex
-    classes, each closed or a piece of a saddle connection.  Returns
-    (heights, east_of, corner_band, class_band): the height of each band;
-    the band east of each barrier leaf (the separatrices, then the closed
-    leaves of `regular` in order); the band a ray leaving each east-owning
-    cone corner enters; and the band east of each regular vertex.  A closed
-    leaf through several regular vertices is traced from each; the barrier
-    table names the earlier one through this class's vertex, if any.
+    connections; `vertex_leaves` the (class, event) closed leaves through
+    the regular vertices that no separatrix passes.  Returns (heights,
+    east_of, corner_band): the height of each band; the band east of each
+    barrier leaf (the separatrices, then the closed leaves); and the band a
+    ray leaving each east-owning cone corner enters.  The band east of a
+    regular vertex is the one east of the barrier leaf through it.
     """
     starts = {corner: i for i, (corner, _) in enumerate(connections)}
-    arrivals, succ, east_corners = {}, [], []
-    for i, (_, ev) in enumerate(connections):
-        down = _owner_back(surface, ev)
-        arrivals[down] = i
-        east = _turn(surface, down, _DOWN, _EAST)
+    succ, east_corners = [], []
+    for _, ev in connections:
+        east = _turn(surface, _owner_back(surface, ev), _DOWN, _EAST)
         east_corners.append(east)
         nxt = starts.get(_turn(surface, east, _EAST, _UP))
         if nxt is None:
@@ -377,27 +353,10 @@ def _west_banks(surface, connections, regular, barriers):
         heights.append(height)
     corner_band = {east: band_of[i] for i, east in enumerate(east_corners)}
     east_of = list(band_of)
-
-    class_band = {}
-    for cls, ev in regular:
-        if ev.kind == CLOSED:
-            # this leaf's id is len(east_of); no separatrix passes a vertex
-            # whose leaf closes, so a smaller id here is an earlier closed leaf
-            band = next((east_of[leaf] for p, pt in surface._class_points(cls)
-                         for leaf in _leaves_at(barriers, p, pt)
-                         if leaf < len(east_of)), None)
-            if band is None:
-                band = len(heights)
-                heights.append(ev.param)
-            east_of.append(band)
-        else:
-            i = arrivals.get(_owner_back(surface, ev))
-            if i is None:
-                raise InconsistentTopology(
-                    "leaf of vertex class %d ends on no separatrix" % cls)
-            band = band_of[i]
-        class_band[cls] = band
-    return heights, east_of, corner_band, class_band
+    for _, ev in vertex_leaves:
+        east_of.append(len(heights))
+        heights.append(ev.param)
+    return heights, east_of, corner_band
 
 
 def decompose(surface, direction, cap=None) -> Decomposition:
@@ -429,35 +388,56 @@ def decompose(surface, direction, cap=None) -> Decomposition:
         if ev.kind != SINGULAR:
             return bail(connections, [])
 
-    # leaves through the regular vertex classes: closed ones are extra cuts;
-    # ones that run into a cone already lie inside the separatrix segments
-    regular = []
-    for cls in range(len(normalized.vertex_classes)):
-        if normalized.cone_windings[cls] > 1:
+    # the barrier leaf through each regular vertex class: a leaf passes a
+    # vertex where one of its segments ends at one of the vertex's chart
+    # points.  A class no leaf traced so far passes is traced once, and its
+    # leaf must close: once every upward separatrix is a saddle connection,
+    # so is every downward one, and a vertex whose leaf runs into a cone
+    # lies on one of them.
+    regular = [cls for cls, w in enumerate(normalized.cone_windings)
+               if w <= 1]
+    vertex_at = {(p, pt): cls for cls in regular
+                 for p, pt in normalized._class_points(cls)}
+    leaf_of = {}
+
+    def settle(leaf, ev):
+        for seg in ev.segments:
+            cls = vertex_at.get((seg.polygon, seg.b))
+            if cls is not None:
+                leaf_of[cls] = leaf
+
+    for leaf, (_, ev) in enumerate(connections):
+        settle(leaf, ev)
+    vertex_leaves = []
+    for cls in regular:
+        if cls in leaf_of:
             continue
         ev = trace(normalized, corner=normalized.vertex_classes[cls][0],
                    direction=up, stop_at_marked=False, cap=run_cap)
-        if ev.kind not in (CLOSED, SINGULAR):
-            return bail(connections, [(c, e) for c, e in regular
-                                      if e.kind == CLOSED])
-        regular.append((cls, ev))
-    vertex_leaves = [(cls, ev) for cls, ev in regular if ev.kind == CLOSED]
+        if ev.kind == SINGULAR:
+            raise InconsistentTopology(
+                "leaf of vertex class %d runs into a cone off every "
+                "separatrix" % cls)
+        if ev.kind != CLOSED:
+            return bail(connections, vertex_leaves)
+        vertex_leaves.append((cls, ev))
+        settle(len(connections) + len(vertex_leaves) - 1, ev)
 
     barriers = _barrier_table(normalized, [ev for _, ev in connections]
-                              + [ev for _, ev in vertex_leaves])
+                              + [ev for _, ev in vertex_leaves], leaf_of)
     cones = {}
     for cls in normalized.singular_classes:
         for p, k in normalized.vertex_classes[cls]:
             cones.setdefault(p, []).append(normalized.polygons[p].vertex(k))
     hook = _barrier_hook(barriers, cones)
 
-    heights, east_of, corner_band, class_band = _west_banks(
-        normalized, connections, regular, barriers)
+    heights, east_of, corner_band = _west_banks(normalized, connections,
+                                                vertex_leaves)
     ray_corners = list(departing_corners(normalized, _EAST))
-    for cls, _ in regular:
+    for cls in regular:
         for corner in departing_corners(normalized, _EAST, cls=cls):
             ray_corners.append(corner)
-            corner_band[corner] = class_band[cls]
+            corner_band[corner] = east_of[leaf_of[cls]]
 
     # number the bands by their first ray corner; one width ray each
     cylinders, index = [], {}

@@ -124,16 +124,33 @@ class TraceEvent:
         return "TraceEvent(%s, param=%s)" % (self.kind, self.param)
 
 
-def _resolve_regular(surface, corner, v):
-    # walk the corner cycle; the half-open sectors of a 2pi vertex tile the
-    # circle, so exactly one corner owns direction v
-    c = corner
-    for _ in range(len(surface.vertex_classes[surface.class_of[corner]])):
-        if ccw_sector_contains(surface.ray_out(c), surface.ray_in(c), v):
+def _turn(surface, corner, start, target):
+    """The first corner met turning counterclockwise from direction `start`,
+    which `corner` owns, whose sector holds direction `target`."""
+    if ccw_sector_contains(start, surface.ray_in(corner), target):
+        return corner
+    c = surface.next_corner(corner)
+    while c != corner:
+        if ccw_sector_contains(surface.ray_out(c), surface.ray_in(c), target):
             return c
         c = surface.next_corner(c)
-    raise InconsistentTopology("no corner sector at %s owns direction %s"
-                               % (corner, v))
+    raise InconsistentTopology("no corner at %s owns direction %s"
+                               % (corner, target))
+
+
+def _checked_corner(surface, corner):
+    """`corner` as a (polygon, vertex) pair naming a vertex of `surface`;
+    InvalidParams when it names none."""
+    try:
+        p, k = corner
+    except (TypeError, ValueError):
+        p = k = None
+    if not (isinstance(p, int) and isinstance(k, int)
+            and 0 <= p < len(surface.polygons)
+            and 0 <= k < surface.polygons[p].n):
+        raise InvalidParams("corner %r names no vertex of this surface"
+                            % (corner,))
+    return p, k
 
 
 def _up(x, t):
@@ -233,7 +250,9 @@ class _Flow:
         state = self._leave.get(corner)
         if state is None:
             surface = self.surface
-            own = _resolve_regular(surface, corner, self.v)
+            # the half-open sectors of a 2pi vertex tile the circle, so
+            # exactly one corner of the cycle owns v
+            own = _turn(surface, corner, surface.ray_out(corner), self.v)
             p, k = own
             x = surface.polygons[p].vertex(k)
             if same_ray(self.v, surface.ray_out(own)):
@@ -262,16 +281,7 @@ def _start_state(flow, polygon, point, corner):
     """
     surface, v = flow.surface, flow.v
     if corner is not None:
-        try:
-            p, k = corner
-        except (TypeError, ValueError):
-            p = k = None
-        if not (isinstance(p, int) and isinstance(k, int)
-                and 0 <= p < len(surface.polygons)
-                and 0 <= k < surface.polygons[p].n):
-            raise InvalidParams("corner %r names no vertex of this surface"
-                                % (corner,))
-        corner = (p, k)
+        corner = _checked_corner(surface, corner)
     if corner is not None and point is None:
         # a corner names its vertex: nothing to locate
         polygon = corner[0]

@@ -194,6 +194,15 @@ def test_slit_through_cone_point_rejected():
         build_cover(CoverSpec(base, 2, [s], [(1, 0)]))
 
 
+def test_slit_corner_naming_no_vertex_rejected():
+    # a corner past the charts, past the chart's vertices, or negative
+    base = Surface.cross(1, 1)
+    for corner in ((1, 0), (0, 12), (-1, 0)):
+        s = Slit(corner=corner, direction=(1, 1), end=(F(3, 2), F(3, 2)))
+        with pytest.raises(InvalidParams, match="names no vertex"):
+            cyclic_slit_cover(CoverSpec(base, 2, [s], [(1, 0)]))
+
+
 def test_crossing_slits_rejected():
     base = Surface.cross(1, 1)
     hb = hslit("5/4", "1/2", "7/4")

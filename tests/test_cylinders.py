@@ -184,9 +184,9 @@ def test_banks_are_attached():
 
 
 def test_banks_are_traced_on_first_read_only(monkeypatch):
-    # decompose traces the separatrices, the vertex leaves, one width ray per
-    # cylinder and two rays per mark; the banks' one west ray per barrier
-    # leaf waits for the first read of deco.banks
+    # decompose traces the separatrices, each closed vertex leaf once, one
+    # width ray per cylinder and two rays per mark; the banks' one west ray
+    # per barrier leaf waits for the first read of deco.banks
     calls = []
 
     def counting_trace(*args, **kwargs):
@@ -198,9 +198,7 @@ def test_banks_are_traced_on_first_read_only(monkeypatch):
     surf = Surface.cross(GOLDEN_BIG, 1, marked=[(0, at, "q")])
     deco = decompose(surf, Vec2(2, 3))
     assert deco.complete and [m.state for m in deco.marks] == ["in"]
-    normalized = deco.normalized
-    regular = [cls for cls, w in enumerate(normalized.cone_windings) if w == 1]
-    assert len(calls) == (len(deco.connections) + len(regular)
+    assert len(calls) == (len(deco.connections) + len(deco.vertex_leaves)
                           + len(deco.cylinders) + 2 * len(deco.marks))
     before = len(calls)
     banks = deco.banks
@@ -235,6 +233,30 @@ def test_each_cylinder_closes_one_leaf(monkeypatch):
     assert len(closed) == len(deco.vertex_leaves)
 
 
+def test_a_closed_leaf_is_traced_once(monkeypatch):
+    # on cross(1, 1) in (2, 3) and (3, 2) one closed leaf passes two regular
+    # vertex classes: it is traced from the first, and settles the second
+    ups = []
+
+    def recording_trace(surface, *args, corner=None, direction=None,
+                        **kwargs):
+        ev = trace(surface, *args, corner=corner, direction=direction,
+                   **kwargs)
+        if (corner is not None and direction.v == Vec2(0, 1)
+                and surface.cone_windings[surface.class_of[corner]] == 1):
+            ups.append(ev)
+        return ev
+
+    monkeypatch.setattr(veechkit.cylinders, "trace", recording_trace)
+    for direction in ((2, 3), (3, 2)):
+        ups.clear()
+        deco = decompose(Surface.cross(1, 1), direction)
+        assert deco.complete
+        assert len(deco.vertex_leaves) == 1
+        assert [ev.kind for ev in ups] == [CLOSED]
+        assert sorted(deco.inverse_moduli()) == [1, 2, 2]
+
+
 def test_barrier_hook_refuses_slanted_segments():
     half = scalar(Fraction(1, 2))
     table = {0: ([half], [(half, scalar(0), scalar(1), 7)])}
@@ -257,7 +279,7 @@ def test_barrier_hook_refuses_slanted_segments():
                                             scalar(0), scalar(1))],
                          scalar(1), None, scalar(2))
     with pytest.raises(InconsistentTopology):
-        _barrier_table(Surface.cross(1, 1), [slanted])
+        _barrier_table(Surface.cross(1, 1), [slanted], {})
     # a transverse ray that is not horizontal in the normalized frame
     deco = decompose(Surface.cross(1, 1), Vec2(1, 0))
     start = deco.frame * Vec2(Fraction(3, 2), Fraction(3, 2))
@@ -413,17 +435,23 @@ def reference_decompose(surface, direction, cap=None):
             return ("undetermined",)
         leaves.append(ev)
     corners = departing_corners(s, east)
+    closed = []
     for cls, w in enumerate(s.cone_windings):
         if w > 1:
             continue
+        corners += departing_corners(s, east, cls=cls)
+        if any(seg.polygon == p and _on(seg, pt)
+               for p, pt in s._class_points(cls)
+               for leaf in closed for seg in leaf.segments):
+            continue  # on a closed leaf traced from an earlier class
         p, k = s.vertex_classes[cls][0]
         ev = trace(s, p, s.polygons[p].vertex(k), up, stop_at_marked=False,
                    cap=cap)
         if ev.kind == CLOSED:
+            closed.append(ev)
             leaves.append(ev)
         elif ev.kind != "HitSingularity":
             return ("undetermined",)
-        corners += departing_corners(s, east, cls=cls)
     barriers = {}
     for ev in leaves:
         for seg in ev.segments:
