@@ -41,7 +41,7 @@ class Slit:
 
     def __init__(self, polygon=None, start=None, direction=None,
                  to_polygon=None, end=None, corner=None):
-        self.corner = tuple(corner) if corner is not None else None
+        self.corner = _corner_pair(corner) if corner is not None else None
         if self.corner is not None:
             self.polygon = self.corner[0]
             self.start = None
@@ -90,6 +90,20 @@ class Slit:
                    to_polygon=obj.get("to_polygon"),
                    end=Vec2.from_json(end),
                    corner=obj.get("corner"))
+
+
+def _corner_pair(corner):
+    """`corner` as a (polygon, vertex) tuple of two ints; InvalidParams when
+    it is not one."""
+    try:
+        pair = tuple(corner)
+    except TypeError:
+        pair = None
+    if not (pair is not None and len(pair) == 2
+            and all(isinstance(i, int) for i in pair)):
+        raise InvalidParams("slit corner must be a (polygon, vertex) pair of "
+                            "integers, not %r" % (corner,))
+    return pair
 
 
 class CoverSpec:

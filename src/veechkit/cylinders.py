@@ -50,12 +50,14 @@ Every trace of a decomposition runs up, east or west, so a decomposition
 makes one flow per direction (trace._Flow) and passes it to each trace.  On
 these axis flows a point's transverse coordinate is one of its own
 coordinates (x for up, y for east and west), so no step takes a cross
-product with the direction.  A chart's edge table is built at most once per
-direction, the first time a trace of that direction enters the chart, and
-the flow memoizes the exit edge of each chart, entry edge and slab between
-vertex coordinates: a barrier leaf thousands of segments long re-enters its
-charts mostly in slabs it or an earlier leaf already crossed, and scans a
-chart's edges only at its start, at vertices and on vertex coordinates.
+product with the direction.  An edge table is built at most once per
+direction and distinct chart geometry (one Polygon, shared by the sheets of
+a cover), the first time a trace of that direction enters a chart with it,
+and the flow memoizes the exit edge of each Polygon, entry edge and slab
+between vertex coordinates: a barrier leaf thousands of segments long
+re-enters its charts -- or another sheet's copies of them -- mostly in slabs
+it or an earlier leaf already crossed, and scans a chart's edges only at its
+start, at vertices and on vertex coordinates.
 The Decomposition keeps its flows (`flows`), so the later rays of `locate`
 and the twists of `dehn_twist_point` and `twist_orbit` reuse the same
 tables and memo.

@@ -187,6 +187,8 @@ def _sort_key(x):
     """(floor(x * 2**32), x), ordered as x is: the floor is exact, as
     floor((A + B) / q) == floor((A + floor(B)) / q) for an integer A."""
     n, m, q, d = x._t
+    if not m:
+        return (n << 32) // q, x
     return ((n << 32) + _floor_times_sqrt(m << 32, d)) // q, x
 
 

@@ -5,6 +5,20 @@ walks the corner cycles, and caches the derived topology: cone angles, the
 singular set, area, and genus computed two independent ways (total angle
 excess and the vertex/edge/face count).
 
+The constructor interns its charts by vertex list: charts with the same
+vertices share one Polygon object, so `surface.polygons[p] is
+surface.polygons[q]` exactly when charts p and q have equal vertex lists,
+as the copies of a chart on the d sheets of a slit cover do.  What depends
+only on a chart's geometry is computed once per distinct Polygon: the
+polygon checks (re-run on a repeat only when they found a problem, so every
+index is tagged), the edge translations, per (polygon, edge, partner
+polygon, partner edge), and the corner sectors that own east.  A Polygon
+keeps its signed area (behind `area`) and bounding box (behind
+`default_cap`) once computed, and `transform` maps each distinct Polygon
+once, so the image keeps the sharing.  The flows of `trace` key their chart
+tables the same way.  Everything else -- gluings, vertex classes, corners,
+marked points -- stays keyed by chart index.
+
 One checker (`_check`) holds the field, polygon and gluing checks.  It lists
 every problem of a description as a (validate tag, exception type, message)
 triple; the constructor raises the first one and `validate` reports them all.
@@ -50,15 +64,22 @@ from .geometry import (Mat2, Vec2, _locate, ccw_sector_contains, cross, parallel
 
 Corner = tuple  # (polygon index, vertex index)
 
+_EAST = Vec2(1, 0)
+
 
 class Polygon:
-    __slots__ = ("vertices", "n", "_edges")
+    """A chart's vertices and edge vectors.  The signed area and the
+    bounding box are computed on first use and kept, so the charts that
+    share a Polygon compute them once."""
+
+    __slots__ = ("vertices", "n", "_edges", "_area2", "_bbox")
 
     def __init__(self, vertices):
         vs = [v if isinstance(v, Vec2) else Vec2(*v) for v in vertices]
         self.vertices = vs
         self.n = n = len(vs)
         self._edges = [vs[(e + 1) % n] - vs[e] for e in range(n)]
+        self._area2 = self._bbox = None
 
     def vertex(self, v: int) -> Vec2:
         return self.vertices[v % self.n]
@@ -69,15 +90,20 @@ class Polygon:
 
     def signed_area2(self) -> FieldScalar:
         # twice the shoelace area
-        total = scalar(0)
-        for i in range(self.n):
-            total = total + cross(self.vertices[i], self.vertices[(i + 1) % self.n])
-        return total
+        if self._area2 is None:
+            total = scalar(0)
+            for i in range(self.n):
+                total = total + cross(self.vertices[i],
+                                      self.vertices[(i + 1) % self.n])
+            self._area2 = total
+        return self._area2
 
     def bbox(self):
-        xs = [v.x for v in self.vertices]
-        ys = [v.y for v in self.vertices]
-        return min(xs), min(ys), max(xs), max(ys)
+        if self._bbox is None:
+            xs = [v.x for v in self.vertices]
+            ys = [v.y for v in self.vertices]
+            self._bbox = min(xs), min(ys), max(xs), max(ys)
+        return self._bbox
 
     def locate(self, p: Vec2):
         """('vertex', v) / ('edge', e, t) / 'interior' / 'outside' for point p."""
@@ -108,8 +134,7 @@ class MarkedPoint:
 class Surface:
     def __init__(self, polygons, gluings, field_d=None, marked=(),
                  point_labels=None):
-        self.polygons = [p if isinstance(p, Polygon) else Polygon(p)
-                         for p in polygons]
+        self.polygons = _interned(polygons)
         self.field_d, self.partner, problems = _check(self.polygons, gluings,
                                                       field_d)
         if problems:
@@ -181,7 +206,7 @@ class Surface:
         return -self.polygons[p].edge(v - 1)
 
     def _walk_corner_cycles(self):
-        east = Vec2(1, 0)
+        owns_east = {}  # polygon -> whether each corner's sector holds east
         self.cone_windings = []
         self.corner_cycles = []
         seen = set()
@@ -194,8 +219,14 @@ class Surface:
             while True:
                 cycle.append(c)
                 seen.add(c)
-                if ccw_sector_contains(self.ray_out(c), self.ray_in(c), east):
-                    windings += 1
+                poly = self.polygons[c[0]]
+                owns = owns_east.get(poly)
+                if owns is None:
+                    owns = owns_east[poly] = [
+                        ccw_sector_contains(poly.edge(k), -poly.edge(k - 1),
+                                            _EAST)
+                        for k in range(poly.n)]
+                windings += owns[c[1]]
                 # opposite gluings: ray_in(c) == ray_out(next_corner(c))
                 c = self.next_corner(c)
                 if c == start:
@@ -326,11 +357,14 @@ class Surface:
         The image is not re-validated (see the module docstring): the charts,
         translations and marked points are mapped, the combinatorial tables
         are shared with this surface, and only the field is checked again.
+        Each distinct chart is mapped once, and its image is shared by the
+        same indices as the chart.
         """
         if mat.det().sign() <= 0:
             raise InvalidParams("transform must have positive determinant")
-        polygons = [Polygon([mat * v for v in poly.vertices])
-                    for poly in self.polygons]
+        images = {poly: Polygon([mat * v for v in poly.vertices])
+                  for poly in dict.fromkeys(self.polygons)}
+        polygons = [images[poly] for poly in self.polygons]
         marked = []
         for mp in self.marked:
             aliases = [(p, mat * pt) for p, pt in mp.aliases]
@@ -360,9 +394,8 @@ class Surface:
     def with_marks(self, marks) -> "Surface":
         """Same complex, fresh marked-point list."""
         gluings = [(a, b) for a, b in self.partner.items() if a <= b]
-        polys = [poly.vertices for poly in self.polygons]
-        return Surface(polys, gluings, field_d=self.field_d, marked=marks,
-                       point_labels=self.point_labels)
+        return Surface(self.polygons, gluings, field_d=self.field_d,
+                       marked=marks, point_labels=self.point_labels)
 
     # -- equality and JSON -----------------------------------------------------
 
@@ -456,10 +489,41 @@ def singularities(surface: Surface):
             for cls, w in enumerate(surface.cone_windings)]
 
 
+def _interned(polygons):
+    """The charts as Polygons, one shared object per distinct vertex list
+    (the first Polygon given with those vertices, if any)."""
+    seen, out = {}, []
+    for p in polygons:
+        if isinstance(p, Polygon):
+            key = tuple(p.vertices)
+        else:
+            key = tuple([v if isinstance(v, Vec2) else Vec2(*v) for v in p])
+        first = seen.setdefault(key, len(out))  # hashes the key once
+        if first < len(out):
+            out.append(out[first])
+        else:
+            out.append(p if isinstance(p, Polygon) else Polygon(key))
+    return out
+
+
 def _translations(polygons, partner):
-    """(polygon, edge) -> T: crossing the edge forward maps x to x + T."""
-    return {(p1, e1): polygons[p2].vertex(e2 + 1) - polygons[p1].vertex(e1)
-            for (p1, e1), (p2, e2) in partner.items()}
+    """(polygon, edge) -> T: crossing the edge forward maps x to x + T.
+
+    Glued edges are translation-opposite, so crossing back maps by -T.  T
+    depends only on the two charts' geometry, so it is computed once per
+    (polygon, edge, partner polygon, partner edge)."""
+    out, memo = {}, {}
+    for a, b in partner.items():
+        if a > b:
+            continue  # set with its partner side
+        pa, pb = polygons[a[0]], polygons[b[0]]
+        key = (pa, a[1], pb, b[1])
+        pair = memo.get(key)
+        if pair is None:
+            t = pb.vertex(b[1] + 1) - pa.vertex(a[1])
+            pair = memo[key] = (t, -t)
+        out[a], out[b] = pair
+    return out
 
 
 def _marks_by_polygon(marked):
@@ -474,7 +538,8 @@ def _marks_by_polygon(marked):
 def _settle_field(polygons, field_d):
     """(field d, clash message or None) of the vertex coordinates, against a
     declared field_d (None: take it from the coordinates, 0 if rational)."""
-    seen = {c.d for poly in polygons for v in poly.vertices for c in (v.x, v.y)}
+    seen = {c.d for poly in dict.fromkeys(polygons) for v in poly.vertices
+            for c in (v.x, v.y)}
     seen.discard(0)
     if field_d is None and len(seen) > 1:
         return field_d, "coordinates span several quadratic fields"
@@ -529,6 +594,9 @@ def _check(polygons, gluings, field_d):
     polygon list (either stops the checks), bad polygons, bad gluing
     entries, unglued edges, then glued edges that are not
     translation-opposite.  The partner map holds the well-formed gluings.
+    A Polygon shared by several charts is checked again only if it had a
+    problem, to tag each of its indices; a glued pair of edges is checked
+    once per (polygon, edge, polygon, edge).
     """
     field_d, clash = _settle_field(polygons, field_d)
     if clash:
@@ -536,29 +604,13 @@ def _check(polygons, gluings, field_d):
     if not polygons:
         return field_d, {}, [("Empty: need at least one polygon",
                               InvalidParams, "need at least one polygon")]
-    partner, problems = {}, []
+    partner, problems, sound = {}, [], set()
     for i, poly in enumerate(polygons):
-        if poly.n < 3:
-            problems.append(("BadPolygon(%d): fewer than 3 vertices" % i,
-                             InvalidParams,
-                             "polygon %d has fewer than 3 vertices" % i))
-            continue
-        zero = [e for e in range(poly.n) if poly.edge(e).is_zero()]
-        if zero:
-            problems.append(("BadPolygon(%d): zero-length edge" % i,
-                             InvalidParams,
-                             "polygon %d has a zero edge %d" % (i, zero[0])))
-            continue
-        if poly.signed_area2().sign() <= 0:
-            problems.append((
-                "NotCounterclockwise(%d)" % i, InvalidParams,
-                "polygon %d must be counterclockwise with positive area" % i))
-        for v in range(poly.n):
-            # zero-angle spikes break the corner sectors; flat corners are fine
-            if same_ray(poly.edge(v), -poly.edge(v - 1)):
-                problems.append((
-                    "ZeroAngleCorner(%d,%d)" % (i, v), InvalidParams,
-                    "polygon %d has a zero-angle corner at vertex %d" % (i, v)))
+        if poly not in sound:
+            found = _polygon_problems(i, poly)
+            problems += found
+            if not found:
+                sound.add(poly)
     pairs = []
     for k, item in enumerate(gluings):
         sides = _gluing_sides(item)
@@ -592,15 +644,44 @@ def _check(polygons, gluings, field_d):
                 problems.append(("UnmatchedEdge(%d,%d)" % (p, e),
                                  InconsistentTopology,
                                  "edge %s left unglued" % ((p, e),)))
+    opposite = {}  # (polygon, edge, polygon, edge) -> the edges cancel
     for a, b in pairs:
-        v1, v2 = polygons[a[0]].edge(a[1]), polygons[b[0]].edge(b[1])
-        if not (v1 + v2).is_zero():
+        pa, pb = polygons[a[0]], polygons[b[0]]
+        v1, v2 = pa.edge(a[1]), pb.edge(b[1])
+        key = (pa, a[1], pb, b[1])
+        if key not in opposite:
+            opposite[key] = (v1 + v2).is_zero()
+        if not opposite[key]:
             tag = "EdgeMismatch" if parallel(v1, v2) else "NonParallelGluing"
             problems.append(("%s((%d,%d),(%d,%d))" % ((tag,) + a + b),
                              InconsistentTopology,
                              "edges %s and %s are not translation-opposite"
                              % (a, b)))
     return field_d, partner, problems
+
+
+def _polygon_problems(i, poly):
+    """The problems of chart i, whose Polygon is `poly`, as _check lists
+    them."""
+    if poly.n < 3:
+        return [("BadPolygon(%d): fewer than 3 vertices" % i, InvalidParams,
+                 "polygon %d has fewer than 3 vertices" % i)]
+    zero = [e for e in range(poly.n) if poly.edge(e).is_zero()]
+    if zero:
+        return [("BadPolygon(%d): zero-length edge" % i, InvalidParams,
+                 "polygon %d has a zero edge %d" % (i, zero[0]))]
+    problems = []
+    if poly.signed_area2().sign() <= 0:
+        problems.append((
+            "NotCounterclockwise(%d)" % i, InvalidParams,
+            "polygon %d must be counterclockwise with positive area" % i))
+    for v in range(poly.n):
+        # zero-angle spikes break the corner sectors; flat corners are fine
+        if same_ray(poly.edge(v), -poly.edge(v - 1)):
+            problems.append((
+                "ZeroAngleCorner(%d,%d)" % (i, v), InvalidParams,
+                "polygon %d has a zero-angle corner at vertex %d" % (i, v)))
+    return problems
 
 
 def validate(polygons, gluings, field_d=None, marked=()):
@@ -612,7 +693,7 @@ def validate(polygons, gluings, field_d=None, marked=()):
     found while building is reported as one more tag.
     """
     try:
-        polys = [p if isinstance(p, Polygon) else Polygon(p) for p in polygons]
+        polys = _interned(polygons)
     except Exception as exc:
         return ["BadPolygon: %s" % exc]
     problems = _check(polys, gluings, field_d)[2]

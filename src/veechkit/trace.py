@@ -18,22 +18,25 @@ a point lies on the current leaf exactly when its u is the leaf's.  For the
 unit axis directions -- up, down, east and west, the only ones a
 decomposition traces -- u is read off one coordinate (x.x, -x.x, -x.y, x.y)
 and x + v * t moves one coordinate; any other direction takes the cross
-product.  For each chart, the first time a trace enters it, the flow reads
-each vertex's u_k once and builds a table with one row per edge e not
-parallel to v: (e, edge, den = u_e - u_{e+1}, sign(den), u_e, u_{e+1},
-cross(P_e, edge)), P_e the edge's start vertex.  The edge parameter of an
-exit is s = (u_e - u(x)) / den, so the full scan of a chart compares u(x)
-with two row constants per edge (s >= 0, s <= 1); the ray parameter
+product.  For each distinct chart geometry (the surface shares one Polygon
+among charts with the same vertices: the sheets of a cover), the first time
+a trace enters a chart of it, the flow reads each vertex's u_k once and
+builds a table with one row per edge e not parallel to v: (e, edge,
+den = u_e - u_{e+1}, sign(den), u_e, u_{e+1}, cross(P_e, edge)), P_e the
+edge's start vertex.  The edge parameter of an exit is
+s = (u_e - u(x)) / den, so the full scan of a chart compares u(x) with two
+row constants per edge (s >= 0, s <= 1); the ray parameter
 (cross(P_e, edge) - cross(x, edge)) / den is screened by a comparison too,
 and formed only for edges that pass.
 
 The distinct u_k of a chart, sorted, cut it into slabs.  A ray that enters
-chart p through edge e at a u strictly inside slab j meets no vertex there,
-and it leaves through the edge the first such ray of the flow left through:
-that row is memoized under (p, e, j), and the exit is one cross product and
-one division away.  Starts, departures from a vertex and entries that land
-exactly on some u_k run the full scan, which fills the memo.  The flow also
-caches, per chart, its marked points with their u, and, per corner of a
+a chart through edge e at a u strictly inside slab j meets no vertex there,
+and it leaves through the edge the first such ray of the flow left through,
+in this chart or in any chart with the same Polygon: that row is memoized
+under (Polygon, e, j), and the exit is one cross product and one division
+away.  Starts, departures from a vertex and entries that land exactly on
+some u_k run the full scan, which fills the memo.  The flow also caches,
+per chart index, its marked points with their u, and, per corner of a
 regular vertex, where a trace arriving there goes on.  A flow lives as long
 as its caller keeps it -- one trace, or one decomposition -- and is never
 stored on the surface.  The memo relies on what the full scan relies on:
@@ -184,15 +187,17 @@ class _Flow:
     (None when it has no square root there), and the two maps a trace step
     applies: across(x) = cross(x, v), the transverse coordinate u, and
     move(x, t) = x + v * t; for a unit axis v they read and move one
-    coordinate.  Per chart, built on first use from the vertices' u_k: the
-    edge table rows (e, edge, den = u_e - u_{e+1}, sign(den), u_e, u_{e+1},
+    coordinate.  Per distinct Polygon, built on first use from the
+    vertices' u_k and shared by every chart with that Polygon: the edge
+    table rows (e, edge, den = u_e - u_{e+1}, sign(den), u_e, u_{e+1},
     cross(P_e, edge)) for the edges not parallel to v, and the u_k as
     _sort_key tuples in order (the slab bounds; a repeated u_k repeats a
-    bound, and each slab still gets one index); the marked points as
-    (index, point, u); and the state a trace takes on from each
-    regular-vertex corner it arrives at.  _exits memoizes, per (chart, entry
-    edge, slab), the row the full scan chose for the first ray of the flow
-    that entered the chart through that edge strictly inside that slab.
+    bound, and each slab still gets one index).  _exits memoizes, per
+    (Polygon, entry edge, slab), the row the full scan chose for the first
+    ray of the flow that entered a chart of that Polygon through that edge
+    strictly inside that slab.  Per chart index: the marked points as
+    (index, point, u); per corner, the state a trace takes on from each
+    regular-vertex corner it arrives at.
     """
 
     __slots__ = ("surface", "v", "vv", "vlen", "across", "move", "_tables",
@@ -218,10 +223,10 @@ class _Flow:
         self._marks = {}
         self._leave = {}
 
-    def table(self, p):
-        rows = self._tables.get(p)
+    def table(self, poly):
+        """The edge table of Polygon `poly` (see the class docstring)."""
+        rows = self._tables.get(poly)
         if rows is None:
-            poly = self.surface.polygons[p]
             us = [self.across(a) for a in poly.vertices]
             rows = []
             for e in range(poly.n):
@@ -233,8 +238,8 @@ class _Flow:
                 edge = poly.edge(e)
                 rows.append((e, edge, den, sd, u_e, u_f,
                              cross(poly.vertices[e], edge)))
-            self._tables[p] = rows
-            self._slabs[p] = sorted(map(_sort_key, us))
+            self._tables[poly] = rows
+            self._slabs[poly] = sorted(map(_sort_key, us))
         return rows
 
     def marks(self, p):
@@ -337,24 +342,25 @@ def _exit_solve(surface, p, x, v, cx=None, entry=None):
     (the ray entered p through it).  Returns (t, y, vertex_or_None, edge)
     where vertex is set when the crossing is a polygon vertex.
 
-    An entry strictly inside a slab of p reuses the memoized row of its
-    (p, entry, slab): t = (cross(P_e, edge) - cross(x, edge)) / den.  Any
-    other ray runs the full scan, which screens the edge parameter
+    An entry strictly inside a slab of p reuses the memoized row of p's
+    (Polygon, entry, slab): t = (cross(P_e, edge) - cross(x, edge)) / den.
+    Any other ray runs the full scan, which screens the edge parameter
     s = (u_e - cx) / den by comparing cx with the row's u_e (s >= 0) and
     u_{e+1} (s <= 1), and the ray parameter t by comparing cross(P_e, edge)
     with cross(x, edge); t is formed and divided out only for edges that
     pass.  A scan for an entry inside a slab fills that slab's memo.
     """
     flow = _as_flow(surface, v)
-    rows = flow.table(p)
+    poly = surface.polygons[p]
+    rows = flow.table(poly)
     if cx is None:
         cx = flow.across(x)
     key = None
     if entry is not None:
-        bounds = flow._slabs[p]
+        bounds = flow._slabs[poly]
         j = bisect_left(bounds, _sort_key(cx))
         if 0 < j < len(bounds) and bounds[j][1] != cx:
-            key = (p, entry, j)
+            key = (poly, entry, j)
             row = flow._exits.get(key)
             if row is not None:
                 t = (row[6] - cross(x, row[1])) / row[2]
@@ -377,7 +383,7 @@ def _exit_solve(surface, p, x, v, cx=None, entry=None):
             if not s_lo:
                 vert = e
             elif not s_hi:
-                vert = (e + 1) % surface.polygons[p].n
+                vert = (e + 1) % poly.n
             best = (t, row, vert)
     if best is None:
         raise InconsistentTopology(
@@ -385,8 +391,7 @@ def _exit_solve(surface, p, x, v, cx=None, entry=None):
     t, row, vert = best
     if key is not None:
         flow._exits[key] = row
-    y = (surface.polygons[p].vertices[vert] if vert is not None
-         else flow.move(x, t))
+    y = poly.vertices[vert] if vert is not None else flow.move(x, t)
     return t, y, vert, row[0]
 
 

@@ -191,6 +191,20 @@ def test_cover_slit_without_a_direction_exits_1(tmp_path, capsys):
     assert err == "error: malformed slit 0 JSON (KeyError: 'dir')\n"
 
 
+def test_cover_slit_with_a_scalar_corner_exits_1(tmp_path, capsys):
+    path = build_cross(tmp_path, capsys)
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "degree": 2, "perms": [[2, 1]],
+        "slits": [{"corner": 5, "dir": ["1", "1"], "to": ["3/2", "3/2"]}],
+    }))
+    rc, _, err = run(capsys, "cover", "cyclic", "--spec", str(spec),
+                     "--base", path)
+    assert rc == 1
+    assert err == ("error: slit corner must be a (polygon, vertex) pair of "
+                   "integers, not 5\n")
+
+
 @pytest.mark.parametrize("bad, message", [
     ({"perms": [2, 1]}, "cover spec 'perms' must be one list per slit"),
     ({"perm": [2, "x"]}, "cover spec 'perm' must be a list"),

@@ -5,11 +5,15 @@ regluing the sheet copies, then cross-checked against the Euler-count route
 inside Surface.genus (which independently compares angle excess).
 """
 
+import json
 import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from veechkit.cylinders import decompose
 from veechkit.errors import (InconsistentProfile, InvalidParams, NonTransitive,
                              OverlappingSlits, SlitThroughSingularity)
 from veechkit.geometry import Vec2
@@ -203,6 +207,18 @@ def test_slit_corner_naming_no_vertex_rejected():
             cyclic_slit_cover(CoverSpec(base, 2, [s], [(1, 0)]))
 
 
+def test_slit_corner_that_is_not_a_pair_of_ints_rejected():
+    # a scalar, an empty or short list, a non-integer entry: each is refused
+    # by the slit itself, from the constructor and from JSON alike
+    for corner in (5, [], (1,), ("a", 0)):
+        with pytest.raises(InvalidParams, match="pair of integers"):
+            Slit(corner=corner, direction=(1, 1), end=(F(3, 2), F(3, 2)))
+        with pytest.raises(InvalidParams, match="pair of integers"):
+            Slit.from_json({"corner": corner, "dir": ["1", "1"],
+                            "to": ["3/2", "3/2"]})
+    assert Slit(corner=[0, 11], direction=(1, 1), end=(1, 1)).corner == (0, 11)
+
+
 def test_crossing_slits_rejected():
     base = Surface.cross(1, 1)
     hb = hslit("5/4", "1/2", "7/4")
@@ -336,3 +352,58 @@ def test_cover_spec_refuses_a_degree_that_is_not_an_integer():
                            % re.escape(repr(bad))):
             CoverSpec(base, bad, [], [])
     assert CoverSpec(base, 2, [diag_slit()], [shift(2)]).degree == 2
+
+
+# ---------------------------------------------------------------------------
+# random cyclic covers
+# ---------------------------------------------------------------------------
+
+@st.composite
+def cyclic_covers(draw):
+    """(spec, cover): a cyclic slit cover of cross(1, 1) of degree 2-6 whose
+    sheets a random d-cycle permutes, cut along the diagonal from the cone
+    at (1, 1) to a random point inside the central square."""
+    degree = draw(st.integers(2, 6))
+    cycle = draw(st.permutations(range(degree)))
+    perm = [0] * degree
+    for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+        perm[a] = b
+    end = 1 + F(draw(st.integers(1, 7)), 8)
+    spec = CoverSpec(Surface.cross(1, 1), degree,
+                     [Slit(corner=(0, 11), direction=(1, 1), end=(end, end))],
+                     [tuple(perm)])
+    return spec, cyclic_slit_cover(spec)
+
+
+def decomposition_outputs(deco):
+    """What a complete decomposition reports, as comparable values."""
+    return (deco.status,
+            [(c.index, c.width, c.height, c.sample, c.marks)
+             for c in deco.cylinders],
+            [(corner, ev.kind, ev.param, ev.path)
+             for corner, ev in deco.connections],
+            [(k, ev.kind, ev.param, ev.path) for k, ev in deco.vertex_leaves],
+            deco.banks)
+
+
+@settings(max_examples=25, deadline=None)
+@given(cyclic_covers(), st.sampled_from(((1, 0), (0, 1), (1, 1), (1, -1),
+                                         (1, 2), (-2, 1))))
+def test_random_cyclic_covers_keep_genus_area_and_json(case, direction):
+    spec, cover = case
+    d, base = spec.degree, spec.base
+    # both slit ends are totally ramified
+    assert cover.genus() == riemann_hurwitz(
+        base.genus(), d, [("cone", (d,)), ("end", (d,))])
+    assert [partition for _, partition in _ramification(cover, spec)] \
+        == [[d]]
+    assert cover.area == d * base.area
+    # the d sheets share one Polygon per chart of the cut base, and a
+    # cover loaded from JSON shares them as well
+    again = Surface.from_json(json.loads(json.dumps(cover.to_json())))
+    for surf in (cover, again):
+        assert len(set(map(id, surf.polygons))) * d == len(surf.polygons)
+    deco = decompose(cover, direction)
+    assert deco.complete
+    assert decomposition_outputs(deco) == decomposition_outputs(
+        decompose(again, direction))

@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 
 from veechkit.errors import (FieldMismatch, NotCommensurable, ZeroInput)
 from veechkit.field import (ContinuedFraction, FieldScalar, _cross,
-                            _cross_sign, _dot_sign, _orient_sign, _sort_key,
+                            _cross_sign, _dot_sign, _floor_times_sqrt,
+                            _orient_sign, _sort_key,
                             commensurable, commensurability_classes,
                             continued_fraction, field_sqrt,
                             least_common_integer_multiple, parse_scalar,
@@ -352,6 +353,22 @@ def test_sort_key_orders_as_the_values(xs, k):
         assert (_sort_key(x) < _sort_key(z)) == (x < z)
         assert (_sort_key(x) == _sort_key(z)) == (x == z)
     assert _sort_key(x)[0] == math.floor(x * 2 ** 32)
+
+
+def general_sort_key(x):
+    """The sort key by its general formula, which a rational key skips."""
+    n, m, q, d = x._t
+    return ((n << 32) + _floor_times_sqrt(m << 32, d)) // q, x
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.one_of(scalars_in(0), scalars_in(5)), min_size=1,
+                max_size=8))
+def test_rational_sort_keys_match_the_general_formula(xs):
+    xs = xs + [scalar(Fraction(-1, 3)), scalar(0), SQRT5 - 2, scalar(2 ** 40)]
+    assert [_sort_key(x) for x in xs] == [general_sort_key(x) for x in xs]
+    assert sorted(map(_sort_key, xs)) == sorted(map(general_sort_key, xs))
+    assert [key[1] for key in sorted(map(_sort_key, xs))] == sorted(xs)
 
 
 @settings(max_examples=200, deadline=None)

@@ -229,6 +229,70 @@ def test_malformed_gluing_entry_is_one_problem(entry):
     with pytest.raises(InvalidParams, match="gluing 0 is not two"):
         Surface(SQ, gluings)
 
+# a clockwise square, a square with a zero-angle spike and a chart with a
+# zero edge, each repeated; the tags name every index the polygon sits at
+CW = [(0, 0), (0, 1), (1, 1), (1, 0)]
+SPIKE = [(0, 0), (2, 0), (1, 0), (1, 1), (0, 1)]
+FLAT = [(0, 0), (0, 0), (1, 1)]
+SQUARE = [(0, 0), (1, 0), (1, 1), (0, 1)]
+REPEATED = [
+    ([CW, CW], [((0, 0), (1, 2)), ((0, 1), (1, 3)), ((0, 2), (1, 0)),
+                ((0, 3), (1, 1))],
+     ["NotCounterclockwise(0)", "NotCounterclockwise(1)"]),
+    ([SPIKE, SQUARE, SPIKE], [((0, 0), (2, 1)), ((1, 0), (1, 2))],
+     ["ZeroAngleCorner(0,1)", "ZeroAngleCorner(2,1)", "UnmatchedEdge(0,1)",
+      "UnmatchedEdge(0,2)", "UnmatchedEdge(0,3)", "UnmatchedEdge(0,4)",
+      "UnmatchedEdge(1,1)", "UnmatchedEdge(1,3)", "UnmatchedEdge(2,0)",
+      "UnmatchedEdge(2,2)", "UnmatchedEdge(2,3)", "UnmatchedEdge(2,4)",
+      "EdgeMismatch((0,0),(2,1))"]),
+    ([FLAT, SQUARE, FLAT], [((1, 0), (1, 2)), ((1, 1), (1, 3))],
+     ["BadPolygon(0): zero-length edge", "BadPolygon(2): zero-length edge",
+      "UnmatchedEdge(0,0)", "UnmatchedEdge(0,1)", "UnmatchedEdge(0,2)",
+      "UnmatchedEdge(2,0)", "UnmatchedEdge(2,1)", "UnmatchedEdge(2,2)"]),
+    # one (polygon, edge, polygon, edge) pair glued twice, not opposite
+    ([SQUARE, SQUARE], [((0, 0), (1, 1)), ((1, 0), (0, 1)), ((0, 2), (1, 3)),
+                        ((1, 2), (0, 3))],
+     ["NonParallelGluing((0,0),(1,1))", "NonParallelGluing((1,0),(0,1))",
+      "NonParallelGluing((0,2),(1,3))", "NonParallelGluing((1,2),(0,3))"]),
+]
+
+
+@pytest.mark.parametrize("polys, gluings, tags", REPEATED)
+def test_validate_tags_every_index_of_a_repeated_bad_polygon(polys, gluings,
+                                                             tags):
+    assert validate(polys, gluings) == tags
+    with pytest.raises(VeechkitError):
+        Surface(polys, gluings)
+
+
+def test_charts_with_the_same_vertices_share_one_polygon():
+    # two unit squares side by side in a 2x1 torus, and a third copy of the
+    # first given as a Polygon of its own: one object per vertex list
+    left = [(0, 0), (1, 0), (1, 1), (0, 1)]
+    right = [(1, 0), (2, 0), (2, 1), (1, 1)]
+    polys = [left, right, Polygon(left), Polygon(right)]
+    gluings = [((0, 1), (1, 3)), ((1, 1), (0, 3)), ((2, 1), (3, 3)),
+               ((3, 1), (2, 3)), ((0, 0), (2, 2)), ((2, 0), (0, 2)),
+               ((1, 0), (3, 2)), ((3, 0), (1, 2))]
+    surf = Surface(polys, gluings)
+    a, b, c, d = surf.polygons
+    assert a is c and b is d and a is not b
+    assert surf.area == 4 and surf.genus() == 1
+    assert surf.default_cap() == 20 * 8
+    # a Polygon given first is the one kept
+    given = Polygon(left)
+    assert Surface([given, right, left, right], gluings).polygons[2] is given
+    image = surf.transform(Mat2(1, 1, 0, 1))
+    assert len(set(map(id, image.polygons))) == 2
+    assert image.polygons[0] is image.polygons[2]
+    assert image.polygons[1] is image.polygons[3]
+    assert image.polygons[0].vertices == [Vec2(0, 0), Vec2(1, 0), Vec2(2, 1),
+                                          Vec2(1, 1)]
+    assert image == constructed_image(surf, Mat2(1, 1, 0, 1))
+    assert surf.with_marks([(3, (Fraction(3, 2), Fraction(1, 2)))]
+                           ).polygons[1] is b
+
+
 def test_constructor_raises_on_bad_gluings():
     sq = [[(0, 0), (1, 0), (1, 1), (0, 1)]]
     with pytest.raises(InconsistentTopology):
@@ -512,6 +576,21 @@ def test_corner_cycles_chain_and_fill_their_classes(surf):
         assert surf.ray_in(c) == surf.ray_out(surf.next_corner(c))
     for cycle, group in zip(surf.corner_cycles, surf.vertex_classes):
         assert sorted(cycle) == group
+
+
+@settings(max_examples=50, deadline=None)
+@given(marked_surfaces(), positive_matrices())
+def test_translations_map_each_edge_onto_its_partner(surf, mat):
+    # each side's translation is computed afresh here, though the surface
+    # computes one per glued pair and negates it for the partner side
+    try:
+        surf = surf.transform(mat)
+    except FieldMismatch:
+        return
+    assert surf.translation.keys() == surf.partner.keys()
+    for (p, e), (q, f) in surf.partner.items():
+        assert surf.translation[(p, e)] == (surf.polygons[q].vertex(f + 1)
+                                            - surf.polygons[p].vertex(e))
 
 
 def test_transform_settles_the_field_as_the_constructor_does():

@@ -6,12 +6,14 @@ unfolding before the tracer existed; they are the module's frozen oracles.
 """
 
 import importlib
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from veechkit.covers import CoverSpec, Slit, cyclic_slit_cover
 from veechkit.cylinders import decompose, dehn_twist_point
 from veechkit.errors import (AmbiguousStart, FieldMismatch,
                              InconsistentTopology, InvalidParams,
@@ -24,6 +26,7 @@ from veechkit.trace import (CAPPED, CLOSED, MARKED, SINGULAR, _exit_solve,
                             is_connection_point_up_to, saddle_connections,
                             separatrices, trace)
 
+from test_covers import cyclic_covers
 from test_surface import marked_surfaces, positive_matrices
 
 GOLDEN = FieldScalar(Fraction(-1, 2), Fraction(1, 2), 5)
@@ -356,6 +359,20 @@ def test_memoized_exits_match_the_reference(surf, mat, slant):
         image = surf.transform(mat)
     except FieldMismatch:
         return
+    assert_warm_exits_match_the_reference(image, slant)
+
+
+@settings(max_examples=15, deadline=None)
+@given(cyclic_covers(), st.sampled_from(SLANTS))
+def test_memoized_exits_on_covers_match_the_reference(case, slant):
+    # the sheets of a cover share their Polygons, so a flow reuses the exit
+    # rows memoized on one sheet on all the others; each exit must still be
+    # the one the reference solves for afresh in the chart it is used in
+    _, cover = case
+    assert_warm_exits_match_the_reference(cover, slant)
+
+
+def assert_warm_exits_match_the_reference(image, slant):
     cap = image.default_cap() / 8
     starts = [(p, pt, None) for cls in range(len(image.vertex_classes))
               if not image.cone_windings[cls] > 1
@@ -536,20 +553,32 @@ def test_tracing_twice_makes_the_same_cross_calls(monkeypatch):
 
 
 def test_decompose_builds_each_chart_table_once_per_direction(monkeypatch):
+    # the five sheets of a cyclic cover share one Polygon per chart of the
+    # cut base, and each flow builds one table per distinct Polygon: never
+    # one per chart, and never twice
+    base = Surface.cross(1, 1, marked=[(0, (F(3, 2), F(1, 3)), "m")])
+    slit = Slit(corner=(0, 11), direction=(1, 1), end=(F(3, 2), F(3, 2)))
+    cover = cyclic_slit_cover(CoverSpec(base, 5, [slit], [(1, 2, 3, 4, 0)]))
     built = []
     table = _Flow.table
 
-    def recording_table(flow, p):
-        if p not in flow._tables:
-            built.append((flow.v, p))
-        return table(flow, p)
+    def recording_table(flow, poly):
+        if poly not in flow._tables:
+            built.append((flow.v, poly))
+        return table(flow, poly)
 
     monkeypatch.setattr(_Flow, "table", recording_table)
-    marked = Surface.cross(PHI, 1, marked=[(0, (PHI + F(1, 3), F(1, 7)), "m")])
-    deco = decompose(marked, (2, 3))
+    deco = decompose(cover, (2, 3))
     assert deco.complete and built
+    shared = set(deco.normalized.polygons)
+    assert len(shared) * 5 == len(cover.polygons)
+    assert {poly for _, poly in built} == shared
+    per_direction = Counter(v for v, _ in built)
     assert len(built) == len(set(built))
+    assert max(per_direction.values()) == len(shared)
     # later rays and twists of the decomposition reuse its tables
-    deco.locate(0, Vec2(PHI + F(1, 3), F(1, 7)))
-    dehn_twist_point(deco, 0, Vec2(PHI + F(1, 3), F(1, 7)), 1)
+    mark = cover.marked[3]
+    deco.locate(mark.polygon, mark.at)
+    dehn_twist_point(deco, mark.polygon, mark.at, 1)
     assert len(built) == len(set(built))
+    assert Counter(v for v, _ in built) == per_direction
