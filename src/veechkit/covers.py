@@ -26,7 +26,7 @@ from .geometry import (Vec2, canonical_direction, cross, dot, parallel,
                        segment_point, segments_intersect)
 from .surface import Polygon, Surface
 from .trace import (CLOSED, MARKED, SINGULAR, STOPPED, _checked_corner,
-                    _exit_solve, trace)
+                    _exit_solve, _Flow, trace)
 
 
 class Slit:
@@ -207,7 +207,9 @@ class _ResolvedSlit:
         self.direction = direction
 
 
-def _resolve_slit(base: Surface, slit: Slit) -> _ResolvedSlit:
+def _resolve_slit(base: Surface, slit: Slit, flow: _Flow) -> _ResolvedSlit:
+    """Trace `slit` on `base` along `flow`, the base's flow in its
+    direction."""
     sp, spt = slit.start_point(base)
     u = _Endpoint(base, sp, spt)
     v = _Endpoint(base, slit.to_polygon, slit.end)
@@ -224,10 +226,9 @@ def _resolve_slit(base: Surface, slit: Slit) -> _ResolvedSlit:
         return None if best is None else (best, "target")
 
     if slit.corner is not None:
-        ev = trace(base, corner=slit.corner, direction=slit.direction,
-                   stop_on=hook)
+        ev = trace(base, corner=slit.corner, direction=flow, stop_on=hook)
     else:
-        ev = trace(base, sp, spt, slit.direction, stop_on=hook)
+        ev = trace(base, sp, spt, flow, stop_on=hook)
     if ev.kind == SINGULAR:
         arrival = (ev.segments[-1].polygon, ev.segments[-1].b)
         if arrival not in targets:
@@ -402,9 +403,10 @@ class _Complex:
 # -- chord assembly -----------------------------------------------------------
 
 
-def _chart_chords(base, resolved):
+def _chart_chords(base, resolved, flow):
     """Raw cut pieces per chart: slit runs plus boundary extensions for
-    interior endpoints, then collinear pieces merged into full chords."""
+    interior endpoints, then collinear pieces merged into full chords.
+    flow(d) is the base's flow in direction d."""
     raw = []  # (polygon, A, B, tag); tag None=seam / (slit, piece, dir)
     slides = []
     for j, rs in enumerate(resolved):
@@ -420,11 +422,12 @@ def _chart_chords(base, resolved):
         if not first.slide and \
                 base.polygons[first.polygon].locate(first.a) == "interior":
             t, y, _, _ = _exit_solve(base, first.polygon, first.a,
-                                     -rs.direction)
+                                     flow(-rs.direction))
             raw.append((first.polygon, y, first.a, None))
         if not last.slide and \
                 base.polygons[last.polygon].locate(last.b) == "interior":
-            t, y, _, _ = _exit_solve(base, last.polygon, last.b, rs.direction)
+            t, y, _, _ = _exit_solve(base, last.polygon, last.b,
+                                     flow(rs.direction))
             raw.append((last.polygon, last.b, y, None))
 
     groups = {}
@@ -486,12 +489,19 @@ def _cut_complex(spec: CoverSpec):
     """(resolved slits, one copy of the base cut open along them, pieces
     per slit)."""
     base = spec.base
-    resolved = [_resolve_slit(base, s) for s in spec.slits]
+    flows = {}  # one flow of the base per direction, shared by its slits
+
+    def flow(d):
+        if d not in flows:
+            flows[d] = _Flow(base, d)
+        return flows[d]
+
+    resolved = [_resolve_slit(base, s, flow(s.direction)) for s in spec.slits]
     _check_disjoint(resolved)
     piece_counts = [len(rs.runs) for rs in resolved]
 
     cx = _Complex(base)
-    chords, slides = _chart_chords(base, resolved)
+    chords, slides = _chart_chords(base, resolved, flow)
     # the cutter handles parallel systems only: two chords of one chart may
     # meet at a shared foot, never at a point interior to either
     for i in range(len(chords)):

@@ -57,7 +57,12 @@ and the flow memoizes the exit edge of each Polygon, entry edge and slab
 between vertex coordinates: a barrier leaf thousands of segments long
 re-enters its charts -- or another sheet's copies of them -- mostly in slabs
 it or an earlier leaf already crossed, and scans a chart's edges only at its
-start, at vertices and on vertex coordinates.
+start, at vertices and on vertex coordinates.  Each flow also keeps one
+sector row per distinct Polygon, so the corners the separatrices and width
+rays leave from, the corner a leaf goes on through at a regular vertex, and
+the two turns of each saddle connection on its west bank (from down to the
+first corner owning east, on the east flow; from east to the first owning
+up, on the up flow) are looked up, not tested, on every sheet but the first.
 The Decomposition keeps its flows (`flows`), so the later rays of `locate`
 and the twists of `dehn_twist_point` and `twist_orbit` reuse the same
 tables and memo.
@@ -319,26 +324,29 @@ def _barrier_hook(barriers, cones=None):
     return stop
 
 
-def _west_banks(surface, connections, vertex_leaves):
+def _west_banks(up, east, connections, vertex_leaves):
     """The bands of a direction, found from their west banks.
 
-    `connections` are the (corner, event) separatrices, all saddle
-    connections; `vertex_leaves` the (class, event) closed leaves through
-    the regular vertices that no separatrix passes.  Returns (heights,
-    east_of, corner_band): the height of each band; the band east of each
-    barrier leaf (the separatrices, then the closed leaves); and the band a
-    ray leaving each east-owning cone corner enters.  The band east of a
-    regular vertex is the one east of the barrier leaf through it.
+    `up` and `east` are the decomposition's flows, whose sector rows answer
+    the two turns of each saddle connection; `connections` are the
+    (corner, event) separatrices, all saddle connections; `vertex_leaves`
+    the (class, event) closed leaves through the regular vertices that no
+    separatrix passes.  Returns (heights, east_of, corner_band): the height
+    of each band; the band east of each barrier leaf (the separatrices, then
+    the closed leaves); and the band a ray leaving each east-owning cone
+    corner enters.  The band east of a regular vertex is the one east of the
+    barrier leaf through it.
     """
+    surface = up.surface
     starts = {corner: i for i, (corner, _) in enumerate(connections)}
     succ, east_corners = [], []
     for _, ev in connections:
-        east = _turn(surface, _owner_back(surface, ev), _DOWN, _EAST)
-        east_corners.append(east)
-        nxt = starts.get(_turn(surface, east, _EAST, _UP))
+        opens = _turn(east, _owner_back(surface, ev), _DOWN)
+        east_corners.append(opens)
+        nxt = starts.get(_turn(up, opens, _EAST))
         if nxt is None:
             raise InconsistentTopology("no separatrix leaves %s upward"
-                                       % (east,))
+                                       % (opens,))
         succ.append(nxt)
     band_of, heights = [None] * len(connections), []
     for i in range(len(connections)):
@@ -383,7 +391,7 @@ def decompose(surface, direction, cap=None) -> Decomposition:
 
     # upward separatrices from the cone points: all must be saddle connections
     connections = []
-    for corner in departing_corners(normalized, _UP):
+    for corner in departing_corners(normalized, up):
         ev = trace(normalized, corner=corner, direction=up,
                    stop_at_marked=False, cap=run_cap)
         connections.append((corner, ev))
@@ -433,11 +441,11 @@ def decompose(surface, direction, cap=None) -> Decomposition:
             cones.setdefault(p, []).append(normalized.polygons[p].vertex(k))
     hook = _barrier_hook(barriers, cones)
 
-    heights, east_of, corner_band = _west_banks(normalized, connections,
+    heights, east_of, corner_band = _west_banks(up, east, connections,
                                                 vertex_leaves)
-    ray_corners = list(departing_corners(normalized, _EAST))
+    ray_corners = departing_corners(normalized, east)
     for cls in regular:
-        for corner in departing_corners(normalized, _EAST, cls=cls):
+        for corner in departing_corners(normalized, east, cls=cls):
             ray_corners.append(corner)
             corner_band[corner] = east_of[leaf_of[cls]]
 

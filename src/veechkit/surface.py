@@ -12,12 +12,19 @@ as the copies of a chart on the d sheets of a slit cover do.  What depends
 only on a chart's geometry is computed once per distinct Polygon: the
 polygon checks (re-run on a repeat only when they found a problem, so every
 index is tagged), the edge translations, per (polygon, edge, partner
-polygon, partner edge), and the corner sectors that own east.  A Polygon
-keeps its signed area (behind `area`) and bounding box (behind
+polygon, partner edge), and the row of corner sectors that own east.  A
+Polygon keeps its signed area (behind `area`) and bounding box (behind
 `default_cap`) once computed, and `transform` maps each distinct Polygon
 once, so the image keeps the sharing.  The flows of `trace` key their chart
 tables the same way.  Everything else -- gluings, vertex classes, corners,
 marked points -- stays keyed by chart index.
+
+One routine (`_sector_row`) tests where a direction lies against the corner
+sectors of a Polygon: outside, inside off the outgoing edge, or along it.
+The corner walk reads its row for east, and each flow of `trace` builds one
+row per distinct Polygon for its own direction, so every corner question of
+a trace or a decomposition is a lookup.  `ray_out` and `ray_in` remain the
+reference its tests compare against.
 
 One checker (`_check`) holds the field, polygon and gluing checks.  It lists
 every problem of a description as a (validate tag, exception type, message)
@@ -65,6 +72,9 @@ from .geometry import (Mat2, Vec2, _locate, ccw_sector_contains, cross, parallel
 Corner = tuple  # (polygon index, vertex index)
 
 _EAST = Vec2(1, 0)
+
+# where a direction lies against a corner's sector (`_sector_row`)
+_MISS, _HOLD, _SLIDE = 0, 1, 2
 
 
 class Polygon:
@@ -206,7 +216,7 @@ class Surface:
         return -self.polygons[p].edge(v - 1)
 
     def _walk_corner_cycles(self):
-        owns_east = {}  # polygon -> whether each corner's sector holds east
+        owns_east = {}  # polygon -> its _sector_row for east
         self.cone_windings = []
         self.corner_cycles = []
         seen = set()
@@ -222,11 +232,8 @@ class Surface:
                 poly = self.polygons[c[0]]
                 owns = owns_east.get(poly)
                 if owns is None:
-                    owns = owns_east[poly] = [
-                        ccw_sector_contains(poly.edge(k), -poly.edge(k - 1),
-                                            _EAST)
-                        for k in range(poly.n)]
-                windings += owns[c[1]]
+                    owns = owns_east[poly] = _sector_row(poly, _EAST)
+                windings += owns[c[1]] != _MISS
                 # opposite gluings: ray_in(c) == ray_out(next_corner(c))
                 c = self.next_corner(c)
                 if c == start:
@@ -487,6 +494,26 @@ def singularities(surface: Surface):
     representative corner); the zero order k satisfies angle = 2(k+1)*pi."""
     return [(cls, 2 * w, w - 1, surface.vertex_classes[cls][0])
             for cls, w in enumerate(surface.cone_windings)]
+
+
+def _sector_row(poly, v):
+    """Where direction v lies against each corner sector [edge k, -edge k-1)
+    of Polygon `poly`, one entry per vertex k: _MISS outside it, _HOLD
+    inside it off its outgoing edge, _SLIDE along edge k.
+
+    The one sector test of a chart's corners: the corner walk reads its row
+    for east, and each flow of `trace` builds one row per distinct Polygon
+    for its own direction."""
+    row = []
+    for k in range(poly.n):
+        out = poly.edge(k)
+        if not ccw_sector_contains(out, -poly.edge(k - 1), v):
+            row.append(_MISS)
+        elif same_ray(v, out):
+            row.append(_SLIDE)
+        else:
+            row.append(_HOLD)
+    return row
 
 
 def _interned(polygons):

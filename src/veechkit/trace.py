@@ -35,12 +35,23 @@ and it leaves through the edge the first such ray of the flow left through,
 in this chart or in any chart with the same Polygon: that row is memoized
 under (Polygon, e, j), and the exit is one cross product and one division
 away.  Starts, departures from a vertex and entries that land exactly on
-some u_k run the full scan, which fills the memo.  The flow also caches,
-per chart index, its marked points with their u, and, per corner of a
-regular vertex, where a trace arriving there goes on.  A flow lives as long
-as its caller keeps it -- one trace, or one decomposition -- and is never
-stored on the surface.  The memo relies on what the full scan relies on:
-each chart is a simple polygon, whose edges meet only at its vertices.
+some u_k run the full scan, which fills the memo.
+
+Every corner question is a lookup on the flow too.  Per distinct Polygon,
+on first use, it keeps a sector row (`surface._sector_row`): for each vertex
+k, whether v misses corner k's sector [edge k, -edge k-1), lies in it off
+edge k, or runs along edge k (a slide).  The corners a separatrix leaves
+from (`departing_corners`), a start at a cone corner, the corner a trace
+leaves a regular vertex through (`_Flow.leave`, `_turn`) and the turns of a
+decomposition's west banks all read it, so a d-sheeted cover decides each
+corner's sector once, not d times.  A turn that starts inside a corner's
+sector, from a direction other than its outgoing edge, keeps its first test
+per (Polygon, vertex, start).  The flow also caches, per chart index, its
+marked points with their u, and, per corner of a regular vertex, where a
+trace arriving there goes on.  A flow lives as long as its caller keeps it
+-- one trace, or one decomposition -- and is never stored on the surface.
+The memo relies on what the full scan relies on: each chart is a simple
+polygon, whose edges meet only at its vertices.
 """
 
 from __future__ import annotations
@@ -52,8 +63,8 @@ from .errors import (AmbiguousStart, InconsistentTopology, InvalidParams,
                      TraceOverflow)
 from .field import FieldScalar, _sort_key, field_sqrt, scalar
 from .geometry import (Vec2, _vec, canonical_direction, ccw_sector_contains,
-                       cross, dist2_point_segment, dot, polygon_contains,
-                       same_ray)
+                       cross, dist2_point_segment, dot, polygon_contains)
+from .surface import _SLIDE, _sector_row
 
 _ZERO = FieldScalar.rational(0)
 
@@ -127,18 +138,24 @@ class TraceEvent:
         return "TraceEvent(%s, param=%s)" % (self.kind, self.param)
 
 
-def _turn(surface, corner, start, target):
-    """The first corner met turning counterclockwise from direction `start`,
-    which `corner` owns, whose sector holds direction `target`."""
-    if ccw_sector_contains(start, surface.ray_in(corner), target):
+def _turn(flow, corner, start=None):
+    """The first corner met turning counterclockwise about `corner`'s vertex
+    from direction `start`, which `corner` owns (by default its outgoing
+    edge), whose sector holds the direction of `flow`."""
+    if start is None:
+        held = flow.sector(corner)
+    else:
+        held = flow.holds_from(corner, start)
+    if held:
         return corner
+    surface = flow.surface
     c = surface.next_corner(corner)
     while c != corner:
-        if ccw_sector_contains(surface.ray_out(c), surface.ray_in(c), target):
+        if flow.sector(c):
             return c
         c = surface.next_corner(c)
     raise InconsistentTopology("no corner at %s owns direction %s"
-                               % (corner, target))
+                               % (corner, flow.v))
 
 
 def _checked_corner(surface, corner):
@@ -195,13 +212,17 @@ class _Flow:
     bound, and each slab still gets one index).  _exits memoizes, per
     (Polygon, entry edge, slab), the row the full scan chose for the first
     ray of the flow that entered a chart of that Polygon through that edge
-    strictly inside that slab.  Per chart index: the marked points as
+    strictly inside that slab.  Also per distinct Polygon, built on first
+    use: the sector row (`_sector_row`, read by `sector`), and, per vertex
+    and start direction, whether a turn's first corner holds v past the
+    start (`holds_from`).  Per chart index: the marked points as
     (index, point, u); per corner, the state a trace takes on from each
     regular-vertex corner it arrives at.
     """
 
     __slots__ = ("surface", "v", "vv", "vlen", "across", "move", "_tables",
-                 "_slabs", "_exits", "_marks", "_leave")
+                 "_slabs", "_exits", "_sectors", "_starts", "_marks",
+                 "_leave")
 
     def __init__(self, surface, direction):
         v = direction if isinstance(direction, Vec2) else Vec2(*direction)
@@ -220,6 +241,8 @@ class _Flow:
         self._tables = {}
         self._slabs = {}
         self._exits = {}
+        self._sectors = {}
+        self._starts = {}
         self._marks = {}
         self._leave = {}
 
@@ -242,6 +265,28 @@ class _Flow:
             self._slabs[poly] = sorted(map(_sort_key, us))
         return rows
 
+    def sector(self, corner):
+        """Where v lies against `corner`'s sector: _MISS (falsy), _HOLD or
+        _SLIDE, read from the sector row of its Polygon."""
+        p, k = corner
+        poly = self.surface.polygons[p]
+        row = self._sectors.get(poly)
+        if row is None:
+            row = self._sectors[poly] = _sector_row(poly, self.v)
+        return row[k]
+
+    def holds_from(self, corner, start):
+        """Whether v lies in the part [start, -edge k-1) of `corner`'s
+        sector, for a direction `start` the sector holds."""
+        p, k = corner
+        poly = self.surface.polygons[p]
+        key = (poly, k, start)
+        held = self._starts.get(key)
+        if held is None:
+            held = self._starts[key] = ccw_sector_contains(
+                start, -poly.edge(k - 1), self.v)
+        return held
+
     def marks(self, p):
         rows = self._marks.get(p)
         if rows is None:
@@ -254,13 +299,12 @@ class _Flow:
         """The state a trace goes on in after arriving at regular `corner`."""
         state = self._leave.get(corner)
         if state is None:
-            surface = self.surface
             # the half-open sectors of a 2pi vertex tile the circle, so
             # exactly one corner of the cycle owns v
-            own = _turn(surface, corner, surface.ray_out(corner), self.v)
+            own = _turn(self, corner)
             p, k = own
-            x = surface.polygons[p].vertex(k)
-            if same_ray(self.v, surface.ray_out(own)):
+            x = self.surface.polygons[p].vertex(k)
+            if self.sector(own) == _SLIDE:
                 state = ("slide", p, k, x)
             else:
                 state = ("go", p, x)
@@ -323,13 +367,13 @@ def _start_state(flow, polygon, point, corner):
     if surface.class_of[corner] != cls:
         raise InvalidParams("corner %s does not sit at the start point"
                             % (corner,))
-    if not ccw_sector_contains(surface.ray_out(corner),
-                               surface.ray_in(corner), v):
+    held = flow.sector(corner)
+    if not held:
         raise InvalidParams(
             "direction %s does not leave through corner %s" % (v, corner))
     p, k = corner
     x = surface.polygons[p].vertex(k)
-    if same_ray(v, surface.ray_out(corner)):
+    if held == _SLIDE:
         return ("slide", p, k, x), []
     return ("go", p, x), []
 
@@ -529,16 +573,14 @@ def departing_corners(surface, direction, cls=None):
     """Corners whose sector emits `direction`: k+1 per cone of angle 2(k+1)pi.
 
     With cls given, restrict to that vertex class (singular or not).
+    `direction` is a vector, or a _Flow on `surface`, whose sector rows --
+    one per distinct Polygon -- answer for every corner of every chart with
+    that Polygon.
     """
-    v = direction if isinstance(direction, Vec2) else Vec2(*direction)
+    flow = _as_flow(surface, direction)
     classes = [cls] if cls is not None else surface.singular_classes
-    out = []
-    for c in classes:
-        for corner in surface.corner_cycles[c]:
-            if ccw_sector_contains(surface.ray_out(corner),
-                                   surface.ray_in(corner), v):
-                out.append(corner)
-    return out
+    return [corner for c in classes for corner in surface.corner_cycles[c]
+            if flow.sector(corner)]
 
 
 def separatrices(surface, direction, *, cap=None, stop_at_marked=False):
@@ -546,11 +588,11 @@ def separatrices(surface, direction, *, cap=None, stop_at_marked=False):
 
     Returns [(corner, TraceEvent)].  Saddle connections in this direction are
     exactly the traces that end in HitSingularity, each found once (from its
-    rear cone point).
+    rear cone point).  `direction` is a vector or a _Flow on `surface`; the
+    corners and every trace read the one flow.
     """
-    v = direction if isinstance(direction, Vec2) else Vec2(*direction)
-    corners = departing_corners(surface, v)
-    flow = _Flow(surface, v) if corners else None
+    flow = _as_flow(surface, direction)
+    corners = departing_corners(surface, flow)
     if cap is None and corners:
         cap = surface.default_cap()  # once for all of them
     out = []

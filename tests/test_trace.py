@@ -13,14 +13,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from veechkit.census import census, cusp_invariant
 from veechkit.covers import CoverSpec, Slit, cyclic_slit_cover
 from veechkit.cylinders import decompose, dehn_twist_point
 from veechkit.errors import (AmbiguousStart, FieldMismatch,
                              InconsistentTopology, InvalidParams,
-                             TraceOverflow, VeechkitError)
+                             TraceOverflow, VeechkitError, ZeroInput)
 from veechkit.field import FieldScalar, scalar
-from veechkit.geometry import Mat2, Vec2, ccw_sector_contains, cross
-from veechkit.surface import Surface
+from veechkit.geometry import (Mat2, Vec2, ccw_sector_contains, cross,
+                               same_ray)
+from veechkit.surface import _SLIDE, Surface
 from veechkit.trace import (CAPPED, CLOSED, MARKED, SINGULAR, _exit_solve,
                             _Flow, _start_state, advance, departing_corners,
                             is_connection_point_up_to, saddle_connections,
@@ -143,6 +145,22 @@ def test_separatrices_compute_the_default_cap_once(monkeypatch):
     assert calls == [c]
     assert [(corner, ev.kind, ev.param) for corner, ev in got] == capped
     assert len(got) == 3
+
+
+def test_a_zero_direction_is_refused_with_invalid_params():
+    # every entry point that takes a direction goes through one flow, which
+    # refuses the zero vector; decompose and census keep their ZeroInput
+    c = Surface.cross(1, 1)
+    for call in (departing_corners, separatrices, saddle_connections,
+                 cusp_invariant):
+        for zero in ((0, 0), Vec2(0, 0)):
+            with pytest.raises(InvalidParams,
+                               match="direction must be nonzero"):
+                call(c, zero)
+    with pytest.raises(ZeroInput):
+        decompose(c, (0, 0))
+    with pytest.raises(ZeroInput):
+        census(c, [(0, 0)])
 
 
 def test_cross_horizontal_connections():
@@ -396,6 +414,44 @@ def assert_warm_exits_match_the_reference(image, slant):
                 assert (seg.tau1 - seg.tau0, seg.b) == (t, y)
 
 
+def assert_corners_match_the_reference(surf, direction):
+    flow = _Flow(surf, direction)
+    v = flow.v
+    want = [corner for cls in surf.singular_classes
+            for corner in surf.corner_cycles[cls]
+            if ccw_sector_contains(surf.ray_out(corner), surf.ray_in(corner),
+                                   v)]
+    assert departing_corners(surf, flow) == want
+    for cls, winding in enumerate(surf.cone_windings):
+        corners = departing_corners(surf, direction, cls)
+        assert len(corners) == winding
+        for corner in corners:
+            assert (flow.sector(corner) == _SLIDE) == same_ray(
+                v, surf.ray_out(corner))
+
+
+@settings(max_examples=30, deadline=None)
+@given(marked_surfaces(), positive_matrices())
+def test_departing_corners_match_the_sector_reference(surf, mat):
+    # the flow's sector rows, one per distinct Polygon, pick the corners the
+    # per-corner reference test picks, in the same order, and a cone of
+    # angle 2(k+1)pi emits every direction through k+1 corners
+    try:
+        image = surf.transform(mat)
+    except FieldMismatch:
+        return
+    for direction in ((0, 1), (1, 0), (-1, 0)) + SLANTS:
+        assert_corners_match_the_reference(image, direction)
+
+
+@settings(max_examples=10, deadline=None)
+@given(cyclic_covers())
+def test_departing_corners_on_covers_match_the_sector_reference(case):
+    _, cover = case
+    for direction in ((0, 1), (1, 0), (-1, 0)) + SLANTS:
+        assert_corners_match_the_reference(cover, direction)
+
+
 def test_a_trace_that_reaches_the_cap_exactly_is_not_capped():
     # tau * |v| == cap at a chart edge goes on; a hair less stops there
     torus = Surface.square_torus()
@@ -582,3 +638,33 @@ def test_decompose_builds_each_chart_table_once_per_direction(monkeypatch):
     dehn_twist_point(deco, mark.polygon, mark.at, 1)
     assert len(built) == len(set(built))
     assert Counter(v for v, _ in built) == per_direction
+
+
+def test_decompose_tests_each_corner_sector_once_per_distinct_chart(
+        monkeypatch):
+    # each flow of a decomposition tests a corner's sector once per distinct
+    # Polygon and vertex, whichever of the five sheets asks, plus once per
+    # distinct start of a turn of the west banks
+    base = Surface.cross(1, 1, marked=[(0, (F(3, 2), F(1, 3)), "m")])
+    slit = Slit(corner=(0, 11), direction=(1, 1), end=(F(3, 2), F(3, 2)))
+    cover = cyclic_slit_cover(CoverSpec(base, 5, [slit], [(1, 2, 3, 4, 0)]))
+    tests = Counter()
+
+    def counting(u, w, v):
+        tests[v] += 1
+        return ccw_sector_contains(u, w, v)
+
+    for module in ("veechkit.surface", "veechkit.trace"):
+        monkeypatch.setattr(importlib.import_module(module),
+                            "ccw_sector_contains", counting)
+    deco = decompose(cover, (2, 3))
+    assert deco.complete
+    shared = set(deco.normalized.polygons)
+    vertices = sum(poly.n for poly in shared)
+    corners = sum(poly.n for poly in deco.normalized.polygons)
+    assert corners == 5 * vertices
+    assert set(tests) <= {flow.v for flow in deco.flows.values()}
+    for flow in deco.flows.values():
+        assert tests[flow.v] <= vertices + len(flow._starts)
+        assert len(flow._starts) <= len(deco.connections)
+    assert sum(tests.values()) < corners
