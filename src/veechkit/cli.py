@@ -11,6 +11,7 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
 import tempfile
 from fractions import Fraction
@@ -455,10 +456,34 @@ def _build_parser():
     return ap
 
 
+# the options whose value is a vector, a matrix or a scalar, any of which may
+# start with "-"; argparse would read "--dir -1,2" as a missing value and an
+# unknown option "-1,2", so main rewrites it as "--dir=-1,2"
+_SIGNED_OPTIONS = frozenset(("--dir", "--theta", "--seed", "--twist",
+                             "--point", "--twist-dir", "--target-dir"))
+_NEGATIVE = re.compile(r"-(\d|\.|\(|sqrt)")
+
+
+def _joined_negatives(argv):
+    """argv with each signed option followed by a negative value written as
+    one "--option=value" word."""
+    out, i = [], 0
+    while i < len(argv):
+        if (argv[i] in _SIGNED_OPTIONS and i + 1 < len(argv)
+                and _NEGATIVE.match(argv[i + 1])):
+            out.append("%s=%s" % (argv[i], argv[i + 1]))
+            i += 2
+        else:
+            out.append(argv[i])
+            i += 1
+    return out
+
+
 def main(argv=None) -> int:
     ap = _build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = ap.parse_args(_joined_negatives(
+            sys.argv[1:] if argv is None else list(argv)))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

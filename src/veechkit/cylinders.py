@@ -42,7 +42,8 @@ point row (x, y, y, leaf id).  The barrier hook and the boundary test of
 A point is placed by one ray west and one ray east to the barriers: the band
 it lies in is the band east of where the west ray stops -- a barrier leaf
 (whose id the barrier hook returns) or a cone corner (the same east rule).
-Marked points are placed this way, and so are banks (which barrier leaves
+Marked points are placed this way, from the aliases `transform` already
+mapped (`Decomposition._place`), and so are banks (which barrier leaves
 bound each cylinder), on first read of `Decomposition.banks`, since no part of
 the decomposition depends on them.
 
@@ -50,14 +51,17 @@ Every trace of a decomposition runs up, east or west, so a decomposition
 makes one flow per direction (trace._Flow) and passes it to each trace.  On
 these axis flows a point's transverse coordinate is one of its own
 coordinates (x for up, y for east and west), so no step takes a cross
-product with the direction.  An edge table is built at most once per
-direction and distinct chart geometry (one Polygon, shared by the sheets of
-a cover), the first time a trace of that direction enters a chart with it,
-and the flow memoizes the exit edge of each Polygon, entry edge and slab
-between vertex coordinates: a barrier leaf thousands of segments long
+product with the direction, and an exit through an edge is read from the
+edge's line, solved once for the moving coordinate (y for up, x for east
+and west), with no cross product and no division.  An edge table is built
+at most once per direction and distinct chart geometry (one Polygon,
+shared by the sheets of a cover), the first time a trace of that direction
+enters a chart with it.  It keeps the candidate edges of each slab between
+vertex coordinates and of each vertex coordinate's line, so an exit scans
+only the edges the ray can hit, and the flow memoizes the exit edge of each
+Polygon, entry edge and slab: a barrier leaf thousands of segments long
 re-enters its charts -- or another sheet's copies of them -- mostly in slabs
-it or an earlier leaf already crossed, and scans a chart's edges only at its
-start, at vertices and on vertex coordinates.  Each flow also keeps one
+it or an earlier leaf already crossed.  Each flow also keeps one
 sector row per distinct Polygon, so the corners the separatrices and width
 rays leave from, the corner a leaf goes on through at a regular vertex, and
 the two turns of each saddle connection on its west bank (from down to the
@@ -192,8 +196,15 @@ class Decomposition:
         if not self.complete:
             raise NotComplete("cannot locate points in an undetermined "
                               "decomposition")
-        if any(_leaves_at(self.barriers, p, pt)
-               for p, pt in self.normalized.point_aliases(polygon, point)):
+        return self._place(polygon, point,
+                           self.normalized.point_aliases(polygon, point))
+
+    def _place(self, polygon, point, aliases):
+        """locate_normalized of a point whose chart representatives are
+        known: `aliases`, as `Surface.point_aliases` lists them.  On a
+        barrier leaf through any of them the point is on a boundary;
+        otherwise one ray east and one west measure its band."""
+        if any(_leaves_at(self.barriers, p, pt) for p, pt in aliases):
             return MarkPosition("boundary")
         east = self._ray(polygon, point, "east")
         west = self._ray(polygon, point, "west")
@@ -486,8 +497,9 @@ def decompose(surface, direction, cap=None) -> Decomposition:
         _corner_east={corner: index[band]
                       for corner, band in corner_band.items()})
     deco.marks = []
+    # transform mapped each mark's aliases: no mark is located again
     for i, mp in enumerate(normalized.marked):
-        pos = deco.locate_normalized(mp.polygon, mp.at)
+        pos = deco._place(mp.polygon, mp.at, mp.aliases)
         deco.marks.append(pos)
         if pos.state == "in":
             cylinders[pos.cylinder].marks.append(i)

@@ -19,6 +19,10 @@ different nonzero tags raises FieldMismatch.
 The tuple layout is private to this module.  Exact predicates elsewhere use
 the fused kernels below instead of unpacking it:
   _cross(a, b, c, e)       the value a*b - c*e, reduced once (not three times)
+  _lin(a, b, c, e)         the value a*b + c*e, reduced once: a matrix row
+                           applied to a vector
+  _affine(a, b, x)         the value a + b*x, reduced once (not twice): a
+                           line read at a coordinate
   _cross_sign(a, b, c, e)  its sign, from the unreduced numerators: no gcd,
                            no intermediate scalar
   _dot_sign(a, b, c, e)    the sign of a*b + c*e, likewise
@@ -126,6 +130,32 @@ def _cross(a, b, c, e) -> "FieldScalar":
     if t is None:
         return a * b - c * e
     return _reduced(*t)
+
+
+def _lin(a, b, c, e) -> "FieldScalar":
+    """a*b + c*e, reduced once, as _cross with c negated."""
+    n, m, q, d = c._t
+    t = _cross_terms(a._t, b._t, (-n, -m, q, d), e._t)
+    if t is None:
+        return a * b + c * e
+    return _reduced(*t)
+
+
+def _affine(a, b, x) -> "FieldScalar":
+    """a + b*x, reduced once.  Operands of different nonzero tags go through
+    the scalar operators, as in _cross."""
+    n1, m1, q1, d1 = a._t
+    n2, m2, q2, d2 = b._t
+    n3, m3, q3, d3 = x._t
+    d = d1 or d2 or d3
+    if (d2 and d2 != d) or (d3 and d3 != d):
+        return a + b * x
+    n = n2 * n3 + m2 * m3 * d
+    m = n2 * m3 + m2 * n3
+    q = q2 * q3
+    if q1 == q:
+        return _reduced(n1 + n, m1 + m, q, d)
+    return _reduced(n1 * q + n * q1, m1 * q + m * q1, q1 * q, d)
 
 
 def _cross_sign(a, b, c, e) -> int:

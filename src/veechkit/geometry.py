@@ -6,7 +6,8 @@ loop of `_locate`) never build intermediate scalars: each sign of a cross
 or dot product, of an orientation or of a difference, and each compass
 class, comes from a fused kernel of `field` (`_cross_sign`, `_dot_sign`,
 `_orient_sign`, `_compass`, comparisons) that works on the integer form.
-`cross` itself reduces its value once.
+`cross` itself reduces its value once, and so does each coordinate of a
+matrix image `Mat2 * Vec2` (`_lin`).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import math
 
 from .errors import InvalidParams, NonPositive, ZeroInput
 from .field import (FieldScalar, _compass, _cross, _cross_sign, _dot_sign,
-                    _orient_sign, scalar)
+                    _lin, _orient_sign, scalar)
 
 _ZERO = FieldScalar.rational(0)
 _ONE = FieldScalar.rational(1)
@@ -277,10 +278,8 @@ class Mat2:
                 self.c * other.b + self.d * other.d,
             )
         if isinstance(other, Vec2):
-            return _vec(
-                self.a * other.x + self.b * other.y,
-                self.c * other.x + self.d * other.y,
-            )
+            return _vec(_lin(self.a, other.x, self.b, other.y),
+                        _lin(self.c, other.x, self.d, other.y))
         return NotImplemented
 
     def inverse(self) -> "Mat2":

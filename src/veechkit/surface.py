@@ -23,8 +23,14 @@ One routine (`_sector_row`) tests where a direction lies against the corner
 sectors of a Polygon: outside, inside off the outgoing edge, or along it.
 The corner walk reads its row for east, and each flow of `trace` builds one
 row per distinct Polygon for its own direction, so every corner question of
-a trace or a decomposition is a lookup.  `ray_out` and `ray_in` remain the
-reference its tests compare against.
+a trace or a decomposition is a lookup.  For an axis direction -- east, and
+every direction a decomposition traces -- a corner is decided by three
+compass classes (`field._compass`): its outgoing edge's, its incoming
+edge's turned by a half turn (plus 4 mod 8), and the direction's, so no
+cross product and no negated vector is formed.  A corner whose two edges
+share a class or mix field tags, and every corner for a direction off the
+axes, takes `ccw_sector_contains` and `same_ray`.  `ray_out` and `ray_in`
+remain the reference its tests compare against.
 
 One checker (`_check`) holds the field, polygon and gluing checks.  It lists
 every problem of a description as a (validate tag, exception type, message)
@@ -65,7 +71,7 @@ from __future__ import annotations
 
 from .errors import (FieldMismatch, InconsistentTopology, InvalidParams,
                      VeechkitError)
-from .field import FieldScalar, scalar
+from .field import FieldScalar, _compass, scalar
 from .geometry import (Mat2, Vec2, _locate, ccw_sector_contains, cross, parallel,
                        same_ray)
 
@@ -503,17 +509,41 @@ def _sector_row(poly, v):
 
     The one sector test of a chart's corners: the corner walk reads its row
     for east, and each flow of `trace` builds one row per distinct Polygon
-    for its own direction."""
+    for its own direction.  For an axis v each corner is decided by three
+    compass classes (`field._compass`): edge k's, edge k-1's plus 4 mod 8
+    (the class of its negation), and v's.  A corner whose two edges share a
+    class or mix field tags, and every corner for a v off the axes, goes to
+    `ccw_sector_contains` and `same_ray`."""
+    cv, dv = _compass(v.x, v.y)
+    if cv & 1:
+        return [_sector_test(poly.edge(k), poly.edge(k - 1), v)
+                for k in range(poly.n)]
+    compass = [_compass(edge.x, edge.y) for edge in poly._edges]
     row = []
     for k in range(poly.n):
-        out = poly.edge(k)
-        if not ccw_sector_contains(out, -poly.edge(k - 1), v):
-            row.append(_MISS)
-        elif same_ray(v, out):
+        co, do = compass[k]
+        ci, di = compass[k - 1]
+        ci = (ci + 4) & 7
+        d = do or di or dv
+        if co == ci or (d and (d < 0 or (di and di != d)
+                               or (dv and dv != d))):
+            row.append(_sector_test(poly.edge(k), poly.edge(k - 1), v))
+        elif cv == co:  # an axis class is one ray: v runs along edge k
             row.append(_SLIDE)
-        else:
+        # turning counterclockwise from edge k, v comes before -edge k-1
+        elif (cv - co) & 7 < (ci - co) & 7:
             row.append(_HOLD)
+        else:
+            row.append(_MISS)
     return row
+
+
+def _sector_test(out, back, v):
+    """The _sector_row entry of a corner with outgoing edge `out` and
+    incoming edge `back`, by `ccw_sector_contains` and `same_ray`."""
+    if not ccw_sector_contains(out, -back, v):
+        return _MISS
+    return _SLIDE if same_ray(v, out) else _HOLD
 
 
 def _interned(polygons):

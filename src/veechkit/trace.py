@@ -21,21 +21,30 @@ and x + v * t moves one coordinate; any other direction takes the cross
 product.  For each distinct chart geometry (the surface shares one Polygon
 among charts with the same vertices: the sheets of a cover), the first time
 a trace enters a chart of it, the flow reads each vertex's u_k once and
-builds a table with one row per edge e not parallel to v: (e, edge,
-den = u_e - u_{e+1}, sign(den), u_e, u_{e+1}, cross(P_e, edge)), P_e the
-edge's start vertex.  The edge parameter of an exit is
-s = (u_e - u(x)) / den, so the full scan of a chart compares u(x) with two
-row constants per edge (s >= 0, s <= 1); the ray parameter
-(cross(P_e, edge) - cross(x, edge)) / den is screened by a comparison too,
-and formed only for edges that pass.
+builds a table (_Table) with one row per edge e not parallel to v.  The
+distinct u_k, sorted, are the bounds that cut the chart into slabs, and the
+table keeps two candidate lists: for each slab, the edges that span it; for
+each bound, the edges that touch its line, each with the vertex it has on
+that line, if any.  An exit scans only the candidates of the ray's slab or
+line: a point strictly inside a slab meets no vertex, so its candidates need
+no edge-parameter screen, and a point on a bound's line reads a vertex hit
+from the table.  A point outside every bound has no exit.  Each candidate
+passes a t > 0 screen, and the first least t in edge order wins, as in a
+scan of every edge.
 
-The distinct u_k of a chart, sorted, cut it into slabs.  A ray that enters
-a chart through edge e at a u strictly inside slab j meets no vertex there,
-and it leaves through the edge the first such ray of the flow left through,
-in this chart or in any chart with the same Polygon: that row is memoized
-under (Polygon, e, j), and the exit is one cross product and one division
-away.  Starts, departures from a vertex and entries that land exactly on
-some u_k run the full scan, which fills the memo.
+The ray parameter t of an exit through edge e is read from the edge's
+line.  On an axis flow the line is solved, on first use per Polygon and
+edge, for the moving coordinate: c = A + B*u, so the exit is one fused
+evaluation (`field._affine`), with no cross product and no division, and
+t is c's change.  Off the axes t = (cross(P_e, edge) - cross(x, edge)) / den,
+with den = u_e - u_{e+1} and P_e the edge's start vertex, and the table
+keeps cross(P_e, edge) per row.
+
+A ray that enters a chart through edge e at a u strictly inside slab j
+leaves through the edge the first such ray of the flow left through, in
+this chart or in any chart with the same Polygon: that exit is memoized
+under (Polygon, e, j), and a later such ray evaluates it alone.  A slab
+scan for an entry fills the memo.
 
 Every corner question is a lookup on the flow too.  Per distinct Polygon,
 on first use, it keeps a sector row (`surface._sector_row`): for each vertex
@@ -50,8 +59,8 @@ per (Polygon, vertex, start).  The flow also caches, per chart index, its
 marked points with their u, and, per corner of a regular vertex, where a
 trace arriving there goes on.  A flow lives as long as its caller keeps it
 -- one trace, or one decomposition -- and is never stored on the surface.
-The memo relies on what the full scan relies on: each chart is a simple
-polygon, whose edges meet only at its vertices.
+The candidate lists and the memo rely on each chart being a simple polygon,
+whose edges meet only at its vertices.
 """
 
 from __future__ import annotations
@@ -61,12 +70,13 @@ from operator import attrgetter
 
 from .errors import (AmbiguousStart, InconsistentTopology, InvalidParams,
                      TraceOverflow)
-from .field import FieldScalar, _sort_key, field_sqrt, scalar
+from .field import FieldScalar, _affine, _sort_key, field_sqrt, scalar
 from .geometry import (Vec2, _vec, canonical_direction, ccw_sector_contains,
                        cross, dist2_point_segment, dot, polygon_contains)
 from .surface import _SLIDE, _sector_row
 
 _ZERO = FieldScalar.rational(0)
+_ONE = FieldScalar.rational(1)
 
 CLOSED = "ClosedUp"
 SINGULAR = "HitSingularity"
@@ -189,11 +199,74 @@ def _west(x, t):
     return _vec(x.x - t, x.y)
 
 
-# unit axis direction -> (u(x) = cross(x, v), x + v * t)
-_AXES = {(0, 1): (attrgetter("x"), _up),
-         (0, -1): (lambda x: -x.x, _down),
-         (1, 0): (lambda x: -x.y, _east),
-         (-1, 0): (attrgetter("y"), _west)}
+def _on_vertical(x, c):
+    return _vec(x.x, c)
+
+
+def _on_horizontal(x, c):
+    return _vec(c, x.y)
+
+
+_X, _Y = attrgetter("x"), attrgetter("y")
+
+# unit axis direction -> (u(x) = cross(x, v), x + v * t, the moving
+# coordinate c(x), x with c replaced, the sign of dc/dt)
+_AXES = {(0, 1): (_X, _up, _Y, _on_vertical, 1),
+         (0, -1): (lambda x: -x.x, _down, _Y, _on_vertical, -1),
+         (1, 0): (lambda x: -x.y, _east, _X, _on_horizontal, 1),
+         (-1, 0): (_Y, _west, _X, _on_horizontal, -1)}
+
+
+class _Table:
+    """What one flow knows of one distinct Polygon (see _Flow).
+
+    Each edge e not parallel to v has a row (e, edge, den, sign(den), u_e,
+    k_e), with den = u_e - u_{e+1} and k_e = cross(P_e, edge), P_e the
+    edge's start vertex; an axis flow never forms k_e and leaves it None.
+
+    bounds -- the distinct u_k as _sort_key tuples, in order
+    slabs  -- per slab j, between bounds j-1 and j (1 <= j < len(bounds)),
+              the (row, None) of the edges that span it, in edge order
+    lines  -- per bound i, the (row, vertex) of the edges that touch its
+              line, in edge order: vertex is the end of the edge whose u is
+              bound i, None when the edge crosses the line between its ends
+    exits  -- (entry edge, slab) -> ((row, None),), the exit of the first ray
+              of the flow that entered this Polygon through that edge inside
+              that slab
+    axis   -- on an axis flow, per edge, (A, B) with c = A + B*u on the
+              edge's line, c the moving coordinate; built on first use
+    """
+
+    __slots__ = ("bounds", "slabs", "lines", "exits", "axis")
+
+    def __init__(self, flow, poly):
+        n = poly.n
+        us = [flow.across(a) for a in poly.vertices]
+        self.bounds = sorted(map(_sort_key, set(us)))
+        rank = {key[1]: i for i, key in enumerate(self.bounds)}
+        ranks = [rank[u] for u in us]
+        spans = []  # (row, low rank, high rank, their vertices)
+        for e in range(n):
+            f = (e + 1) % n
+            if ranks[e] == ranks[f]:
+                continue  # parallel: its vertices are caught via its mates
+            edge = poly.edge(e)
+            den = us[e] - us[f]
+            k_e = None if flow.sense else cross(poly.vertices[e], edge)
+            row = (e, edge, den, den.sign(), us[e], k_e)
+            if ranks[e] < ranks[f]:
+                spans.append((row, ranks[e], ranks[f], e, f))
+            else:
+                spans.append((row, ranks[f], ranks[e], f, e))
+        self.slabs = [None] + [
+            [(row, None) for row, lo, hi, _, _ in spans if lo < j <= hi]
+            for j in range(1, len(self.bounds))]
+        self.lines = [
+            [(row, v if i == lo else w if i == hi else None)
+             for row, lo, hi, v, w in spans if lo <= i <= hi]
+            for i in range(len(self.bounds))]
+        self.exits = {}
+        self.axis = [None] * n if flow.sense else None
 
 
 class _Flow:
@@ -201,18 +274,21 @@ class _Flow:
     run in that direction.
 
     Holds v, vv = dot(v, v), vlen, the length of v in the surface's field
-    (None when it has no square root there), and the two maps a trace step
-    applies: across(x) = cross(x, v), the transverse coordinate u, and
+    (None when it has no square root there; both are 1 on an axis, without
+    a square root taken), and the two maps a trace step applies:
+    across(x) = cross(x, v), the transverse coordinate u, and
     move(x, t) = x + v * t; for a unit axis v they read and move one
-    coordinate.  Per distinct Polygon, built on first use from the
-    vertices' u_k and shared by every chart with that Polygon: the edge
-    table rows (e, edge, den = u_e - u_{e+1}, sign(den), u_e, u_{e+1},
-    cross(P_e, edge)) for the edges not parallel to v, and the u_k as
-    _sort_key tuples in order (the slab bounds; a repeated u_k repeats a
-    bound, and each slab still gets one index).  _exits memoizes, per
-    (Polygon, entry edge, slab), the row the full scan chose for the first
-    ray of the flow that entered a chart of that Polygon through that edge
-    strictly inside that slab.  Also per distinct Polygon, built on first
+    coordinate, and the flow also holds that moving coordinate c(x)
+    (`moving`), the map putting a new c into x (`place`) and the sign of
+    dc/dt (`sense`, None off the axes).
+
+    Per distinct Polygon, built the first time a trace enters a chart with
+    it and shared by every chart with that Polygon, a _Table: the edge rows,
+    the distinct u_k sorted (the slab bounds), the candidate rows of each
+    slab and of each bound's line, and the exit memo.  On an axis flow the
+    table also keeps, per edge and on first use, the edge's line solved for
+    the moving coordinate, c = A + B*u, so an exit is one `_affine` and no
+    cross product or division.  Also per distinct Polygon, built on first
     use: the sector row (`_sector_row`, read by `sector`), and, per vertex
     and start direction, whether a turn's first corner holds v past the
     start (`holds_from`).  Per chart index: the marked points as
@@ -220,9 +296,9 @@ class _Flow:
     regular-vertex corner it arrives at.
     """
 
-    __slots__ = ("surface", "v", "vv", "vlen", "across", "move", "_tables",
-                 "_slabs", "_exits", "_sectors", "_starts", "_marks",
-                 "_leave")
+    __slots__ = ("surface", "v", "vv", "vlen", "across", "move", "moving",
+                 "place", "sense", "_tables", "_sectors", "_starts",
+                 "_marks", "_leave")
 
     def __init__(self, surface, direction):
         v = direction if isinstance(direction, Vec2) else Vec2(*direction)
@@ -230,40 +306,39 @@ class _Flow:
             raise InvalidParams("direction must be nonzero")
         self.surface = surface
         self.v = v
-        self.vv = dot(v, v)
-        self.vlen = field_sqrt(self.vv, surface.field_d)
         axis = _AXES.get((v.x, v.y))
         if axis is None:
+            self.vv = dot(v, v)
+            self.vlen = field_sqrt(self.vv, surface.field_d)
             self.across = lambda x: cross(x, v)
             self.move = lambda x, t: x + v * t
+            self.moving = self.place = self.sense = None
         else:
-            self.across, self.move = axis
+            self.vv = self.vlen = _ONE
+            self.across, self.move, self.moving, self.place, self.sense = axis
         self._tables = {}
-        self._slabs = {}
-        self._exits = {}
         self._sectors = {}
         self._starts = {}
         self._marks = {}
         self._leave = {}
 
     def table(self, poly):
-        """The edge table of Polygon `poly` (see the class docstring)."""
-        rows = self._tables.get(poly)
-        if rows is None:
-            us = [self.across(a) for a in poly.vertices]
-            rows = []
-            for e in range(poly.n):
-                u_e, u_f = us[e], us[(e + 1) % poly.n]
-                den = u_e - u_f
-                sd = den.sign()
-                if not sd:
-                    continue  # parallel: its vertices are caught via its mates
-                edge = poly.edge(e)
-                rows.append((e, edge, den, sd, u_e, u_f,
-                             cross(poly.vertices[e], edge)))
-            self._tables[poly] = rows
-            self._slabs[poly] = sorted(map(_sort_key, us))
-        return rows
+        """The _Table of Polygon `poly` (see the class docstring)."""
+        tab = self._tables.get(poly)
+        if tab is None:
+            tab = self._tables[poly] = _Table(self, poly)
+        return tab
+
+    def line(self, tab, poly, row):
+        """(A, B) with c = A + B*u on the line of `row`'s edge, on an axis
+        flow: along the edge u falls by den while c grows by c(edge)."""
+        e, edge, den, _, u_e, _ = row
+        ab = tab.axis[e]
+        if ab is None:
+            slope = self.moving(edge) / den
+            ab = tab.axis[e] = (
+                _affine(self.moving(poly.vertices[e]), slope, u_e), -slope)
+        return ab
 
     def sector(self, corner):
         """Where v lies against `corner`'s sector: _MISS (falsy), _HOLD or
@@ -386,57 +461,92 @@ def _exit_solve(surface, p, x, v, cx=None, entry=None):
     (the ray entered p through it).  Returns (t, y, vertex_or_None, edge)
     where vertex is set when the crossing is a polygon vertex.
 
-    An entry strictly inside a slab of p reuses the memoized row of p's
-    (Polygon, entry, slab): t = (cross(P_e, edge) - cross(x, edge)) / den.
-    Any other ray runs the full scan, which screens the edge parameter
-    s = (u_e - cx) / den by comparing cx with the row's u_e (s >= 0) and
-    u_{e+1} (s <= 1), and the ray parameter t by comparing cross(P_e, edge)
-    with cross(x, edge); t is formed and divided out only for edges that
-    pass.  A scan for an entry inside a slab fills that slab's memo.
+    Only the edges that can be hit are scanned.  A point on the line of a
+    bound u_k scans the edges touching that line, and reads a vertex hit
+    from the table; a point strictly inside a slab scans the edges spanning
+    the slab, none at a vertex, unless it entered through an edge whose
+    (entry, slab) memo already names the exit edge; a point outside every
+    bound has no exit.  Each candidate passes a t > 0 screen, and the first
+    least t in edge order wins, as in a scan of every edge.  On an axis flow
+    t is read from the edge's line, c = A + B*u, as the moving coordinate's
+    change; off the axes it is (cross(P_e, edge) - cross(x, edge)) / den.
+    A slab scan for an entry fills that slab's memo.
     """
     flow = _as_flow(surface, v)
     poly = surface.polygons[p]
-    rows = flow.table(poly)
+    tab = flow.table(poly)
     if cx is None:
         cx = flow.across(x)
+    bounds = tab.bounds
+    j = bisect_left(bounds, _sort_key(cx))
     key = None
-    if entry is not None:
-        bounds = flow._slabs[poly]
-        j = bisect_left(bounds, _sort_key(cx))
-        if 0 < j < len(bounds) and bounds[j][1] != cx:
-            key = (poly, entry, j)
-            row = flow._exits.get(key)
-            if row is not None:
-                t = (row[6] - cross(x, row[1])) / row[2]
-                return t, flow.move(x, t), None, row[0]
+    if j < len(bounds) and bounds[j][1] == cx:
+        cands = tab.lines[j]
+    elif 0 < j < len(bounds):
+        cands = tab.slabs[j]
+        if entry is not None:
+            key = (entry, j)
+            memo = tab.exits.get(key)
+            if memo is not None:
+                cands, key = memo, None
+    else:
+        cands = ()
+    if flow.sense:
+        best = _axis_exit(flow, tab, poly, x, cx, cands)
+    else:
+        best = _slant_exit(flow, poly, x, cands)
+    if best is None:
+        raise InconsistentTopology(
+            "ray from %s in polygon %d found no exit" % (x, p))
+    t, y, vert, row = best
+    if key is not None:
+        tab.exits[key] = ((row, None),)
+    return t, y, vert, row[0]
+
+
+def _axis_exit(flow, tab, poly, x, cx, cands):
+    """(t, y, vertex, row) of the first exit among `cands` on an axis flow,
+    or None.  Each candidate's moving coordinate c at the exit is its
+    vertex's, or its line's at cx; t > 0 and the least t are decided on c,
+    and t is formed once, for the winner."""
+    moving, sense = flow.moving, flow.sense
+    c0 = moving(x)
+    best = bv = brow = None
+    for row, vert in cands:
+        if vert is None:
+            a, b = flow.line(tab, poly, row)
+            c = _affine(a, b, cx)
+        else:
+            c = moving(poly.vertices[vert])
+        if c._cmp(c0) != sense:
+            continue  # t <= 0
+        if best is None or c._cmp(best) == -sense:
+            best, bv, brow = c, vert, row
+    if best is None:
+        return None
+    t = best - c0 if sense > 0 else c0 - best
+    y = poly.vertices[bv] if bv is not None else flow.place(x, best)
+    return t, y, bv, brow
+
+
+def _slant_exit(flow, poly, x, cands):
+    """(t, y, vertex, row) of the first exit among `cands` off the axes, or
+    None: t = (cross(P_e, edge) - cross(x, edge)) / den, formed only past
+    the t > 0 screen."""
     best = None
-    for row in rows:
-        e, edge, den, sd, u_e, u_f, k_e = row
-        s_lo = u_e._cmp(cx) * sd
-        if s_lo < 0:
-            continue  # s < 0
-        s_hi = u_f._cmp(cx) * sd
-        if s_hi > 0:
-            continue  # s > 1
+    for row, vert in cands:
+        _, edge, den, sd, _, k_e = row
         k_x = cross(x, edge)
         if k_e._cmp(k_x) * sd <= 0:
             continue  # t <= 0
         t = (k_e - k_x) / den
         if best is None or t < best[0]:
-            vert = None
-            if not s_lo:
-                vert = e
-            elif not s_hi:
-                vert = (e + 1) % poly.n
-            best = (t, row, vert)
+            best = (t, vert, row)
     if best is None:
-        raise InconsistentTopology(
-            "ray from %s in polygon %d found no exit" % (x, p))
-    t, row, vert = best
-    if key is not None:
-        flow._exits[key] = row
+        return None
+    t, vert, row = best
     y = poly.vertices[vert] if vert is not None else flow.move(x, t)
-    return t, y, vert, row[0]
+    return t, y, vert, row
 
 
 def _param_on(seg, pt, v, vv):

@@ -258,6 +258,35 @@ def test_render_svg(tmp_path, capsys):
     assert "12-significant-digit" in text and "</svg>" in text
 
 
+@pytest.mark.parametrize("cmd", ["classify", "decompose", "render"])
+def test_a_negative_direction_may_follow_dir_as_its_own_word(tmp_path, capsys,
+                                                             cmd):
+    # argparse alone reads "--dir -1,2" as a missing value and an unknown
+    # option "-1,2"; main takes it as "--dir=-1,2"
+    path = build_cross(tmp_path, capsys)
+    svg = tmp_path / "out.svg"
+    extra = ["--svg", str(svg)] if cmd == "render" else []
+    got = []
+    for argv in (["--dir", "-1,2"], ["--dir=-1,2"]):
+        rc, out, _ = run(capsys, cmd, path, *argv, *extra)
+        got.append((rc, out, svg.read_text() if extra else None))
+    assert got[0] == got[1]
+    assert got[0][0] == 0 and got[0][1]
+
+
+def test_every_signed_option_takes_a_negative_word():
+    opts = ("--dir", "--theta", "--seed", "--twist", "--point", "--twist-dir",
+            "--target-dir")
+    for opt in opts:
+        for value in ("-1,2", "-1/2", "-sqrt(5),1", "-(1+sqrt(5))/2,1"):
+            assert cli._joined_negatives(["x", opt, value, "--n", "3"]) == [
+                "x", opt + "=" + value, "--n", "3"]
+    # other options, other values and the "=" form are left alone
+    for argv in (["--cap", "-1"], ["--dir", "--cap", "3"], ["--dir=-1,2"],
+                 ["--dir", "1,-2"], ["--dir"], ["--mark", "-1"]):
+        assert cli._joined_negatives(argv) == argv
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 # ---------------------------------------------------------------------------

@@ -805,3 +805,24 @@ def test_twist_orbit_rejects_boundary_start():
     c = Surface.cross(1, 1, marked=[(0, (1, Fraction(3, 2)), "edge")])
     with pytest.raises(OnBoundaryPoint):
         twist_orbit(c, "edge", Vec2(0, 1), Vec2(1, 0), 3)
+
+
+@pytest.mark.xfail(strict=True, reason="decompose reports each band between "
+                   "closed leaves through regular vertices as a cylinder")
+@pytest.mark.parametrize("direction", [(0, 1), (1, 1)])
+def test_a_regular_vertex_leaf_does_not_split_a_cylinder(direction):
+    # the unit torus glued from [0, s] x [0, 1] and [s, 1] x [0, 1], with
+    # s = sqrt2 - 1: both vertex classes are regular, and in either
+    # direction the torus is one 1 x 1 cylinder, as the square torus is.
+    # decompose cuts it along the closed leaves through the two vertex
+    # classes into bands of widths sqrt2 - 1 and 2 - sqrt2, whose moduli
+    # are incommensurable, and so reports PeriodicMixed
+    s = FieldScalar(-1, 1, 2)
+    torus = Surface([[(0, 0), (s, 0), (s, 1), (0, 1)],
+                     [(s, 0), (1, 0), (1, 1), (s, 1)]],
+                    [((0, 0), (0, 2)), ((1, 0), (1, 2)), ((0, 1), (1, 3)),
+                     ((1, 1), (0, 3))])
+    assert torus.cone_windings == [1, 1]
+    got = classify_direction(torus, direction)
+    assert got.kind == "Parabolic" and got.s_prime == 1
+    assert len(got.decomposition.cylinders) == 1

@@ -14,15 +14,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from veechkit.errors import (FieldMismatch, NotCommensurable, ZeroInput)
-from veechkit.field import (ContinuedFraction, FieldScalar, _cross,
-                            _cross_sign, _dot_sign, _floor_times_sqrt,
+from veechkit.field import (ContinuedFraction, FieldScalar, _affine, _cross,
+                            _cross_sign, _dot_sign, _floor_times_sqrt, _lin,
                             _orient_sign, _sort_key,
                             commensurable, commensurability_classes,
                             continued_fraction, field_sqrt,
                             least_common_integer_multiple, parse_scalar,
                             scalar)
-from veechkit.geometry import (Vec2, ccw_sector_contains, cross, parallel,
-                               same_ray)
+from veechkit.geometry import (Mat2, Vec2, ccw_sector_contains, cross,
+                               parallel, same_ray)
 
 GOLDEN = FieldScalar(Fraction(-1, 2), Fraction(1, 2), 5)   # (sqrt(5)-1)/2
 SQRT5 = FieldScalar.sqrt_of(5)
@@ -319,6 +319,22 @@ def test_fused_cross_is_the_two_product_formula(xs):
     assert parallel(u, v) == (not want)
 
 
+@settings(max_examples=150, deadline=None)
+@given(same_field(4))
+def test_fused_lin_and_affine_are_the_operator_forms(xs):
+    a, b, c, e = xs
+    assert _lin(a, b, c, e)._t == (a * b + c * e)._t
+    assert _affine(a, b, c)._t == (a + b * c)._t
+
+
+@settings(max_examples=100, deadline=None)
+@given(same_field(6))
+def test_matrix_image_is_the_unfused_formula(xs):
+    a, b, c, d, x, y = xs
+    assert image_parts(Mat2(a, b, c, d) * Vec2(x, y)) == (
+        (a * x + b * y)._t, (c * x + d * y)._t)
+
+
 @settings(max_examples=100, deadline=None)
 @given(same_field(6))
 def test_orient_sign_is_the_cross_of_the_difference(xs):
@@ -387,12 +403,20 @@ def test_kernels_raise_field_mismatch_exactly_where_the_operators_do(xs):
         (lambda: cross(u, v)._t, lambda: (u.x * v.y - u.y * v.x)._t),
         (lambda: parallel(u, v), lambda: not (u.x * v.y - u.y * v.x)),
         (lambda: same_ray(u, v), lambda: reference_ray(u, v)),
+        (lambda: _lin(a, b, c, e)._t, lambda: (a * b + c * e)._t),
+        (lambda: _affine(a, b, c)._t, lambda: (a + b * c)._t),
+        (lambda: image_parts(Mat2(a, b, c, e) * w),
+         lambda: ((a * f + b * g)._t, (c * f + e * g)._t)),
     ]
     if not (u.is_zero() or v.is_zero() or w.is_zero()):
         pairs.append((lambda: ccw_sector_contains(u, v, w),
                       lambda: reference_sector(u, v, w)))
     for fused, reference in pairs:
         assert outcome(fused) == outcome(reference)
+
+
+def image_parts(image):
+    return image.x._t, image.y._t
 
 
 def reference_cross(p, q):

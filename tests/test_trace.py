@@ -19,14 +19,14 @@ from veechkit.cylinders import decompose, dehn_twist_point
 from veechkit.errors import (AmbiguousStart, FieldMismatch,
                              InconsistentTopology, InvalidParams,
                              TraceOverflow, VeechkitError, ZeroInput)
-from veechkit.field import FieldScalar, scalar
+from veechkit.field import FieldScalar, _affine, scalar
 from veechkit.geometry import (Mat2, Vec2, ccw_sector_contains, cross,
                                same_ray)
-from veechkit.surface import _SLIDE, Surface
+from veechkit.surface import _HOLD, _MISS, _SLIDE, Surface, _sector_row
 from veechkit.trace import (CAPPED, CLOSED, MARKED, SINGULAR, _exit_solve,
-                            _Flow, _start_state, advance, departing_corners,
-                            is_connection_point_up_to, saddle_connections,
-                            separatrices, trace)
+                            _Flow, _start_state, _Table, advance,
+                            departing_corners, is_connection_point_up_to,
+                            saddle_connections, separatrices, trace)
 
 from test_covers import cyclic_covers
 from test_surface import marked_surfaces, positive_matrices
@@ -452,6 +452,38 @@ def test_departing_corners_on_covers_match_the_sector_reference(case):
         assert_corners_match_the_reference(cover, direction)
 
 
+def assert_sector_rows_match_the_reference(surf):
+    # the compass-class decision for axis directions, and the fallback for
+    # the others, against one ccw_sector_contains and same_ray per corner
+    for direction in AXES + SLANTS:
+        v = Vec2(*direction)
+        for poly in set(surf.polygons):
+            want = []
+            for k in range(poly.n):
+                out = poly.edge(k)
+                if not ccw_sector_contains(out, -poly.edge(k - 1), v):
+                    want.append(_MISS)
+                else:
+                    want.append(_SLIDE if same_ray(v, out) else _HOLD)
+            assert _sector_row(poly, v) == want
+
+
+@settings(max_examples=30, deadline=None)
+@given(marked_surfaces(), positive_matrices())
+def test_sector_rows_match_the_per_corner_reference(surf, mat):
+    try:
+        image = surf.transform(mat)
+    except FieldMismatch:
+        return
+    assert_sector_rows_match_the_reference(image)
+
+
+@settings(max_examples=10, deadline=None)
+@given(cyclic_covers())
+def test_sector_rows_on_covers_match_the_per_corner_reference(case):
+    assert_sector_rows_match_the_reference(case[1])
+
+
 def test_a_trace_that_reaches_the_cap_exactly_is_not_capped():
     # tau * |v| == cap at a chart edge goes on; a hair less stops there
     torus = Surface.square_torus()
@@ -584,26 +616,39 @@ def test_a_corner_start_names_its_vertex_as_point_location_does():
 # no state outlives a trace on a surface the caller holds
 # ---------------------------------------------------------------------------
 
-def test_tracing_twice_makes_the_same_cross_calls(monkeypatch):
-    calls = []
+def test_tracing_twice_builds_the_same_tables_and_lines(monkeypatch):
+    # each trace builds its flow's table of every Polygon it enters, and on
+    # an axis flow evaluates one edge line per exit and one per line built:
+    # a trace that kept a table, a line or a memo from an earlier one would
+    # build or evaluate fewer, and one that stored state on the surface
+    # would change its attributes
+    builds, evaluations = [], []
+    init = _Table.__init__
 
-    def counting_cross(u, v):
-        calls.append(None)
-        return cross(u, v)
+    def counting_init(tab, flow, poly):
+        builds.append(None)
+        init(tab, flow, poly)
 
-    # the package binds the name `trace` to the function, not the module
-    monkeypatch.setattr(importlib.import_module("veechkit.trace"), "cross",
-                        counting_cross)
+    def counting_affine(a, b, x):
+        evaluations.append(None)
+        return _affine(a, b, x)
+
+    monkeypatch.setattr(_Table, "__init__", counting_init)
+    monkeypatch.setattr(importlib.import_module("veechkit.trace"), "_affine",
+                        counting_affine)
     g = Surface.cross(PHI, 1, marked=[(0, (PHI + F(1, 3), F(1, 7)), "m")])
     attributes = dict(vars(g))
     start = _v(PHI + F(1, 2), F(1, 2))
-    for direction in ((0, 1), (2, 3)):
+    for direction, axis in (((0, 1), True), ((2, 3), False)):
         counts = []
         for _ in range(2):
-            calls.clear()
+            builds.clear()
+            evaluations.clear()
             trace(g, 0, start, direction, cap=40, stop_at_marked=False)
-            counts.append(len(calls))
-        assert counts[0] == counts[1] > 0
+            counts.append((len(builds), len(evaluations)))
+        assert counts[0] == counts[1]
+        assert counts[0][0] > 0
+        assert (counts[0][1] > 0) == axis
     assert vars(g).keys() == attributes.keys()
     assert all(vars(g)[k] is v for k, v in attributes.items())
 
