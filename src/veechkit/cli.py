@@ -456,8 +456,8 @@ def _build_parser():
     return ap
 
 
-# the options whose value is a vector, a matrix or a scalar, any of which may
-# start with "-"; argparse would read "--dir -1,2" as a missing value and an
+# the options whose value is a vector or a matrix, either of which may start
+# with "-"; argparse would read "--dir -1,2" as a missing value and an
 # unknown option "-1,2", so main rewrites it as "--dir=-1,2"
 _SIGNED_OPTIONS = frozenset(("--dir", "--theta", "--seed", "--twist",
                              "--point", "--twist-dir", "--target-dir"))

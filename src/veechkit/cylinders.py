@@ -49,27 +49,27 @@ the decomposition depends on them.
 
 Every trace of a decomposition runs up, east or west, so a decomposition
 makes one flow per direction (trace._Flow) and passes it to each trace.  On
-these axis flows a point's transverse coordinate is one of its own
-coordinates (x for up, y for east and west), so no step takes a cross
-product with the direction, and an exit through an edge is read from the
-edge's line, solved once for the moving coordinate (y for up, x for east
-and west), with no cross product and no division.  An edge table is built
-at most once per direction and distinct chart geometry (one Polygon,
-shared by the sheets of a cover), the first time a trace of that direction
-enters a chart with it.  It keeps the candidate edges of each slab between
-vertex coordinates and of each vertex coordinate's line, so an exit scans
-only the edges the ray can hit, and the flow memoizes the exit edge of each
-Polygon, entry edge and slab: a barrier leaf thousands of segments long
+these axis flows a point's coordinates across and along the leaves are its
+own coordinates, the sign folded in (x and y for up, -y and x for east, y
+and -x for west), so no step takes a cross product with the direction.  As
+on every flow, an exit through an edge is read from the edge's line, solved
+once for the along-leaf coordinate, so it takes no division.  An edge table
+is built at most once per direction and distinct chart geometry (one
+Polygon, shared by the sheets of a cover), the first time a trace of that
+direction enters a chart with it.  It keeps the candidate edges of each slab
+between vertex coordinates and of each vertex coordinate's line, so an exit
+scans only the edges the ray can hit, and the flow memoizes the exit edge of
+each Polygon, entry edge and slab: a barrier leaf thousands of segments long
 re-enters its charts -- or another sheet's copies of them -- mostly in slabs
-it or an earlier leaf already crossed.  Each flow also keeps one
-sector row per distinct Polygon, so the corners the separatrices and width
-rays leave from, the corner a leaf goes on through at a regular vertex, and
-the two turns of each saddle connection on its west bank (from down to the
-first corner owning east, on the east flow; from east to the first owning
-up, on the up flow) are looked up, not tested, on every sheet but the first.
-The Decomposition keeps its flows (`flows`), so the later rays of `locate`
-and the twists of `dehn_twist_point` and `twist_orbit` reuse the same
-tables and memo.
+it or an earlier leaf already crossed.  Each flow also keeps one sector row
+per distinct Polygon, so the corners the separatrices and width rays leave
+from, the corner a leaf goes on through at a regular vertex, and the two
+turns of each saddle connection on its west bank (from down to the first
+corner owning east, on the east flow; from east to the first owning up, on
+the up flow) are looked up, not tested, on every sheet but the first.  The
+Decomposition keeps its flows (`flows`), so the later rays of `locate` and
+the twists of `dehn_twist_point` and `twist_orbit` reuse the same tables and
+memo.
 """
 
 from __future__ import annotations
@@ -81,6 +81,7 @@ from .errors import (InconsistentTopology, InvalidParams, NotComplete,
 from .field import (FieldScalar, _sort_key, commensurability_classes,
                     least_common_integer_multiple, scalar)
 from .geometry import Vec2, canonical_direction, normalize_to_vertical
+from .surface import _index
 from .trace import (CLOSED, SINGULAR, STOPPED, _Flow, _turn, advance,
                     departing_corners, trace)
 
@@ -622,14 +623,6 @@ def dehn_twist_point(deco: Decomposition, polygon, point, n: int):
         out = advance(deco.normalized, polygon, npt, deco.flows["up"], delta)
     back = deco.frame.inverse()
     return out[0], back * out[1]
-
-
-def _index(i, n, what):
-    """`i` if it names one of `n` items; InvalidParams otherwise, negative
-    indices included."""
-    if not 0 <= i < n:
-        raise InvalidParams("no %s %r (there are %d)" % (what, i, n))
-    return i
 
 
 def twist_orbit(surface, mark, twist_direction, target_direction, n_samples,

@@ -96,8 +96,8 @@ def ccw_sector_contains(u: Vec2, w: Vec2, v: Vec2) -> bool:
     """Is nonzero v inside the half-open CCW sector [u, w)?
 
     The sector starts on ray u (included) and sweeps counterclockwise to ray w
-    (excluded).  u and w are never parallel-opposite-free here: every caller
-    guarantees u != 0 != w and the sector angle lies in (0, 2pi).
+    (excluded).  Every caller guarantees u != 0 != w and a sector angle
+    in (0, 2pi).
 
     With angles measured counterclockwise from u, v is inside exactly when
     its angle is less than w's.  Angles from the east ray are compared by

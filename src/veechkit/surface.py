@@ -502,6 +502,14 @@ def singularities(surface: Surface):
             for cls, w in enumerate(surface.cone_windings)]
 
 
+def _index(i, n, what):
+    """`i` if it names one of `n` items; InvalidParams otherwise, negative
+    indices included."""
+    if not 0 <= i < n:
+        raise InvalidParams("no %s %r (there are %d)" % (what, i, n))
+    return i
+
+
 def _sector_row(poly, v):
     """Where direction v lies against each corner sector [edge k, -edge k-1)
     of Polygon `poly`, one entry per vertex k: _MISS outside it, _HOLD
@@ -513,7 +521,9 @@ def _sector_row(poly, v):
     compass classes (`field._compass`): edge k's, edge k-1's plus 4 mod 8
     (the class of its negation), and v's.  A corner whose two edges share a
     class or mix field tags, and every corner for a v off the axes, goes to
-    `ccw_sector_contains` and `same_ray`."""
+    `ccw_sector_contains` and `same_ray`.  The compass branch pays because
+    these rows are rebuilt for every decomposition and every surface built,
+    nearly all of them for axis directions."""
     cv, dv = _compass(v.x, v.y)
     if cv & 1:
         return [_sector_test(poly.edge(k), poly.edge(k - 1), v)

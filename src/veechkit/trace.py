@@ -12,33 +12,32 @@ The flow parameter tau is normalised so the position is start + tau * v in the
 developed picture; the geometric length is tau * |v|.
 
 Everything that depends only on the surface and the direction v is computed
-once per direction, by a flow object (_Flow).  A point x has the transverse
-coordinate u(x) = cross(x, v): the leaf through x is the line u = u(x), and
-a point lies on the current leaf exactly when its u is the leaf's.  For the
-unit axis directions -- up, down, east and west, the only ones a
-decomposition traces -- u is read off one coordinate (x.x, -x.x, -x.y, x.y)
-and x + v * t moves one coordinate; any other direction takes the cross
-product.  For each distinct chart geometry (the surface shares one Polygon
-among charts with the same vertices: the sheets of a cover), the first time
-a trace enters a chart of it, the flow reads each vertex's u_k once and
-builds a table (_Table) with one row per edge e not parallel to v.  The
-distinct u_k, sorted, are the bounds that cut the chart into slabs, and the
-table keeps two candidate lists: for each slab, the edges that span it; for
-each bound, the edges that touch its line, each with the vertex it has on
-that line, if any.  An exit scans only the candidates of the ray's slab or
-line: a point strictly inside a slab meets no vertex, so its candidates need
-no edge-parameter screen, and a point on a bound's line reads a vertex hit
-from the table.  A point outside every bound has no exit.  Each candidate
-passes a t > 0 screen, and the first least t in edge order wins, as in a
-scan of every edge.
+once per direction, by a flow object (_Flow).  A point x has two
+coordinates: u(x) = cross(x, v) across the leaves, so x's leaf is the line
+u = u(x), and s(x) = dot(x, v) / dot(v, v) along them, so a point y of that
+leaf lies s(y) - s(x) past x in flow parameter.  Every parameter a trace
+forms -- an exit, a slide step, a closing or a mark hit -- is such a
+difference.  On the unit axis directions -- up, down, east and west, the
+only ones a decomposition traces -- u and s are each one coordinate, the
+sign folded in (u: x.x, -x.x, -x.y, x.y; s: x.y, -x.y, x.x, -x.x); any
+other direction takes one fused product with v for each.  For each distinct
+chart geometry (the surface shares one Polygon among charts with the same
+vertices: the sheets of a cover), the first time a trace enters a chart of
+it, the flow reads each vertex's u_k once and builds a table (_Table) with
+one row per edge e not parallel to v.  The distinct u_k, sorted, are the
+bounds that cut the chart into slabs, and the table keeps two candidate
+lists: for each slab, the edges that span it; for each bound, the edges that
+touch its line, each with the vertex it has on that line, if any.  An exit
+scans only the candidates of the ray's slab or line: a point strictly inside
+a slab meets no vertex, and a point on a bound's line reads a vertex hit from
+the table.  A point outside every bound has no exit.
 
-The ray parameter t of an exit through edge e is read from the edge's
-line.  On an axis flow the line is solved, on first use per Polygon and
-edge, for the moving coordinate: c = A + B*u, so the exit is one fused
-evaluation (`field._affine`), with no cross product and no division, and
-t is c's change.  Off the axes t = (cross(P_e, edge) - cross(x, edge)) / den,
-with den = u_e - u_{e+1} and P_e the edge's start vertex, and the table
-keeps cross(P_e, edge) per row.
+A candidate's s at the crossing is its vertex's, or its edge line's at u(x):
+the line is solved for s, s = A + B*u, on first use per Polygon and edge, so
+each candidate is one fused evaluation (`field._affine`), with no cross
+product and no division.  A candidate needs s > s(x), the first least s in
+edge order wins, as in a scan of every edge, and t = s - s(x) is formed
+once, for the winner, whose exit point is its vertex or the point (u(x), s).
 
 A ray that enters a chart through edge e at a u strictly inside slab j
 leaves through the edge the first such ray of the flow left through, in
@@ -70,10 +69,11 @@ from operator import attrgetter
 
 from .errors import (AmbiguousStart, InconsistentTopology, InvalidParams,
                      TraceOverflow)
-from .field import FieldScalar, _affine, _sort_key, field_sqrt, scalar
+from .field import (FieldScalar, _affine, _cross, _lin, _sort_key,
+                    field_sqrt, scalar)
 from .geometry import (Vec2, _vec, canonical_direction, ccw_sector_contains,
                        cross, dist2_point_segment, dot, polygon_contains)
-from .surface import _SLIDE, _sector_row
+from .surface import _SLIDE, _index, _sector_row
 
 _ZERO = FieldScalar.rational(0)
 _ONE = FieldScalar.rational(1)
@@ -183,46 +183,21 @@ def _checked_corner(surface, corner):
     return p, k
 
 
-def _up(x, t):
-    return _vec(x.x, x.y + t)
-
-
-def _down(x, t):
-    return _vec(x.x, x.y - t)
-
-
-def _east(x, t):
-    return _vec(x.x + t, x.y)
-
-
-def _west(x, t):
-    return _vec(x.x - t, x.y)
-
-
-def _on_vertical(x, c):
-    return _vec(x.x, c)
-
-
-def _on_horizontal(x, c):
-    return _vec(c, x.y)
-
-
 _X, _Y = attrgetter("x"), attrgetter("y")
 
-# unit axis direction -> (u(x) = cross(x, v), x + v * t, the moving
-# coordinate c(x), x with c replaced, the sign of dc/dt)
-_AXES = {(0, 1): (_X, _up, _Y, _on_vertical, 1),
-         (0, -1): (lambda x: -x.x, _down, _Y, _on_vertical, -1),
-         (1, 0): (lambda x: -x.y, _east, _X, _on_horizontal, 1),
-         (-1, 0): (_Y, _west, _X, _on_horizontal, -1)}
+# unit axis direction -> (u(x) = cross(x, v), s(x) = dot(x, v), the point
+# with coordinates (u, s))
+_AXES = {(0, 1): (_X, _Y, _vec),
+         (0, -1): (lambda x: -x.x, lambda x: -x.y, lambda u, s: _vec(-u, -s)),
+         (1, 0): (lambda x: -x.y, _X, lambda u, s: _vec(s, -u)),
+         (-1, 0): (_Y, lambda x: -x.x, lambda u, s: _vec(-s, u))}
 
 
 class _Table:
     """What one flow knows of one distinct Polygon (see _Flow).
 
-    Each edge e not parallel to v has a row (e, edge, den, sign(den), u_e,
-    k_e), with den = u_e - u_{e+1} and k_e = cross(P_e, edge), P_e the
-    edge's start vertex; an axis flow never forms k_e and leaves it None.
+    Each edge e not parallel to v has a row (e, edge, den, u_e), with
+    den = u_e - u_{e+1}.
 
     bounds -- the distinct u_k as _sort_key tuples, in order
     slabs  -- per slab j, between bounds j-1 and j (1 <= j < len(bounds)),
@@ -233,11 +208,11 @@ class _Table:
     exits  -- (entry edge, slab) -> ((row, None),), the exit of the first ray
               of the flow that entered this Polygon through that edge inside
               that slab
-    axis   -- on an axis flow, per edge, (A, B) with c = A + B*u on the
-              edge's line, c the moving coordinate; built on first use
+    solved -- per edge, (A, B) with s = A + B*u on the edge's line; built on
+              first use
     """
 
-    __slots__ = ("bounds", "slabs", "lines", "exits", "axis")
+    __slots__ = ("bounds", "slabs", "lines", "exits", "solved")
 
     def __init__(self, flow, poly):
         n = poly.n
@@ -250,10 +225,7 @@ class _Table:
             f = (e + 1) % n
             if ranks[e] == ranks[f]:
                 continue  # parallel: its vertices are caught via its mates
-            edge = poly.edge(e)
-            den = us[e] - us[f]
-            k_e = None if flow.sense else cross(poly.vertices[e], edge)
-            row = (e, edge, den, den.sign(), us[e], k_e)
+            row = (e, poly.edge(e), us[e] - us[f], us[e])
             if ranks[e] < ranks[f]:
                 spans.append((row, ranks[e], ranks[f], e, f))
             else:
@@ -266,7 +238,7 @@ class _Table:
              for row, lo, hi, v, w in spans if lo <= i <= hi]
             for i in range(len(self.bounds))]
         self.exits = {}
-        self.axis = [None] * n if flow.sense else None
+        self.solved = [None] * n
 
 
 class _Flow:
@@ -275,32 +247,27 @@ class _Flow:
 
     Holds v, vv = dot(v, v), vlen, the length of v in the surface's field
     (None when it has no square root there; both are 1 on an axis, without
-    a square root taken), and the two maps a trace step applies:
-    across(x) = cross(x, v), the transverse coordinate u, and
-    move(x, t) = x + v * t; for a unit axis v they read and move one
-    coordinate, and the flow also holds that moving coordinate c(x)
-    (`moving`), the map putting a new c into x (`place`) and the sign of
-    dc/dt (`sense`, None off the axes).
+    a square root taken), and a point's coordinates: across(x) = u,
+    along(x) = s, and their inverse point(u, s) (see the module docstring).
 
     Per distinct Polygon, built the first time a trace enters a chart with
     it and shared by every chart with that Polygon, a _Table: the edge rows,
     the distinct u_k sorted (the slab bounds), the candidate rows of each
-    slab and of each bound's line, and the exit memo.  On an axis flow the
-    table also keeps, per edge and on first use, the edge's line solved for
-    the moving coordinate, c = A + B*u, so an exit is one `_affine` and no
-    cross product or division.  Also per distinct Polygon, built on first
-    use: the sector row (`_sector_row`, read by `sector`), and, per vertex
-    and start direction, whether a turn's first corner holds v past the
-    start (`holds_from`).  Per chart index: the marked points as
+    slab and of each bound's line, the exit memo and, per edge on first use,
+    the edge's line solved for s, s = A + B*u.  Also per distinct Polygon,
+    built on first use: the sector row (`_sector_row`, read by `sector`),
+    and, per vertex and start direction, whether a turn's first corner holds
+    v past the start (`holds_from`).  Per chart index: the marked points as
     (index, point, u); per corner, the state a trace takes on from each
     regular-vertex corner it arrives at.
     """
 
-    __slots__ = ("surface", "v", "vv", "vlen", "across", "move", "moving",
-                 "place", "sense", "_tables", "_sectors", "_starts",
-                 "_marks", "_leave")
+    __slots__ = ("surface", "v", "vv", "vlen", "across", "along", "point",
+                 "_tables", "_sectors", "_starts", "_marks", "_leave")
 
     def __init__(self, surface, direction):
+        if direction is None:
+            raise InvalidParams("a flow needs a direction")
         v = direction if isinstance(direction, Vec2) else Vec2(*direction)
         if v.is_zero():
             raise InvalidParams("direction must be nonzero")
@@ -310,12 +277,14 @@ class _Flow:
         if axis is None:
             self.vv = dot(v, v)
             self.vlen = field_sqrt(self.vv, surface.field_d)
+            w = v * (1 / self.vv)
             self.across = lambda x: cross(x, v)
-            self.move = lambda x, t: x + v * t
-            self.moving = self.place = self.sense = None
+            self.along = lambda x: _lin(x.x, w.x, x.y, w.y)
+            self.point = lambda u, s: _vec(_lin(s, v.x, u, w.y),
+                                           _cross(s, v.y, u, w.x))
         else:
             self.vv = self.vlen = _ONE
-            self.across, self.move, self.moving, self.place, self.sense = axis
+            self.across, self.along, self.point = axis
         self._tables = {}
         self._sectors = {}
         self._starts = {}
@@ -330,14 +299,14 @@ class _Flow:
         return tab
 
     def line(self, tab, poly, row):
-        """(A, B) with c = A + B*u on the line of `row`'s edge, on an axis
-        flow: along the edge u falls by den while c grows by c(edge)."""
-        e, edge, den, _, u_e, _ = row
-        ab = tab.axis[e]
+        """(A, B) with s = A + B*u on the line of `row`'s edge: along the
+        edge u falls by den while s grows by s(edge)."""
+        e, edge, den, u_e = row
+        ab = tab.solved[e]
         if ab is None:
-            slope = self.moving(edge) / den
-            ab = tab.axis[e] = (
-                _affine(self.moving(poly.vertices[e]), slope, u_e), -slope)
+            slope = self.along(edge) / den
+            ab = tab.solved[e] = (
+                _affine(self.along(poly.vertices[e]), slope, u_e), -slope)
         return ab
 
     def sector(self, corner):
@@ -411,7 +380,11 @@ def _start_state(flow, polygon, point, corner):
         polygon = corner[0]
         where = ("vertex", corner[1])
         aliases = None
+    elif polygon is None or point is None:
+        raise InvalidParams("a trace starts at a polygon and a point, or at "
+                            "a corner")
     else:
+        point = point if isinstance(point, Vec2) else Vec2(*point)
         where, aliases = surface._point(
             polygon, point, "start point %s lies outside polygon %d")
     if where == "interior":
@@ -466,10 +439,7 @@ def _exit_solve(surface, p, x, v, cx=None, entry=None):
     from the table; a point strictly inside a slab scans the edges spanning
     the slab, none at a vertex, unless it entered through an edge whose
     (entry, slab) memo already names the exit edge; a point outside every
-    bound has no exit.  Each candidate passes a t > 0 screen, and the first
-    least t in edge order wins, as in a scan of every edge.  On an axis flow
-    t is read from the edge's line, c = A + B*u, as the moving coordinate's
-    change; off the axes it is (cross(P_e, edge) - cross(x, edge)) / den.
+    bound has no exit.  The candidates are compared on s, in `_leaf_exit`.
     A slab scan for an entry fills that slab's memo.
     """
     flow = _as_flow(surface, v)
@@ -491,10 +461,7 @@ def _exit_solve(surface, p, x, v, cx=None, entry=None):
                 cands, key = memo, None
     else:
         cands = ()
-    if flow.sense:
-        best = _axis_exit(flow, tab, poly, x, cx, cands)
-    else:
-        best = _slant_exit(flow, poly, x, cands)
+    best = _leaf_exit(flow, tab, poly, x, cx, cands)
     if best is None:
         raise InconsistentTopology(
             "ray from %s in polygon %d found no exit" % (x, p))
@@ -504,58 +471,37 @@ def _exit_solve(surface, p, x, v, cx=None, entry=None):
     return t, y, vert, row[0]
 
 
-def _axis_exit(flow, tab, poly, x, cx, cands):
-    """(t, y, vertex, row) of the first exit among `cands` on an axis flow,
-    or None.  Each candidate's moving coordinate c at the exit is its
-    vertex's, or its line's at cx; t > 0 and the least t are decided on c,
-    and t is formed once, for the winner."""
-    moving, sense = flow.moving, flow.sense
-    c0 = moving(x)
+def _leaf_exit(flow, tab, poly, x, cx, cands):
+    """(t, y, vertex, row) of the first exit among `cands` of the ray from
+    x on the leaf u = cx, or None.  Each candidate's s at the exit is its
+    vertex's, or its line's at cx; it needs s > s(x), the least s wins, and
+    t = s - s(x) is formed once, for the winner."""
+    along = flow.along
+    s0 = along(x)
     best = bv = brow = None
     for row, vert in cands:
         if vert is None:
             a, b = flow.line(tab, poly, row)
-            c = _affine(a, b, cx)
+            s = _affine(a, b, cx)
         else:
-            c = moving(poly.vertices[vert])
-        if c._cmp(c0) != sense:
+            s = along(poly.vertices[vert])
+        if s._cmp(s0) <= 0:
             continue  # t <= 0
-        if best is None or c._cmp(best) == -sense:
-            best, bv, brow = c, vert, row
+        if best is None or s._cmp(best) < 0:
+            best, bv, brow = s, vert, row
     if best is None:
         return None
-    t = best - c0 if sense > 0 else c0 - best
-    y = poly.vertices[bv] if bv is not None else flow.place(x, best)
-    return t, y, bv, brow
+    y = poly.vertices[bv] if bv is not None else flow.point(cx, best)
+    return best - s0, y, bv, brow
 
 
-def _slant_exit(flow, poly, x, cands):
-    """(t, y, vertex, row) of the first exit among `cands` off the axes, or
-    None: t = (cross(P_e, edge) - cross(x, edge)) / den, formed only past
-    the t > 0 screen."""
-    best = None
-    for row, vert in cands:
-        _, edge, den, sd, _, k_e = row
-        k_x = cross(x, edge)
-        if k_e._cmp(k_x) * sd <= 0:
-            continue  # t <= 0
-        t = (k_e - k_x) / den
-        if best is None or t < best[0]:
-            best = (t, vert, row)
-    if best is None:
-        return None
-    t, vert, row = best
-    y = poly.vertices[vert] if vert is not None else flow.move(x, t)
-    return t, y, vert, row
-
-
-def _param_on(seg, pt, v, vv):
-    """Flow parameter at which segment `seg` (along v) passes `pt`, or None
-    when pt is off it; the caller has checked that pt lies on seg's line."""
-    d = dot(pt - seg.a, v)
+def _param_on(seg, pt, along):
+    """Flow parameter at which segment `seg` passes `pt`, or None when pt is
+    off it; the caller has checked that pt lies on seg's leaf."""
+    d = along(pt) - along(seg.a)
     if d.sign() < 0:
         return None
-    th = seg.tau0 + d / vv
+    th = seg.tau0 + d
     if th > seg.tau1:
         return None
     return th
@@ -577,7 +523,7 @@ def trace(surface, polygon=None, point=None, direction=None, *, corner=None,
     one direction share.
     """
     flow = _as_flow(surface, direction)
-    v, vv, vlen, across = flow.v, flow.vv, flow.vlen, flow.across
+    vv, vlen, across, along = flow.vv, flow.vlen, flow.across, flow.along
     state, aliases = _start_state(flow, polygon, point, corner)
     # per chart, the start's aliases as (payload, point, u(point)): a point
     # is on the current leaf when its u is the leaf's
@@ -608,8 +554,8 @@ def trace(surface, polygon=None, point=None, direction=None, *, corner=None,
             _, p, e, x = state
             poly = surface.polygons[p]
             target = poly.vertex(e + 1)
-            dt = dot(target - x, v) / vv
-            seg = Segment(p, x, target, True, tau, tau + dt, edge=e)
+            seg = Segment(p, x, target, True, tau,
+                          tau + (along(target) - along(x)), edge=e)
             arrive = (p, (e + 1) % poly.n)
             cx = None
         else:
@@ -629,7 +575,7 @@ def trace(surface, polygon=None, point=None, direction=None, *, corner=None,
                     cx = across(x)
                 if cp != cx:
                     continue
-                th = _param_on(seg, pt, v, vv)
+                th = _param_on(seg, pt, along)
                 if th is not None and th.sign() > 0:
                     hits.append((th, _RANK[kind], kind, payload))
         if stop_on is not None:
@@ -793,7 +739,7 @@ def is_connection_point_up_to(surface, mark, cap=None,
     """
     if isinstance(mark, str):
         mark = surface.mark_by_label(mark)
-    mp = surface.marked[mark]
+    mp = surface.marked[_index(mark, len(surface.marked), "marked point")]
     if not surface.singular_classes:
         return ConnectionEvidence("AllExtended", 0)
     cap = scalar(cap) if cap is not None else surface.default_cap()

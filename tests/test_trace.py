@@ -396,7 +396,7 @@ def assert_warm_exits_match_the_reference(image, slant):
               if not image.cone_windings[cls] > 1
               for p, pt in image._class_points(cls)[:1]]
     starts += [(mp.polygon, mp.at, None) for mp in image.marked]
-    for direction in ((0, 1), (1, 0), (-1, 0), slant):
+    for direction in ((0, 1), (0, -1), (1, 0), (-1, 0), slant):
         flow = _Flow(image, direction)
         runs = [(None, None, c) for c in departing_corners(image, flow.v)]
         for p, pt, corner in runs + starts:
@@ -613,15 +613,57 @@ def test_a_corner_start_names_its_vertex_as_point_location_does():
 
 
 # ---------------------------------------------------------------------------
+# typed errors at the public entry points
+# ---------------------------------------------------------------------------
+
+def _cross_with_a_mark():
+    return Surface.cross(1, 1, marked=[(0, (F(3, 2), F(1, 3)), "m")])
+
+
+def test_connection_evidence_refuses_a_mark_index_out_of_range():
+    # a negative index does not wrap to the last mark
+    c = _cross_with_a_mark()
+    for bad in (1, 5, -1):
+        with pytest.raises(InvalidParams, match="no marked point"):
+            is_connection_point_up_to(c, bad, cap=4)
+    assert repr(is_connection_point_up_to(c, 0, cap=4)) == repr(
+        is_connection_point_up_to(c, "m", cap=4))
+
+
+def test_a_start_point_may_be_a_pair():
+    c = _cross_with_a_mark()
+    pair, point = (F(3, 2), F(1, 2)), _v(F(3, 2), F(1, 2))
+    assert _event(trace(c, 0, pair, (1, 2))) == _event(
+        trace(c, 0, point, (1, 2)))
+    assert advance(c, 0, pair, (1, 2), F(1, 3)) == advance(
+        c, 0, point, (1, 2), F(1, 3))
+
+
+def test_a_trace_without_a_start_is_refused():
+    c = _cross_with_a_mark()
+    for polygon, point in ((None, None), (0, None), (None, (1, 1))):
+        with pytest.raises(InvalidParams, match="starts at"):
+            trace(c, polygon, point, direction=(0, 1))
+
+
+def test_a_trace_without_a_direction_is_refused():
+    c = _cross_with_a_mark()
+    with pytest.raises(InvalidParams, match="needs a direction"):
+        trace(c, 0, _v(F(3, 2), F(1, 2)))
+    with pytest.raises(InvalidParams, match="needs a direction"):
+        advance(c, 0, (F(3, 2), F(1, 2)), None, 1)
+
+
+# ---------------------------------------------------------------------------
 # no state outlives a trace on a surface the caller holds
 # ---------------------------------------------------------------------------
 
 def test_tracing_twice_builds_the_same_tables_and_lines(monkeypatch):
-    # each trace builds its flow's table of every Polygon it enters, and on
-    # an axis flow evaluates one edge line per exit and one per line built:
-    # a trace that kept a table, a line or a memo from an earlier one would
-    # build or evaluate fewer, and one that stored state on the surface
-    # would change its attributes
+    # each trace builds its flow's table of every Polygon it enters, and
+    # evaluates one edge line per exit through an edge and one per line
+    # built, on every flow: a trace that kept a table, a line or a memo
+    # from an earlier one would build or evaluate fewer, and one that
+    # stored state on the surface would change its attributes
     builds, evaluations = [], []
     init = _Table.__init__
 
@@ -639,7 +681,7 @@ def test_tracing_twice_builds_the_same_tables_and_lines(monkeypatch):
     g = Surface.cross(PHI, 1, marked=[(0, (PHI + F(1, 3), F(1, 7)), "m")])
     attributes = dict(vars(g))
     start = _v(PHI + F(1, 2), F(1, 2))
-    for direction, axis in (((0, 1), True), ((2, 3), False)):
+    for direction in ((0, 1), (2, 3)):
         counts = []
         for _ in range(2):
             builds.clear()
@@ -648,7 +690,7 @@ def test_tracing_twice_builds_the_same_tables_and_lines(monkeypatch):
             counts.append((len(builds), len(evaluations)))
         assert counts[0] == counts[1]
         assert counts[0][0] > 0
-        assert (counts[0][1] > 0) == axis
+        assert counts[0][1] > 0
     assert vars(g).keys() == attributes.keys()
     assert all(vars(g)[k] is v for k, v in attributes.items())
 
