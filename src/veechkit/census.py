@@ -6,7 +6,7 @@ import json
 
 from .cylinders import classify_direction
 from .errors import NoConnections, NotComplete, VeechkitError
-from .geometry import Vec2, boundary_point, canonical_direction, cross, dot
+from .geometry import _as_vec, boundary_point, canonical_direction, cross, dot
 from .linear import is_parabolic_fixing
 # saddle_connections is not called here, but perfbench's tracer test checks
 # that its wrapper replaces this binding
@@ -57,10 +57,6 @@ class CuspInvariant:
 
     def __repr__(self):
         return "CuspInvariant({%s})" % ", ".join(str(r) for r in self.ratios)
-
-
-def _as_vec(d) -> Vec2:
-    return d if isinstance(d, Vec2) else Vec2(*d)
 
 
 def cusp_invariant(surface, direction, cap=None) -> CuspInvariant:

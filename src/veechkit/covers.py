@@ -22,11 +22,11 @@ import itertools
 from .errors import (InconsistentProfile, InconsistentTopology, InvalidParams,
                      NonTransitive, OverlappingSlits, SlitThroughSingularity)
 from .field import scalar
-from .geometry import (Vec2, canonical_direction, cross, dot, parallel,
-                       segment_point, segments_intersect)
+from .geometry import (Vec2, _as_vec, canonical_direction, cross, dot,
+                       parallel, segments_intersect)
 from .surface import Polygon, Surface
 from .trace import (CLOSED, MARKED, SINGULAR, STOPPED, _checked_corner,
-                    _exit_solve, _Flow, trace)
+                    _exit_solve, _Flow, _param_on, trace)
 
 
 class Slit:
@@ -41,7 +41,8 @@ class Slit:
 
     def __init__(self, polygon=None, start=None, direction=None,
                  to_polygon=None, end=None, corner=None):
-        self.corner = _corner_pair(corner) if corner is not None else None
+        self.corner = (_checked_corner(None, corner, "slit corner")
+                       if corner is not None else None)
         if self.corner is not None:
             self.polygon = self.corner[0]
             self.start = None
@@ -49,15 +50,14 @@ class Slit:
             if polygon is None or start is None:
                 raise InvalidParams("slit needs a start point or a corner")
             self.polygon = polygon
-            self.start = start if isinstance(start, Vec2) else Vec2(*start)
+            self.start = _as_vec(start)
         if direction is None or end is None:
             raise InvalidParams("slit needs a direction and an end point")
-        self.direction = (direction if isinstance(direction, Vec2)
-                          else Vec2(*direction))
+        self.direction = _as_vec(direction)
         if self.direction.is_zero():
             raise InvalidParams("slit direction must be nonzero")
         self.to_polygon = self.polygon if to_polygon is None else to_polygon
-        self.end = end if isinstance(end, Vec2) else Vec2(*end)
+        self.end = _as_vec(end)
 
     def start_point(self, base: Surface):
         if self.corner is not None:
@@ -90,20 +90,6 @@ class Slit:
                    to_polygon=obj.get("to_polygon"),
                    end=Vec2.from_json(end),
                    corner=obj.get("corner"))
-
-
-def _corner_pair(corner):
-    """`corner` as a (polygon, vertex) tuple of two ints; InvalidParams when
-    it is not one."""
-    try:
-        pair = tuple(corner)
-    except TypeError:
-        pair = None
-    if not (pair is not None and len(pair) == 2
-            and all(isinstance(i, int) for i in pair)):
-        raise InvalidParams("slit corner must be a (polygon, vertex) pair of "
-                            "integers, not %r" % (corner,))
-    return pair
 
 
 class CoverSpec:
@@ -214,15 +200,18 @@ def _resolve_slit(base: Surface, slit: Slit, flow: _Flow) -> _ResolvedSlit:
     u = _Endpoint(base, sp, spt)
     v = _Endpoint(base, slit.to_polygon, slit.end)
     targets = v.aliases
+    # the end's charts as (polygon, point, u): the rule trace keeps for marks
+    ends = [(pa, pt, flow.across(pt)) for pa, pt in targets]
 
     def hook(seg):
         best = None
-        for (pa, pt) in targets:
-            if pa != seg.polygon:
+        leaf = flow.across(seg.a)
+        for pa, pt, pu in ends:
+            if pa != seg.polygon or pu != leaf:
                 continue
-            t = segment_point(seg.a, seg.b, pt)
-            if t is not None and (best is None or t < best):
-                best = t
+            th = _param_on(seg, pt, flow.along)
+            if th is not None and (best is None or th < best):
+                best = th
         return None if best is None else (best, "target")
 
     if slit.corner is not None:

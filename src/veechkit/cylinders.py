@@ -41,7 +41,8 @@ point row (x, y, y, leaf id).  The barrier hook and the boundary test of
 
 A point is placed by one ray west and one ray east to the barriers: the band
 it lies in is the band east of where the west ray stops -- a barrier leaf
-(whose id the barrier hook returns) or a cone corner (the same east rule).
+(whose id the barrier hook returns) or a cone corner (the same east rule),
+which wins a tie with a barrier crossing there.
 Marked points are placed this way, from the aliases `transform` already
 mapped (`Decomposition._place`), and so are banks (which barrier leaves
 bound each cylinder), on first read of `Decomposition.banks`, since no part of
@@ -69,7 +70,7 @@ corner owning east, on the east flow; from east to the first owning up, on
 the up flow) are looked up, not tested, on every sheet but the first.  The
 Decomposition keeps its flows (`flows`), so the later rays of `locate` and
 the twists of `dehn_twist_point` and `twist_orbit` reuse the same tables and
-memo.
+memo, and read the points of their rays (`_Flow.point_on`).
 """
 
 from __future__ import annotations
@@ -80,7 +81,8 @@ from .errors import (InconsistentTopology, InvalidParams, NotComplete,
                      OnBoundaryPoint)
 from .field import (FieldScalar, _sort_key, commensurability_classes,
                     least_common_integer_multiple, scalar)
-from .geometry import Vec2, canonical_direction, normalize_to_vertical
+from .geometry import (Vec2, _as_vec, canonical_direction,
+                       normalize_to_vertical)
 from .surface import _index
 from .trace import (CLOSED, SINGULAR, STOPPED, _Flow, _turn, advance,
                     departing_corners, trace)
@@ -184,8 +186,9 @@ class Decomposition:
             for bid, ev in enumerate(events):
                 banks[self._east_of[bid]][0].append(bid)
                 seg = ev.segments[0]
-                q = seg.point_at((seg.tau0 + seg.tau1) / 2)
-                west = self._ray(seg.polygon, q, "west")
+                p, q = _point_on(self.flows["up"], ev,
+                                 (seg.tau0 + seg.tau1) / 2)
+                west = self._ray(p, q, "west")
                 banks[self._band_of_west_ray(west)][1].append(bid)
             self._banks = banks
         return self._banks
@@ -219,8 +222,7 @@ class Decomposition:
 
     def locate(self, polygon, point) -> MarkPosition:
         """Place an original-frame point inside the decomposition."""
-        pt = point if isinstance(point, Vec2) else Vec2(*point)
-        return self.locate_normalized(polygon, self.frame * pt)
+        return self.locate_normalized(polygon, self.frame * _as_vec(point))
 
     def _ray(self, polygon, point, direction):
         ev = trace(self.normalized, polygon, point, self.flows[direction],
@@ -243,10 +245,11 @@ class Decomposition:
                 "point belongs to no known cylinder") from None
 
 
-def _point_on(ev, tau):
-    """(polygon, point) reached at parameter tau along a traced ray."""
+def _point_on(flow, ev, tau):
+    """(polygon, point) reached at parameter tau along `ev`, traced on
+    `flow`."""
     seg = next(s for s in ev.segments if s.tau0 <= tau <= s.tau1)
-    return seg.polygon, seg.point_at(tau)
+    return seg.polygon, flow.point_on(seg, tau)
 
 
 def _owner_back(surface, ev):
@@ -297,20 +300,19 @@ def _leaves_at(barriers, polygon, pt):
             if y0 <= pt.y <= y1]
 
 
-def _barrier_hook(barriers, cones=None):
+def _barrier_hook(barriers):
     """stop_on hook halting a horizontal ray at its first barrier crossing,
     with the id of the barrier leaf it crosses as payload.
 
     A crossing is a row of the barrier table whose x lies in the ray
     segment's x-span and whose y-span holds the ray's y.  The hook bisects
     to the segment's start and visits the rows nearest first; a row at the
-    start counts only past the ray's first segment.  A crossing at one of
-    `cones` (polygon -> chart points of the cone points) is left to the
-    trace, which stops there with the arrival corner: several barriers meet
-    at a cone.  A ray that is not horizontal is an inconsistency.
+    start counts only past the ray's first segment.  The ray runs east or
+    west at unit speed, so it stops at flow parameter tau0 + |x - ax|.  A
+    crossing at a cone point ties with the cone, which wins: the trace
+    stops there with the arrival corner, since several barriers meet at a
+    cone.  A ray that is not horizontal is an inconsistency.
     """
-    cones = cones or {}
-
     def stop(seg):
         ax, bx, y = seg.a.x, seg.b.x, seg.a.y
         if seg.b.y != y:
@@ -329,9 +331,7 @@ def _barrier_hook(barriers, cones=None):
             if x._cmp(bx) * sense > 0:
                 return None
             if y0._cmp(y) <= 0 <= y1._cmp(y):
-                if x == bx and seg.b in cones.get(seg.polygon, ()):
-                    return None
-                return (x - ax) / (bx - ax), leaf
+                return seg.tau0 + (x - ax if sense > 0 else ax - x), leaf
         return None
     return stop
 
@@ -383,8 +383,7 @@ def _west_banks(up, east, connections, vertex_leaves):
 
 def decompose(surface, direction, cap=None) -> Decomposition:
     """Cylinder decomposition of `direction`, or an undetermined report."""
-    dirc = canonical_direction(direction if isinstance(direction, Vec2)
-                               else Vec2(*direction))
+    dirc = canonical_direction(_as_vec(direction))
     frame = normalize_to_vertical(dirc)
     normalized = surface.transform(frame)
     run_cap = scalar(cap) if cap is not None else normalized.default_cap()
@@ -447,11 +446,7 @@ def decompose(surface, direction, cap=None) -> Decomposition:
 
     barriers = _barrier_table(normalized, [ev for _, ev in connections]
                               + [ev for _, ev in vertex_leaves], leaf_of)
-    cones = {}
-    for cls in normalized.singular_classes:
-        for p, k in normalized.vertex_classes[cls]:
-            cones.setdefault(p, []).append(normalized.polygons[p].vertex(k))
-    hook = _barrier_hook(barriers, cones)
+    hook = _barrier_hook(barriers)
 
     heights, east_of, corner_band = _west_banks(up, east, connections,
                                                 vertex_leaves)
@@ -479,7 +474,7 @@ def decompose(surface, direction, cap=None) -> Decomposition:
                 % (corner, ev.kind))
         index[band] = len(cylinders)
         cylinders.append(Cylinder(len(cylinders), ev.param, heights[band],
-                                  _point_on(ev, ev.param / 2)))
+                                  _point_on(east, ev, ev.param / 2)))
 
     total = scalar(0)
     for cyl in cylinders:
@@ -604,25 +599,29 @@ def twist_displacement(cyl: Cylinder, westd, n: int):
     return frac * cyl.height
 
 
+def _twisted(deco, polygon, npt, cyl, westd, n):
+    """(leaf displacement, (polygon, original-frame point)) of the n-fold
+    twist in `cyl` of the normalized-frame point `npt`, westd east of the
+    cylinder's west bank."""
+    delta = twist_displacement(cyl, westd, n)
+    if delta:
+        polygon, npt = advance(deco.normalized, polygon, npt,
+                               deco.flows["up"], delta)
+    return delta, (polygon, deco.frame.inverse() * npt)
+
+
 def dehn_twist_point(deco: Decomposition, polygon, point, n: int):
     """Image of an original-frame point under n twists in its own cylinder.
 
     The point must lie inside a cylinder of `deco` (not on a boundary leaf).
     Returns (polygon, point) in the original frame.
     """
-    pt = point if isinstance(point, Vec2) else Vec2(*point)
-    npt = deco.frame * pt
+    npt = deco.frame * _as_vec(point)
     pos = deco.locate_normalized(polygon, npt)
     if pos.state != "in":
         raise OnBoundaryPoint("cannot twist a point on a boundary leaf")
-    cyl = deco.cylinders[pos.cylinder]
-    delta = twist_displacement(cyl, pos.westd, n)
-    if not delta:
-        out = (polygon, npt)
-    else:
-        out = advance(deco.normalized, polygon, npt, deco.flows["up"], delta)
-    back = deco.frame.inverse()
-    return out[0], back * out[1]
+    return _twisted(deco, polygon, npt, deco.cylinders[pos.cylinder],
+                    pos.westd, n)[1]
 
 
 def twist_orbit(surface, mark, twist_direction, target_direction, n_samples,
@@ -666,17 +665,11 @@ def twist_orbit(surface, mark, twist_direction, target_direction, n_samples,
                                     "target cylinder")]
 
     npt = deco_c.frame * mp.at
-    back = deco_c.frame.inverse()
     samples = []
     for n in range(1, n_samples + 1):
-        delta = twist_displacement(cyl_c, pos_c.westd, n)
-        if not delta:
-            out = (mp.polygon, npt)
-        else:
-            out = advance(deco_c.normalized, mp.polygon, npt,
-                          deco_c.flows["up"], delta)
-        op, opt = out[0], back * out[1]
-        spot = deco_d.locate(op, opt)
+        delta, image = _twisted(deco_c, mp.polygon, npt, cyl_c, pos_c.westd,
+                                n)
+        spot = deco_d.locate(*image)
         if spot.state == "boundary":
             samples.append({"n": n, "position": delta, "state": "boundary",
                             "ratio": None})

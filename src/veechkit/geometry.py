@@ -75,6 +75,21 @@ def _vec(x: FieldScalar, y: FieldScalar) -> Vec2:
     return v
 
 
+def _as_vec(x) -> Vec2:
+    """`x` as a Vec2: a Vec2 as is, a pair of scalars coerced (a malformed
+    literal keeps `scalar`'s ValueError); InvalidParams for anything else."""
+    if isinstance(x, Vec2):
+        return x
+    try:
+        a, b = x
+    except (TypeError, ValueError):
+        a = b = None  # not a pair
+    try:
+        return Vec2(a, b)
+    except TypeError:
+        raise InvalidParams("%r is not a pair of scalars" % (x,)) from None
+
+
 def cross(u: Vec2, v: Vec2) -> FieldScalar:
     return _cross(u.x, v.y, u.y, v.x)
 

@@ -72,8 +72,8 @@ from __future__ import annotations
 from .errors import (FieldMismatch, InconsistentTopology, InvalidParams,
                      VeechkitError)
 from .field import FieldScalar, _compass, scalar
-from .geometry import (Mat2, Vec2, _locate, ccw_sector_contains, cross, parallel,
-                       same_ray)
+from .geometry import (Mat2, Vec2, _as_vec, _locate, ccw_sector_contains,
+                       cross, parallel, same_ray)
 
 Corner = tuple  # (polygon index, vertex index)
 
@@ -91,7 +91,7 @@ class Polygon:
     __slots__ = ("vertices", "n", "_edges", "_area2", "_bbox")
 
     def __init__(self, vertices):
-        vs = [v if isinstance(v, Vec2) else Vec2(*v) for v in vertices]
+        vs = [_as_vec(v) for v in vertices]
         self.vertices = vs
         self.n = n = len(vs)
         self._edges = [vs[(e + 1) % n] - vs[e] for e in range(n)]
@@ -167,8 +167,7 @@ class Surface:
             else:
                 poly, at = m[0], m[1]
                 label = m[2] if len(m) > 2 and m[2] is not None else "m%d" % i
-                marks.append((poly, at if isinstance(at, Vec2) else Vec2(*at),
-                              label))
+                marks.append((poly, _as_vec(at), label))
         clash = _mark_field_clash(self.field_d, marks)
         if clash:
             raise FieldMismatch(clash)
@@ -564,7 +563,7 @@ def _interned(polygons):
         if isinstance(p, Polygon):
             key = tuple(p.vertices)
         else:
-            key = tuple([v if isinstance(v, Vec2) else Vec2(*v) for v in p])
+            key = tuple([_as_vec(v) for v in p])
         first = seen.setdefault(key, len(out))  # hashes the key once
         if first < len(out):
             out.append(out[first])

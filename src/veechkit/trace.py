@@ -60,6 +60,10 @@ trace arriving there goes on.  A flow lives as long as its caller keeps it
 -- one trace, or one decomposition -- and is never stored on the surface.
 The candidate lists and the memo rely on each chart being a simple polygon,
 whose edges meet only at its vertices.
+Every stop -- a closing, a cone, a mark, a stop hook's tau -- is a flow
+parameter; at one tau a closing beats a cone, a cone a hook stop, and a hook
+stop a mark.  The segment is cut there at the point (u(a), s(a) + tau -
+tau0) of its leaf: on the axis flows one addition, no division.
 """
 
 from __future__ import annotations
@@ -71,8 +75,9 @@ from .errors import (AmbiguousStart, InconsistentTopology, InvalidParams,
                      TraceOverflow)
 from .field import (FieldScalar, _affine, _cross, _lin, _sort_key,
                     field_sqrt, scalar)
-from .geometry import (Vec2, _vec, canonical_direction, ccw_sector_contains,
-                       cross, dist2_point_segment, dot, polygon_contains)
+from .geometry import (Vec2, _as_vec, _vec, canonical_direction,
+                       ccw_sector_contains, cross, dist2_point_segment, dot,
+                       polygon_contains)
 from .surface import _SLIDE, _index, _sector_row
 
 _ZERO = FieldScalar.rational(0)
@@ -85,7 +90,7 @@ CAPPED = "CapExceeded"
 STOPPED = "Stopped"
 
 # tie-break rank at an equal parameter value
-_RANK = {CLOSED: 0, STOPPED: 1, SINGULAR: 2, MARKED: 3}
+_RANK = {CLOSED: 0, SINGULAR: 1, STOPPED: 2, MARKED: 3}
 
 
 class Segment:
@@ -105,11 +110,6 @@ class Segment:
         self.tau0 = tau0
         self.tau1 = tau1
         self.edge = edge  # the edge a slide segment runs along
-
-    def point_at(self, tau) -> Vec2:
-        span = self.tau1 - self.tau0
-        t = (tau - self.tau0) / span
-        return self.a + (self.b - self.a) * t
 
     def __repr__(self):
         return "Segment(p%d %s -> %s%s)" % (
@@ -168,16 +168,19 @@ def _turn(flow, corner, start=None):
                                % (corner, flow.v))
 
 
-def _checked_corner(surface, corner):
-    """`corner` as a (polygon, vertex) pair naming a vertex of `surface`;
-    InvalidParams when it names none."""
+def _checked_corner(surface, corner, name="corner"):
+    """`corner` as a (polygon, vertex) pair of ints naming a vertex of
+    `surface`, or any such pair when `surface` is None; InvalidParams,
+    calling it `name`, when it is not one."""
     try:
         p, k = corner
     except (TypeError, ValueError):
         p = k = None
-    if not (isinstance(p, int) and isinstance(k, int)
-            and 0 <= p < len(surface.polygons)
-            and 0 <= k < surface.polygons[p].n):
+    if not (isinstance(p, int) and isinstance(k, int)):
+        raise InvalidParams("%s must be a (polygon, vertex) pair of integers, "
+                            "not %r" % (name, corner))
+    if surface is not None and not (0 <= p < len(surface.polygons)
+                                    and 0 <= k < surface.polygons[p].n):
         raise InvalidParams("corner %r names no vertex of this surface"
                             % (corner,))
     return p, k
@@ -268,7 +271,7 @@ class _Flow:
     def __init__(self, surface, direction):
         if direction is None:
             raise InvalidParams("a flow needs a direction")
-        v = direction if isinstance(direction, Vec2) else Vec2(*direction)
+        v = _as_vec(direction)
         if v.is_zero():
             raise InvalidParams("direction must be nonzero")
         self.surface = surface
@@ -331,6 +334,12 @@ class _Flow:
                 start, -poly.edge(k - 1), self.v)
         return held
 
+    def point_on(self, seg, tau):
+        """The point of `seg`, a segment traced on this flow, at flow
+        parameter tau: on its leaf, tau - seg.tau0 past its start."""
+        a = seg.a
+        return self.point(self.across(a), self.along(a) + (tau - seg.tau0))
+
     def marks(self, p):
         rows = self._marks.get(p)
         if rows is None:
@@ -372,7 +381,7 @@ def _start_state(flow, polygon, point, corner):
     aliases: a separatrix returning to its cone is a saddle connection, not a
     closed loop.
     """
-    surface, v = flow.surface, flow.v
+    surface = flow.surface
     if corner is not None:
         corner = _checked_corner(surface, corner)
     if corner is not None and point is None:
@@ -384,7 +393,7 @@ def _start_state(flow, polygon, point, corner):
         raise InvalidParams("a trace starts at a polygon and a point, or at "
                             "a corner")
     else:
-        point = point if isinstance(point, Vec2) else Vec2(*point)
+        point = _as_vec(point)
         where, aliases = surface._point(
             polygon, point, "start point %s lies outside polygon %d")
     if where == "interior":
@@ -394,10 +403,10 @@ def _start_state(flow, polygon, point, corner):
         edge = surface.polygons[polygon].edge(e)
         p2, e2 = surface.partner[(polygon, e)]
         other = point + surface.translation[(polygon, e)]
-        side = cross(edge, v).sign()
+        side = flow.across(edge).sign()
         if side == 0:
             # parallel to the edge: slide, in the chart agreeing with v
-            if dot(v, edge).sign() > 0:
+            if flow.along(edge).sign() > 0:
                 return ("slide", polygon, e, point), aliases
             return ("slide", p2, e2, other), aliases
         if side < 0:  # pointing out of this chart: enter through the partner
@@ -417,8 +426,8 @@ def _start_state(flow, polygon, point, corner):
                             % (corner,))
     held = flow.sector(corner)
     if not held:
-        raise InvalidParams(
-            "direction %s does not leave through corner %s" % (v, corner))
+        raise InvalidParams("direction %s does not leave through corner %s"
+                            % (flow.v, corner))
     p, k = corner
     x = surface.polygons[p].vertex(k)
     if held == _SLIDE:
@@ -517,8 +526,11 @@ def trace(surface, polygon=None, point=None, direction=None, *, corner=None,
     through.  Terminal kinds: ClosedUp (back at the start point),
     HitSingularity, HitMarkedPoint (unless stop_at_marked is off), CapExceeded,
     or Stopped when the stop_on hook fires.  Hook: stop_on(segment) may return
-    (t_local, payload) to stop inside that segment.  A trace still unresolved
-    after max_steps segments raises TraceOverflow with the partial path.
+    (tau, payload) to stop at flow parameter tau, tau0 <= tau <= tau1 on that
+    segment.  At one tau a closing wins over the cone, which wins over the
+    hook: a hook stop exactly at a cone point ends in HitSingularity.  A
+    trace still unresolved after max_steps segments raises TraceOverflow
+    with the partial path.
     `direction` is a vector, or a _Flow on `surface` that several traces in
     one direction share.
     """
@@ -581,8 +593,7 @@ def trace(surface, polygon=None, point=None, direction=None, *, corner=None,
         if stop_on is not None:
             got = stop_on(seg)
             if got is not None:
-                tloc, payload = got
-                th = seg.tau0 + tloc * (seg.tau1 - seg.tau0)
+                th, payload = got
                 if th.sign() > 0:
                     hits.append((th, _RANK[STOPPED], STOPPED, payload))
         if arrive is not None and surface.is_singular_corner(arrive):
@@ -596,8 +607,8 @@ def trace(surface, polygon=None, point=None, direction=None, *, corner=None,
                     best = h
             th, _, kind, payload = best
             if th < seg.tau1:
-                seg = Segment(seg.polygon, seg.a, seg.point_at(th), seg.slide,
-                              seg.tau0, th, edge=seg.edge)
+                seg = Segment(seg.polygon, seg.a, flow.point_on(seg, th),
+                              seg.slide, seg.tau0, th, edge=seg.edge)
             segments.append(seg)
             if kind == CLOSED:
                 return finish(CLOSED, th)
@@ -669,25 +680,20 @@ def advance(surface, polygon, point, direction, delta, *, corner=None):
     """The chart point reached after flowing exactly delta in parameter.
 
     Used to step along a leaf by a known amount; delta must be positive and
-    the flow must not meet a cone point strictly earlier.
+    the flow must not meet a cone point strictly earlier.  A step that ends
+    exactly at a cone point returns that point.
     """
     delta = scalar(delta)
     if delta.sign() <= 0:
         raise InvalidParams("advance needs a positive parameter step")
 
     def stop(seg):
-        if seg.tau1 >= delta:
-            span = seg.tau1 - seg.tau0
-            return ((delta - seg.tau0) / span, None)
-        return None
+        return (delta, None) if seg.tau1 >= delta else None
 
     ev = trace(surface, polygon, point, direction, corner=corner,
                stop_at_marked=False, stop_on=stop, detect_closure=False,
                cap=None)
-    if ev.kind == SINGULAR and ev.param == delta:
-        seg = ev.segments[-1]
-        return seg.polygon, seg.b
-    if ev.kind != STOPPED:
+    if ev.kind not in (STOPPED, SINGULAR) or ev.param != delta:
         raise InconsistentTopology(
             "flow ended with %s before reaching the requested step" % ev.kind)
     seg = ev.segments[-1]

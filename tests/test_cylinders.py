@@ -131,6 +131,12 @@ def _key(deco, cyl):
     return _leaf_key(leaf.segments)
 
 
+def _interpolated(seg, tau):
+    """The point of `seg` at flow parameter tau, by linear interpolation
+    between its ends."""
+    return seg.a + (seg.b - seg.a) * ((tau - seg.tau0) / (seg.tau1 - seg.tau0))
+
+
 def _reference_banks(deco):
     """Banks by their definition: from the middle of each barrier leaf's
     first segment, cross the band east (west) to the next barrier, close up
@@ -140,11 +146,11 @@ def _reference_banks(deco):
         _, rows = deco.barriers.get(seg.polygon, ((), ()))
         for x, y0, y1, _ in rows:
             got = segments_intersect(seg.a, seg.b, Vec2(x, y0), Vec2(x, y1))
-            if got is None or (seg.tau0 + got[0] * (seg.tau1 - seg.tau0)
-                               ).sign() <= 0:
+            if got is None:
                 continue
-            if best is None or got[0] < best:
-                best = got[0]
+            tau = seg.tau0 + got[0] * (seg.tau1 - seg.tau0)
+            if tau.sign() > 0 and (best is None or tau < best):
+                best = tau
         return None if best is None else (best, None)
 
     by_key = {_key(deco, cyl): cyl.index for cyl in deco.cylinders}
@@ -154,7 +160,7 @@ def _reference_banks(deco):
               + [ev for _, ev in deco.vertex_leaves])
     for bid, ev in enumerate(events):
         seg = ev.segments[0]
-        q = seg.point_at((seg.tau0 + seg.tau1) / 2)
+        q = _interpolated(seg, (seg.tau0 + seg.tau1) / 2)
         for direction, banks in ((Vec2(1, 0), west), (Vec2(-1, 0), east)):
             ray = trace(deco.normalized, seg.polygon, q, direction,
                         stop_at_marked=False, detect_closure=False,
@@ -262,14 +268,12 @@ def test_barrier_hook_refuses_slanted_segments():
     table = {0: ([half], [(half, scalar(0), scalar(1), 7)])}
     across = Segment(0, Vec2(0, half), Vec2(1, half), False,
                      scalar(0), scalar(1))
-    # the payload is the id of the barrier leaf the ray crosses
+    # the hook stops at a flow parameter, with the id of the barrier leaf
+    # the ray crosses as payload
     assert _barrier_hook(table)(across) == (half, 7)
-    # a crossing at a cone point is left to the trace
-    to_cone = Segment(0, Vec2(0, half), Vec2(half, half), False,
-                      scalar(0), half)
-    assert _barrier_hook(table)(to_cone) == (scalar(1), 7)
-    assert _barrier_hook(table, cones={0: [Vec2(half, half)]})(
-        to_cone) is None
+    westward = Segment(0, Vec2(1, half), Vec2(0, half), False,
+                       scalar(2), scalar(3))
+    assert _barrier_hook(table)(westward) == (scalar(2) + half, 7)
     slanted_ray = Segment(0, Vec2(0, 0), Vec2(1, 1), False,
                           scalar(0), scalar(1))
     with pytest.raises(InconsistentTopology):
@@ -288,12 +292,27 @@ def test_barrier_hook_refuses_slanted_segments():
               detect_closure=False, stop_on=_barrier_hook(deco.barriers))
 
 
+def test_a_barrier_crossing_at_a_cone_point_reports_the_cone():
+    # vertical on cross(1, 1) the normalized frame is the chart itself; the
+    # width ray from corner (0, 11) crosses the barrier leaf through the
+    # cone point (2, 1) at its end: the hook stops there, and the cone wins
+    # the tie, reporting the corner the ray arrives at
+    deco = decompose(Surface.cross(1, 1), Vec2(0, 1))
+    hook = _barrier_hook(deco.barriers)
+    ev = trace(deco.normalized, corner=(0, 11), direction=Vec2(1, 0),
+               stop_at_marked=False, detect_closure=False, stop_on=hook)
+    assert ev.segments[-1].b == Vec2(2, 1)
+    assert hook(ev.segments[-1]) == (scalar(1), 0)
+    assert (ev.kind, ev.param, ev.corner, ev.payload) == (
+        SINGULAR, scalar(1), (0, 2), None)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 4),
                           st.integers(0, 2), st.integers(0, 3)), max_size=12),
        st.integers(0, 6), st.integers(0, 6), st.integers(0, 6),
-       st.booleans(), st.booleans())
-def test_barrier_hook_visits_rows_nearest_first(raw, ax, bx, y, later, cone):
+       st.booleans())
+def test_barrier_hook_visits_rows_nearest_first(raw, ax, bx, y, later):
     # rows (x, y_low, y_high, leaf) on a small grid, so that crossings tie,
     # touch the rows' ends and sit at both ends of the ray
     if ax == bx:
@@ -304,22 +323,17 @@ def test_barrier_hook_visits_rows_nearest_first(raw, ax, bx, y, later, cone):
     tau0 = scalar(1 if later else 0)
     seg = Segment(0, Vec2(ax, y), Vec2(bx, y), False, tau0,
                   tau0 + abs(bx - ax))
-    cones = {0: [Vec2(bx, y)]} if cone else None
     # brute force: every row the ray crosses, past its start on a first
     # segment, the nearest first
     hits = [(abs(x - ax), x, leaf) for x, y0, y1, leaf in rows
             if y0 <= y <= y1 and min(ax, bx) <= x <= max(ax, bx)
             and (later or x != ax)]
-    got = _barrier_hook(table, cones)(seg)
+    got = _barrier_hook(table)(seg)
     if not hits:
         assert got is None
         return
     near = min(hits)[0]
-    x = next(x for d, x, _ in hits if d == near)
-    if cone and x == bx:
-        assert got is None
-        return
-    assert got[0] == scalar(near) / abs(bx - ax)
+    assert got[0] == tau0 + near
     assert got[1] in {leaf for d, _, leaf in hits if d == near}
 
 
@@ -410,7 +424,10 @@ def _reference_hook(barriers, vertices):
                 best = x
         if best is None and seg.b in vertices.get(seg.polygon, ()):
             best = bx
-        return None if best is None else ((best - ax) / (bx - ax), None)
+        if best is None:
+            return None
+        return (seg.tau0 + (best - ax) / (bx - ax) * (seg.tau1 - seg.tau0),
+                None)
     return stop
 
 
@@ -479,7 +496,7 @@ def reference_decompose(surface, direction, cap=None):
 
     def point_on(ev, tau):
         seg = next(g for g in ev.segments if g.tau0 <= tau <= g.tau1)
-        return seg.polygon, seg.point_at(tau)
+        return seg.polygon, _interpolated(seg, tau)
 
     def cylinder_at(aliases):
         for index, (_, _, midline, _) in enumerate(cylinders):
@@ -520,7 +537,7 @@ def reference_decompose(surface, direction, cap=None):
     banks = {i: ([], []) for i in range(len(cylinders))}
     for bid, ev in enumerate(leaves):
         seg = ev.segments[0]
-        q = seg.point_at((seg.tau0 + seg.tau1) / 2)
+        q = _interpolated(seg, (seg.tau0 + seg.tau1) / 2)
         for v, side in ((east, 0), (west, 1)):
             r = ray(v, seg.polygon, q)
             index = cylinder_at(s.point_aliases(*point_on(r, r.param / 2)))

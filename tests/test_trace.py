@@ -21,10 +21,10 @@ from veechkit.errors import (AmbiguousStart, FieldMismatch,
                              TraceOverflow, VeechkitError, ZeroInput)
 from veechkit.field import FieldScalar, _affine, scalar
 from veechkit.geometry import (Mat2, Vec2, ccw_sector_contains, cross,
-                               same_ray)
+                               same_ray, segment_point)
 from veechkit.surface import _HOLD, _MISS, _SLIDE, Surface, _sector_row
-from veechkit.trace import (CAPPED, CLOSED, MARKED, SINGULAR, _exit_solve,
-                            _Flow, _start_state, _Table, advance,
+from veechkit.trace import (CAPPED, CLOSED, MARKED, SINGULAR, STOPPED,
+                            _exit_solve, _Flow, _start_state, _Table, advance,
                             departing_corners, is_connection_point_up_to,
                             saddle_connections, separatrices, trace)
 
@@ -114,6 +114,37 @@ def test_advance():
     assert (p, pt) == (0, Vec2(Fraction(1, 2), Fraction(3, 4)))
     with pytest.raises(InvalidParams):
         advance(t, 0, Vec2(Fraction(1, 2), Fraction(1, 4)), Vec2(0, 1), 0)
+
+
+def test_a_hook_stop_at_a_cone_point_reports_the_cone():
+    # a stop_on hook returns a flow parameter; a stop exactly where the
+    # trace reaches a cone point ties with the cone, which wins and reports
+    # its arrival corner
+    c = Surface.cross(1, 1)
+    start, v = _v(F(3, 2), F(1, 2)), Vec2(1, 1)
+    plain = trace(c, 0, start, v, stop_at_marked=False)
+    assert plain.kind == SINGULAR and plain.segments[-1].b == Vec2(2, 1)
+
+    def stop_at(tau):
+        return lambda seg: (tau, "hook") if seg.tau1 >= tau else None
+
+    at_cone = trace(c, 0, start, v, stop_at_marked=False,
+                    stop_on=stop_at(plain.param))
+    assert (at_cone.kind, at_cone.param, at_cone.corner, at_cone.payload) == (
+        SINGULAR, plain.param, plain.corner, None)
+    assert at_cone.path == plain.path
+    # short of the cone the hook wins, and its segment is cut there
+    short = trace(c, 0, start, v, stop_at_marked=False,
+                  stop_on=stop_at(plain.param / 2))
+    assert (short.kind, short.param, short.payload) == (
+        STOPPED, plain.param / 2, "hook")
+    assert short.segments[-1].b == _v(F(7, 4), F(3, 4))
+    # advance takes either ending at exactly its step
+    assert advance(c, 0, start, v, plain.param) == (0, Vec2(2, 1))
+    assert advance(c, 0, start, v, plain.param / 2) == (0, _v(F(7, 4),
+                                                              F(3, 4)))
+    with pytest.raises(InconsistentTopology):
+        advance(c, 0, start, v, plain.param * 2)
 
 
 # ---------------------------------------------------------------------------
@@ -414,6 +445,37 @@ def assert_warm_exits_match_the_reference(image, slant):
                 assert (seg.tau1 - seg.tau0, seg.b) == (t, y)
 
 
+@settings(max_examples=30, deadline=None)
+@given(marked_surfaces(), positive_matrices(), st.sampled_from(SLANTS),
+       st.integers(1, 63))
+def test_advance_lands_where_its_segment_interpolates(surf, mat, slant, k):
+    # off the axes, advance cuts its last segment through the flow's
+    # coordinates, flow.point(u(a), s(a) + delta - tau0); the oracle
+    # interpolates linearly between the segment's ends, and segment_point
+    # must put the point on that segment
+    try:
+        image = surf.transform(mat)
+    except FieldMismatch:
+        return
+    flow = _Flow(image, slant)
+    poly = image.polygons[0]
+    starts = [(0, poly.vertex(0) + poly.edge(0) * F(1, 2))]
+    starts += [(mp.polygon, mp.at) for mp in image.marked]
+    for p, pt in starts:
+        try:
+            segments = trace(image, p, pt, flow, stop_at_marked=False,
+                             detect_closure=False, cap=image.default_cap() / 8,
+                             max_steps=50).segments
+        except TraceOverflow as exc:
+            segments = exc.segments
+        delta = segments[-1].tau1 * F(k, 64)
+        seg = next(s for s in segments if s.tau1 >= delta)
+        want = seg.a + (seg.b - seg.a) * ((delta - seg.tau0)
+                                          / (seg.tau1 - seg.tau0))
+        assert advance(image, p, pt, flow, delta) == (seg.polygon, want)
+        assert segment_point(seg.a, seg.b, want) is not None
+
+
 def assert_corners_match_the_reference(surf, direction):
     flow = _Flow(surf, direction)
     v = flow.v
@@ -637,6 +699,28 @@ def test_a_start_point_may_be_a_pair():
         trace(c, 0, point, (1, 2)))
     assert advance(c, 0, pair, (1, 2), F(1, 3)) == advance(
         c, 0, point, (1, 2), F(1, 3))
+
+
+@pytest.mark.parametrize("call", [
+    lambda c: trace(c, 0, (1,), (0, 1)),
+    lambda c: trace(c, 0, (F(3, 2), F(1, 2)), (0, 1, 2)),
+    lambda c: trace(c, 0, (F(3, 2), None), (0, 1)),
+    lambda c: advance(c, 0, 5, (0, 1), 1),
+    lambda c: decompose(c, (0, 1, 2)),
+    lambda c: decompose(c, (0, 1)).locate(0, (1,)),
+    lambda c: census(c, [(0, 1, 2)]),
+    lambda c: cusp_invariant(c, (1,)),
+    lambda c: dehn_twist_point(decompose(c, (0, 1)), 0, (1,), 1),
+    lambda c: Slit(polygon=0, start=(1,), direction=(1, 1), end=(1, 1)),
+    lambda c: Slit(polygon=0, start=(1, 1), direction=(1, 1), end=(1,)),
+    lambda c: Surface.cross(1, 1, marked=[(0, (1,), "q")]),
+    lambda c: Surface([[(0, 0), (1, 0), (1, 1), (0,)]], []),
+], ids=["trace-point", "trace-direction", "trace-none", "advance-point",
+        "decompose", "locate", "census", "cusp-invariant", "dehn-twist",
+        "slit-start", "slit-end", "mark", "vertex"])
+def test_a_vector_that_is_not_a_pair_of_scalars_is_refused(call):
+    with pytest.raises(InvalidParams, match="is not a pair of scalars"):
+        call(Surface.cross(1, 1))
 
 
 def test_a_trace_without_a_start_is_refused():
