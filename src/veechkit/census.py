@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 
 from .cylinders import classify_direction
-from .errors import NoConnections, NotComplete, VeechkitError
+from .errors import NoConnections, NotComplete, VeechkitError, ZeroInput
 from .geometry import _as_vec, boundary_point, canonical_direction, cross, dot
 from .linear import is_parabolic_fixing
 # saddle_connections is not called here, but perfbench's tracer test checks
@@ -47,10 +47,6 @@ class CuspInvariant:
         if not isinstance(other, CuspInvariant):
             return NotImplemented
         return self.ratios == other.ratios
-
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
 
     def __hash__(self):
         return hash(tuple(self.ratios))
@@ -113,8 +109,8 @@ def fat_sequence(surface, theta, phi, seed_direction, n, cap=None):
     back = phi.inverse()
     steps = []
     v = _as_vec(seed_direction)
-    if not v.x and not v.y:
-        raise VeechkitError("seed direction must be nonzero")
+    if v.is_zero():
+        raise ZeroInput("seed direction must be nonzero")
     for k in range(1, n + 1):
         v = back * v
         dirc = canonical_direction(v)

@@ -22,8 +22,8 @@ from .covers import (CoverSpec, Slit, build_cover, cyclic_slit_cover,
 from .cylinders import (classify_direction, decompose, torus_signature,
                         twist_orbit)
 from .errors import InvalidParams, VeechkitError
-from .field import FieldScalar, parse_scalar, scalar
-from .geometry import Mat2, Vec2
+from .field import FieldScalar, scalar
+from .geometry import Mat2, Vec2, _as_vec
 from .surface import Surface
 from .svg import decomposition_svg, gallery_svg
 
@@ -55,19 +55,12 @@ def _emit(path, text):
         sys.stdout.write(text)
 
 
-def _parse_vec(text) -> Vec2:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise InvalidParams("expected 'p,q', got %r" % text)
-    return Vec2(parse_scalar(parts[0].strip()), parse_scalar(parts[1].strip()))
-
-
 def _parse_mat(text) -> Mat2:
-    parts = [p.strip() for p in text.split(",")]
+    parts = text.split(",")
     if len(parts) != 4:
         raise InvalidParams("expected four row-major entries 'a,b,c,d', got %r"
                             % text)
-    return Mat2(*(parse_scalar(p) for p in parts))
+    return Mat2(*parts)
 
 
 def _load_json(path):
@@ -109,8 +102,7 @@ def _cmd_build(args):
         if len(parts) not in (3, 4):
             raise InvalidParams("--mark wants POLY,X,Y[,LABEL], got %r" % spec)
         label = parts[3] if len(parts) == 4 else None
-        marked.append((int(parts[0]),
-                       (parse_scalar(parts[1]), parse_scalar(parts[2])), label))
+        marked.append((int(parts[0]), parts[1:3], label))
     if preset == "square-torus":
         surf = Surface.square_torus(marked=marked)
     elif preset == "cross":
@@ -145,13 +137,12 @@ def _cmd_info(args):
 
 
 def _cap_of(args):
-    return parse_scalar(args.cap) if args.cap else None
+    return None if args.cap is None else scalar(args.cap)
 
 
 def _cmd_decompose(args):
     surf = _load_surface(args.surface)
-    direction = _parse_vec(args.dir)
-    deco = decompose(surf, direction, cap=_cap_of(args))
+    deco = decompose(surf, args.dir.split(","), cap=_cap_of(args))
     sig = torus_signature(deco) if deco.complete else None
     rows = []
     for cyl in deco.cylinders:
@@ -190,8 +181,7 @@ def _cmd_decompose(args):
 
 def _cmd_classify(args):
     surf = _load_surface(args.surface)
-    cls = classify_direction(surf, _parse_vec(args.dir),
-                             cap=_cap_of(args))
+    cls = classify_direction(surf, args.dir.split(","), cap=_cap_of(args))
     if cls.kind == "Parabolic":
         print("Parabolic s'=%s" % cls.s_prime)
     elif cls.kind == "Fat":
@@ -209,15 +199,14 @@ def _cmd_twist_orbit(args):
     if args.mark is not None:
         mark = args.mark
     elif args.point is not None:
-        at = _parse_vec(args.point)
         marks = [(m.polygon, m.at, m.label) for m in surf.marked]
-        marks.append((args.polygon, at, None))
+        marks.append((args.polygon, args.point.split(","), None))
         surf = surf.with_marks(marks)
         mark = len(marks) - 1
     else:
         raise InvalidParams("need --point or --mark")
     report, samples = twist_orbit(
-        surf, mark, _parse_vec(args.twist_dir), _parse_vec(args.target_dir),
+        surf, mark, args.twist_dir.split(","), args.target_dir.split(","),
         args.n, target_cylinder=args.target_cylinder,
         cap=_cap_of(args))
     landed = [s for s in samples if s["state"] == "ratio"]
@@ -278,23 +267,15 @@ def _cmd_cover(args):
     return 0
 
 
-def _parse_seed_entry(entry) -> Vec2:
-    if not (isinstance(entry, (list, tuple)) and len(entry) == 2):
-        raise InvalidParams("census seed %r is not a direction pair" % (entry,))
-    comps = []
-    for v in entry:
-        if isinstance(v, bool) or isinstance(v, float):
-            raise InvalidParams("census seeds must be exact (int or string)")
-        comps.append(parse_scalar(v) if isinstance(v, str) else scalar(v))
-    return Vec2(*comps)
-
-
 def _cmd_census(args):
     surf = _load_surface(args.surface)
     obj = _load_json(args.seeds)
     if isinstance(obj, dict):
         obj = obj.get("directions", [])
-    directions = [_parse_seed_entry(e) for e in obj]
+    if not isinstance(obj, list):
+        raise InvalidParams("census seeds are a list of directions, not %r"
+                            % (obj,))
+    directions = [_as_vec(e) for e in obj]
     cap = _cap_of(args)
     reports = census(surf, directions, cap=cap)
     for rep in reports:
@@ -335,8 +316,8 @@ def _cmd_census(args):
 
 def _cmd_fat_seq(args):
     surf = _load_surface(args.surface)
-    steps = fat_sequence(surf, _parse_vec(args.theta), _parse_mat(args.twist),
-                         _parse_vec(args.seed), args.n,
+    steps = fat_sequence(surf, args.theta.split(","), _parse_mat(args.twist),
+                         args.seed.split(","), args.n,
                          cap=_cap_of(args))
     for st in steps:
         print("n=%d dir=%s %s%s gap=%s"
@@ -352,8 +333,7 @@ def _cmd_fat_seq(args):
 
 def _cmd_render(args):
     surf = _load_surface(args.surface)
-    direction = _parse_vec(args.dir)
-    deco = decompose(surf, direction, cap=_cap_of(args))
+    deco = decompose(surf, args.dir.split(","), cap=_cap_of(args))
     _atomic_write(args.svg, decomposition_svg(
         deco, label="dir %s: %s" % (_dir_str(deco.direction), deco.status)))
     print("wrote %s" % args.svg)

@@ -53,15 +53,17 @@ _HASH_MODULUS = sys.hash_info.modulus
 _HASH_INF = sys.hash_info.inf
 
 
-def _check_squarefree(d: int) -> None:
+def _check_squarefree(d) -> None:
+    """InvalidParams unless d is an int (not a bool), squarefree and >= 2."""
+    if type(d) is not int or d < 2:
+        raise InvalidParams("field tag must be 0 or a squarefree integer "
+                            ">= 2, not %r" % (d,))
     if d in _squarefree_ok:
         return
-    if d < 2:
-        raise ValueError("field tag must be 0 or a squarefree integer >= 2")
     n, p = d, 2
     while p * p <= n:
         if n % (p * p) == 0:
-            raise ValueError("field tag %d is not squarefree" % d)
+            raise InvalidParams("field tag %d is not squarefree" % d)
         if n % p == 0:
             n //= p
         p += 1
@@ -255,21 +257,23 @@ class FieldScalar:
     __slots__ = ("_t",)
 
     def __init__(self, a, b=0, d=0):
-        a = a if isinstance(a, Fraction) else Fraction(a)
-        b = b if isinstance(b, Fraction) else Fraction(b)
-        if d == 1:  # sqrt(1) folds into the rational part
-            a, b, d = a + b, Fraction(0), 0
-        if not b:
+        """a + b*sqrt(d) for a, b each an int, a Fraction or an 'n/q' string
+        and an int tag d (squarefree, or 1, when b != 0)."""
+        na, qa = _ratio(a)
+        nb, qb = _ratio(b)
+        if type(d) is not int:
+            raise InvalidParams("a field tag is an int, not %r" % (d,))
+        if not nb:
             d = 0
-        if d == 0:
-            if b:
-                raise ValueError("rational scalar cannot carry a radical part")
+        elif d == 1:  # sqrt(1) folds into the rational part
+            na, nb, qa, d = na * qb + nb * qa, 0, qa * qb, 0
+        elif not d:
+            raise InvalidParams("rational scalar cannot carry a radical part")
         else:
             _check_squarefree(d)
-        # over q = lcm of the reduced denominators, gcd(n, m, q) is already 1
-        qa, qb = a.denominator, b.denominator
-        q = qa * qb // gcd(qa, qb)
-        _set(self, (a.numerator * (q // qa), b.numerator * (q // qb), q, d))
+        n, m, q = na * qb, nb * qa, qa * qb
+        g = gcd(n, m, q)
+        _set(self, (n // g, m // g, q // g, d))
 
     def __setattr__(self, *_):
         raise AttributeError("FieldScalar is immutable")
@@ -278,8 +282,11 @@ class FieldScalar:
 
     @classmethod
     def rational(cls, x) -> "FieldScalar":
-        if not isinstance(x, (int, Fraction)):
-            x = Fraction(x)
+        """The scalar of an int (not a bool) or a Fraction."""
+        if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
+            raise InvalidParams("%r is not an exact scalar: write an int, a "
+                                "literal string or an {a, b, d} object"
+                                % (x,))
         s = _new(cls)
         _set(s, _parts(x))
         return s
@@ -496,12 +503,12 @@ class FieldScalar:
 
     @classmethod
     def from_json(cls, obj) -> "FieldScalar":
-        if isinstance(obj, dict):
-            return cls(Fraction(obj["a"]), Fraction(obj.get("b", 0)), int(obj.get("d", 0)))
-        if isinstance(obj, str):
-            return parse_scalar(obj)
-        raise InvalidParams("a scalar is written as an {a, b, d} object or a "
-                            "string, not %r" % (obj,))
+        """`scalar` of an {a, b, d} object or a literal string; a bare JSON
+        number is refused, so no float becomes a coordinate."""
+        if not isinstance(obj, (dict, str)):
+            raise InvalidParams("a scalar is written as an {a, b, d} object "
+                                "or a string, not %r" % (obj,))
+        return scalar(obj)
 
 
 _set = FieldScalar._t.__set__
@@ -529,12 +536,33 @@ def _divide(t1, t2) -> FieldScalar:
 
 
 def scalar(x) -> FieldScalar:
-    """Coerce ints, Fractions, literal strings or scalars to FieldScalar."""
+    """The one reader of an exact value: a FieldScalar as is, an int (not a
+    bool), a Fraction, a literal string (`parse_scalar`) or the {a, b, d}
+    object `to_json` writes (b and d optional).  InvalidParams for anything
+    else, floats and None included."""
     if isinstance(x, FieldScalar):
         return x
     if isinstance(x, str):
         return parse_scalar(x)
+    if isinstance(x, dict) and "a" in x and x.keys() <= {"a", "b", "d"}:
+        return FieldScalar(x["a"], x.get("b", 0), x.get("d", 0))
     return FieldScalar.rational(x)
+
+
+def _ratio(x) -> tuple[int, int]:
+    """(n, q) with x == n/q and q > 0, for an int (not a bool), a Fraction,
+    or an 'n' or 'n/q' string split at '/' (no regex); else InvalidParams."""
+    if isinstance(x, str):
+        n, slash, q = x.partition("/")
+        try:
+            n, q = int(n), int(q) if slash else 1
+        except ValueError:
+            q = 0
+        if q > 0:
+            return n, q
+    elif isinstance(x, (int, Fraction)) and not isinstance(x, bool):
+        return x.numerator, x.denominator
+    raise InvalidParams("%r is not a rational n or n/q with q > 0" % (x,))
 
 
 _TERM_RE = re.compile(
@@ -544,37 +572,27 @@ _TERM_RE = re.compile(
 
 
 def parse_scalar(text: str) -> FieldScalar:
-    """Parse literals like '3/2', 'sqrt(5)', '1/2+1/2*sqrt(5)', '(1+sqrt(5))/2'."""
-    s = text.strip()
-    m = re.match(r"^\((?P<body>.*)\)\s*/\s*(?P<den>\d+)$", s)
-    if m:
-        return parse_scalar(m.group("body")) / int(m.group("den"))
-    # split into signed terms at top level
-    terms, buf, depth = [], "", 0
-    for i, ch in enumerate(s):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch in "+-" and depth == 0 and i > 0 and s[i - 1] not in "*/+-(":
-            terms.append(buf)
-            buf = ch
-        else:
-            buf += ch
-    terms.append(buf)
+    """The scalar of a literal such as '3/2', 'sqrt(5)', '1/2+1/2*sqrt(5)'
+    or '(1+sqrt(5))/2'; InvalidParams for a malformed literal, a zero
+    denominator or a radicand that is not squarefree, 0 or 1."""
+    if not isinstance(text, str):
+        raise InvalidParams("cannot parse scalar literal %r" % (text,))
+    s, den = text.strip(), 1
+    # '(body)/n', peeled in a loop, not a recursion, however deep it nests
+    while m := re.match(r"^\((?P<body>.*)\)\s*/\s*(?P<den>\d+)$", s):
+        s, den = m.group("body").strip(), den * int(m.group("den"))
+    if not den:
+        raise InvalidParams("zero denominator in scalar literal %r" % text)
     total = FieldScalar.rational(0)
-    for term in terms:
+    # signed terms: split before each + or - that follows an operand
+    for term in re.split(r"(?<=[^-+*/(])(?=[-+])", s):
         m = _TERM_RE.match(term)
-        if not m or (m.group("coef") is None and m.group("rad") is None):
-            raise ValueError("cannot parse scalar literal %r" % text)
-        coef = Fraction(m.group("coef")) if m.group("coef") else Fraction(1)
-        if m.group("sign") == "-":
-            coef = -coef
-        if m.group("rad") is not None:
-            total = total + FieldScalar.sqrt_of(int(m.group("rad"))) * coef
-        else:
-            total = total + FieldScalar.rational(coef)
-    return total
+        if not m or m.group("coef", "rad") == (None, None):
+            raise InvalidParams("cannot parse scalar literal %r" % text)
+        sign, coef, rad = m.group("sign", "coef", "rad")
+        c = FieldScalar(sign + (coef or "1"))
+        total += c if rad is None else c * FieldScalar.sqrt_of(int(rad))
+    return total / den
 
 
 def field_sqrt(x: FieldScalar, ambient_d: int = 0):

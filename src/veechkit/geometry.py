@@ -64,7 +64,8 @@ class Vec2:
         if not (isinstance(obj, list) and len(obj) == 2):
             raise InvalidParams("a vector is written as a two-element list, "
                                 "not %r" % (obj,))
-        return cls(FieldScalar.from_json(obj[0]), FieldScalar.from_json(obj[1]))
+        return _vec(FieldScalar.from_json(obj[0]),
+                    FieldScalar.from_json(obj[1]))
 
 
 def _vec(x: FieldScalar, y: FieldScalar) -> Vec2:
@@ -76,18 +77,21 @@ def _vec(x: FieldScalar, y: FieldScalar) -> Vec2:
 
 
 def _as_vec(x) -> Vec2:
-    """`x` as a Vec2: a Vec2 as is, a pair of scalars coerced (a malformed
-    literal keeps `scalar`'s ValueError); InvalidParams for anything else."""
+    """`x` as a Vec2: a Vec2 as is, or a tuple or a list of two values, each
+    read by `scalar`.  InvalidParams for anything else; a malformed literal
+    keeps the message `scalar` gives it."""
     if isinstance(x, Vec2):
         return x
-    try:
+    if isinstance(x, (tuple, list)) and len(x) == 2:
         a, b = x
-    except (TypeError, ValueError):
-        a = b = None  # not a pair
-    try:
-        return Vec2(a, b)
-    except TypeError:
-        raise InvalidParams("%r is not a pair of scalars" % (x,)) from None
+        try:
+            return _vec(scalar(a), scalar(b))
+        except InvalidParams as exc:
+            if isinstance(a, str) or isinstance(b, str):
+                raise
+            raise InvalidParams("%r is not a pair of scalars: %s"
+                                % (x, exc)) from None
+    raise InvalidParams("%r is not a pair of scalars" % (x,))
 
 
 def cross(u: Vec2, v: Vec2) -> FieldScalar:
@@ -313,15 +317,6 @@ class Mat2:
             m = m * m
             n >>= 1
         return out
-
-    def to_json(self):
-        return [[self.a.to_json(), self.b.to_json()],
-                [self.c.to_json(), self.d.to_json()]]
-
-    @classmethod
-    def from_json(cls, rows):
-        return cls(FieldScalar.from_json(rows[0][0]), FieldScalar.from_json(rows[0][1]),
-                   FieldScalar.from_json(rows[1][0]), FieldScalar.from_json(rows[1][1]))
 
 
 def _mat(a: FieldScalar, b: FieldScalar, c: FieldScalar,

@@ -71,7 +71,7 @@ from __future__ import annotations
 
 from .errors import (FieldMismatch, InconsistentTopology, InvalidParams,
                      VeechkitError)
-from .field import FieldScalar, _compass, scalar
+from .field import FieldScalar, _check_squarefree, _compass, scalar
 from .geometry import (Mat2, Vec2, _as_vec, _locate, ccw_sector_contains,
                        cross, parallel, same_ray)
 
@@ -440,7 +440,10 @@ class Surface:
     @classmethod
     def from_json(cls, obj) -> "Surface":
         try:
-            field_d = int(obj.get("field", {}).get("d", 0)) or None
+            field_d = obj.get("field", {}).get("d", 0)
+            if type(field_d) is not int or field_d:
+                _check_squarefree(field_d)
+            field_d = field_d or None
             polys = [[Vec2.from_json(v) for v in poly["vertices"]]
                      for poly in obj["polygons"]]
             gluings = obj["gluings"]

@@ -161,7 +161,7 @@ ROOT2 = FieldScalar(0, 1, 2)
 BROKEN = [
     (([[(0, 0), (1, 0), (1, 1), (0, "x")]], SQ_GLUE),
      ["BadPolygon: cannot parse scalar literal 'x'"],
-     ValueError, "cannot parse scalar literal 'x'"),
+     InvalidParams, "cannot parse scalar literal 'x'"),
     (([], []), ["Empty: need at least one polygon"],
      InvalidParams, "need at least one polygon"),
     (([[(0, 0), (1, 0)]], [((0, 0), (0, 1))]),
@@ -550,7 +550,7 @@ def positive_matrices(draw):
                                   "shear")))
     if extra:
         lam = draw(st.sampled_from(SCALES))
-        mat = {"unimodular": Mat2(lam, 0, 0, 1 / lam),
+        mat = {"unimodular": Mat2(lam, 0, 0, Fraction(1) / lam),
                "stretch": Mat2(lam, 0, 0, 1),
                "shear": Mat2(1, lam, 0, 1)}[extra] * mat
     return mat
