@@ -410,13 +410,13 @@ def _chart_chords(base, resolved, flow):
         first, last = rs.runs[0], rs.runs[-1]
         if not first.slide and \
                 base.polygons[first.polygon].locate(first.a) == "interior":
-            t, y, _, _ = _exit_solve(base, first.polygon, first.a,
-                                     flow(-rs.direction))
+            y = _exit_solve(base, first.polygon, first.a,
+                            flow(-rs.direction))[1]
             raw.append((first.polygon, y, first.a, None))
         if not last.slide and \
                 base.polygons[last.polygon].locate(last.b) == "interior":
-            t, y, _, _ = _exit_solve(base, last.polygon, last.b,
-                                     flow(rs.direction))
+            y = _exit_solve(base, last.polygon, last.b,
+                            flow(rs.direction))[1]
             raw.append((last.polygon, last.b, y, None))
 
     groups = {}

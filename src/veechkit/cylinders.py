@@ -3,7 +3,9 @@
 Everything happens in the normalized frame: the direction is mapped to the
 vertical by a determinant-one matrix, so closed leaves run straight up and
 transverse measurements run straight east.  Widths, heights and ratios are
-reported in that frame; ratios and moduli are frame-independent.
+reported in that frame; ratios and moduli are frame-independent.  The
+vertical's matrix is the identity, so it is decomposed on the surface
+itself, not on a mapped copy.
 
 Bands are cut along every leaf through a distinguished point: the separatrices
 of the cone points plus the closed leaves through the regular vertex classes.
@@ -37,16 +39,23 @@ ids number `connections`, then `vertex_leaves`.  A segment sliding along a
 glued edge has a row in both charts.  A leaf through a regular vertex may
 touch only some of its corners, so each chart point of such a vertex has a
 point row (x, y, y, leaf id).  The barrier hook and the boundary test of
-`locate_normalized` bisect it.
+`locate_normalized` bisect it.  The table is built from what the up traces
+recorded on their segments: the regular vertex a leaf passes is the vertex
+its segment ends at (`Segment.vertex`), and a row sorts by the key its
+exit solve bisected with (`Segment.key`), since on the up flow a point's u
+is its x; only slides and their partner-chart copies form their own key.
 
 A point is placed by one ray west and one ray east to the barriers: the band
 it lies in is the band east of where the west ray stops -- a barrier leaf
 (whose id the barrier hook returns) or a cone corner (the same east rule),
 which wins a tie with a barrier crossing there.
-Marked points are placed this way, from the aliases `transform` already
-mapped (`Decomposition._place`), and so are banks (which barrier leaves
-bound each cylinder), on first read of `Decomposition.banks`, since no part of
-the decomposition depends on them.
+Marked points are placed this way (`Decomposition._place`), and so are
+banks (which barrier leaves bound each cylinder), on first read of
+`Decomposition.banks`, since no part of the decomposition depends on them.
+A mark keeps its aliases and where it lies in its canonical chart
+(`MarkedPoint.where`), which `transform` carries over, so its two rays start
+there without locating it again; `locate_normalized` locates a point once
+for its aliases and both rays.
 
 Every trace of a decomposition runs up, east or west, so a decomposition
 makes one flow per direction (trace._Flow) and passes it to each trace.  On
@@ -76,6 +85,7 @@ memo, and read the points of their rays (`_Flow.point_on`).
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from operator import itemgetter
 
 from .errors import (InconsistentTopology, InvalidParams, NotComplete,
                      OnBoundaryPoint)
@@ -201,17 +211,17 @@ class Decomposition:
             raise NotComplete("cannot locate points in an undetermined "
                               "decomposition")
         return self._place(polygon, point,
-                           self.normalized.point_aliases(polygon, point))
+                           self.normalized._point(polygon, point))
 
-    def _place(self, polygon, point, aliases):
-        """locate_normalized of a point whose chart representatives are
-        known: `aliases`, as `Surface.point_aliases` lists them.  On a
-        barrier leaf through any of them the point is on a boundary;
-        otherwise one ray east and one west measure its band."""
-        if any(_leaves_at(self.barriers, p, pt) for p, pt in aliases):
+    def _place(self, polygon, point, located):
+        """locate_normalized of a point already located: `located` is
+        `Surface._point`'s (where, aliases) of it.  On a barrier leaf
+        through any alias the point is on a boundary; otherwise one ray
+        east and one west, both started from `located`, measure its band."""
+        if any(_leaves_at(self.barriers, p, pt) for p, pt in located[1]):
             return MarkPosition("boundary")
-        east = self._ray(polygon, point, "east")
-        west = self._ray(polygon, point, "west")
+        east = self._ray(polygon, point, "east", located)
+        west = self._ray(polygon, point, "west", located)
         eastd, westd = east.param, west.param
         width = eastd + westd
         index = self._band_of_west_ray(west)
@@ -224,10 +234,10 @@ class Decomposition:
         """Place an original-frame point inside the decomposition."""
         return self.locate_normalized(polygon, self.frame * _as_vec(point))
 
-    def _ray(self, polygon, point, direction):
+    def _ray(self, polygon, point, direction, located=None):
         ev = trace(self.normalized, polygon, point, self.flows[direction],
                    stop_at_marked=False, cap=self.cap, detect_closure=False,
-                   stop_on=self._hook)
+                   stop_on=self._hook, _located=located)
         if ev.kind not in (STOPPED, SINGULAR):
             raise InconsistentTopology(
                 "transverse ray escaped the decomposition (%s)" % ev.kind)
@@ -265,7 +275,11 @@ def _barrier_table(surface, leaves, leaf_of):
     """The barrier table (see the module docstring) of `leaves`, the barrier
     leaves traced upward, numbered in order, with the point rows of the
     regular vertex classes in `leaf_of` (class -> id of the leaf through
-    it).  A leaf segment that is not vertical is an inconsistency."""
+    it).  A leaf segment that is not vertical is an inconsistency.
+
+    On the up flow a segment's u is its x, so the rows sort by the key the
+    exit solve already formed for it (`Segment.key`); a slide, its copy in
+    the partner chart and a segment without a key form their own."""
     charts = {}
     for leaf, ev in enumerate(leaves):
         for seg in ev.segments:
@@ -273,15 +287,19 @@ def _barrier_table(surface, leaves, leaf_of):
             if seg.b.x != x:
                 raise InconsistentTopology("leaf segment %r is not vertical"
                                            % (seg,))
-            charts.setdefault(seg.polygon, []).append((x, y0, y1, leaf))
+            key = seg.key if seg.key is not None else _sort_key(x)
+            charts.setdefault(seg.polygon, []).append(
+                (key, (x, y0, y1, leaf)))
             if seg.slide:
                 p2, _ = surface.partner[(seg.polygon, seg.edge)]
                 shift = surface.translation[(seg.polygon, seg.edge)]
+                x2 = x + shift.x
                 charts.setdefault(p2, []).append(
-                    (x + shift.x, y0 + shift.y, y1 + shift.y, leaf))
+                    (_sort_key(x2), (x2, y0 + shift.y, y1 + shift.y, leaf)))
     table = {}
-    for p, rows in charts.items():
-        rows.sort(key=lambda row: _sort_key(row[0]))
+    for p, keyed in charts.items():
+        keyed.sort(key=itemgetter(0))
+        rows = [row for _, row in keyed]
         table[p] = ([row[0] for row in rows], rows)
     for cls, leaf in sorted(leaf_of.items()):
         for p, pt in surface._class_points(cls):
@@ -385,7 +403,8 @@ def decompose(surface, direction, cap=None) -> Decomposition:
     """Cylinder decomposition of `direction`, or an undetermined report."""
     dirc = canonical_direction(_as_vec(direction))
     frame = normalize_to_vertical(dirc)
-    normalized = surface.transform(frame)
+    # the vertical's frame is the identity: the surface is its own image
+    normalized = surface if dirc == _UP else surface.transform(frame)
     run_cap = scalar(cap) if cap is not None else normalized.default_cap()
     # one flow per direction, shared by every trace of this decomposition
     # and, through Decomposition.flows, by its later rays and twists
@@ -410,22 +429,22 @@ def decompose(surface, direction, cap=None) -> Decomposition:
             return bail(connections, [])
 
     # the barrier leaf through each regular vertex class: a leaf passes a
-    # vertex where one of its segments ends at one of the vertex's chart
-    # points.  A class no leaf traced so far passes is traced once, and its
-    # leaf must close: once every upward separatrix is a saddle connection,
-    # so is every downward one, and a vertex whose leaf runs into a cone
-    # lies on one of them.
-    regular = [cls for cls, w in enumerate(normalized.cone_windings)
-               if w <= 1]
-    vertex_at = {(p, pt): cls for cls in regular
-                 for p, pt in normalized._class_points(cls)}
+    # vertex where one of its segments ends at one of the vertex's corners,
+    # which the segment records.  A class no leaf traced so far passes is
+    # traced once, and its leaf must close: once every upward separatrix is
+    # a saddle connection, so is every downward one, and a vertex whose
+    # leaf runs into a cone lies on one of them.
+    windings = normalized.cone_windings
+    regular = [cls for cls, w in enumerate(windings) if w <= 1]
+    class_of = normalized.class_of
     leaf_of = {}
 
     def settle(leaf, ev):
         for seg in ev.segments:
-            cls = vertex_at.get((seg.polygon, seg.b))
-            if cls is not None:
-                leaf_of[cls] = leaf
+            if seg.vertex is not None:
+                cls = class_of[(seg.polygon, seg.vertex)]
+                if windings[cls] <= 1:
+                    leaf_of[cls] = leaf
 
     for leaf, (_, ev) in enumerate(connections):
         settle(leaf, ev)
@@ -493,9 +512,10 @@ def decompose(surface, direction, cap=None) -> Decomposition:
         _corner_east={corner: index[band]
                       for corner, band in corner_band.items()})
     deco.marks = []
-    # transform mapped each mark's aliases: no mark is located again
+    # each mark keeps its location, which transform carried over: no mark
+    # is located again
     for i, mp in enumerate(normalized.marked):
-        pos = deco._place(mp.polygon, mp.at, mp.aliases)
+        pos = deco._place(mp.polygon, mp.at, (mp.where, mp.aliases))
         deco.marks.append(pos)
         if pos.state == "in":
             cylinders[pos.cylinder].marks.append(i)

@@ -43,7 +43,10 @@ one first -- the point itself if interior, the side with the lesser
 vertex class if at a vertex.  Marked points, `point_aliases`, trace starts
 from a point and slit endpoints all use it, so aliases[0] names a point the
 same way everywhere; a trace started from a corner takes the vertex's
-aliases from `_class_points`, which `_point` uses too.
+aliases from `_class_points`, which `_point` uses too.  A chart index must
+be an int, and a bool is not taken for one.  A marked point keeps where its
+canonical alias lies (`MarkedPoint.where`), so the rays that place it in a
+decomposition do not locate it again.
 
 `transform` maps the charts, the edge translations and the marked points and
 carries the combinatorics over unchecked: the partner map, vertex classes,
@@ -129,19 +132,25 @@ class Polygon:
 class MarkedPoint:
     """A regular marked point with its alias list across charts.
 
-    kind is 'interior', 'edge' or 'vertex'; aliases is a tuple of
-    (polygon, Vec2) pairs giving every way of naming the point, the first one
-    canonical.
+    (polygon, at) is the canonical alias; where is `Polygon.locate`'s answer
+    for it there: 'interior', ('edge', e, t) or ('vertex', k), so a trace
+    from the mark need not locate it again.  kind is 'interior', 'edge' or
+    'vertex'; aliases is a tuple of (polygon, Vec2) pairs giving every way
+    of naming the point, the first one canonical.
     """
 
-    __slots__ = ("polygon", "at", "label", "kind", "aliases")
+    __slots__ = ("polygon", "at", "label", "where", "aliases")
 
-    def __init__(self, polygon, at, label, kind, aliases):
+    def __init__(self, polygon, at, label, where, aliases):
         self.polygon = polygon
         self.at = at
         self.label = label
-        self.kind = kind
+        self.where = where
         self.aliases = tuple(aliases)
+
+    @property
+    def kind(self):
+        return self.where if self.where == "interior" else self.where[0]
 
     def __repr__(self):
         return "MarkedPoint(%d, %s, %r)" % (self.polygon, self.at, self.label)
@@ -308,16 +317,24 @@ class Surface:
         where, aliases = self._point(poly, at,
                                      "marked point %s lies outside polygon %d")
         kind = where if where == "interior" else where[0]
+        canon = aliases[0]
         if kind == "vertex":
-            windings = self.cone_windings[self.class_of[(poly, where[1])]]
+            cls = self.class_of[(poly, where[1])]
+            windings = self.cone_windings[cls]
             if windings > 1:
                 raise InvalidParams("cannot mark point at a singular vertex "
                                     "(cone angle %d*2pi)" % windings)
-        canon = aliases[0]
+            # the canonical alias is the class's first corner
+            where = ("vertex", self.vertex_classes[cls][0][1])
+        elif kind == "edge" and canon != (poly, at):
+            # named from the partner side: the glued edges run opposite, so
+            # the point is 1 - t along the partner edge
+            where = ("edge", self.partner[(poly, where[1])][1], 1 - where[2])
         for mp in self.marked:
             if mp.aliases[0] == canon:
                 raise InvalidParams("duplicate marked point at %s" % (canon[1],))
-        self.marked.append(MarkedPoint(canon[0], canon[1], label, kind, aliases))
+        self.marked.append(MarkedPoint(canon[0], canon[1], label, where,
+                                       aliases))
 
     def marks_in_polygon(self, p: int):
         return self._marks_by_polygon.get(p, [])
@@ -332,15 +349,17 @@ class Surface:
         """All chart representatives of a point, the canonical one first: one
         for interior points, two for edge points, the whole class for
         vertices."""
-        return self._point(polygon, point, "point %s outside polygon %d")[1]
+        return self._point(polygon, point)[1]
 
-    def _point(self, polygon: int, point: Vec2, outside: str):
+    def _point(self, polygon: int, point: Vec2,
+               outside: str = "point %s outside polygon %d"):
         """(where, aliases) of a point given in chart `polygon`: where is
         Polygon.locate's answer there, aliases every (polygon, point) naming
         the point in canonical order (see the module docstring).  A chart
-        index out of range raises InvalidParams, and a point outside the
-        chart InvalidParams(outside % (point, polygon))."""
-        if not 0 <= polygon < len(self.polygons):
+        index that is not an int (a bool is not one) or is out of range
+        raises InvalidParams, and a point outside the chart
+        InvalidParams(outside % (point, polygon))."""
+        if type(polygon) is not int or not 0 <= polygon < len(self.polygons):
             raise InvalidParams("no polygon %r on this surface" % (polygon,))
         where = self.polygons[polygon].locate(point)
         if where == "outside":
@@ -380,8 +399,10 @@ class Surface:
         marked = []
         for mp in self.marked:
             aliases = [(p, mat * pt) for p, pt in mp.aliases]
+            # a positive-determinant map keeps where a point lies, and the
+            # fraction t along an edge
             marked.append(MarkedPoint(mp.polygon, aliases[0][1], mp.label,
-                                      mp.kind, aliases))
+                                      mp.where, aliases))
         field_d, clash = _settle_field(polygons, None)
         if not clash:
             clash = _mark_field_clash(
@@ -649,7 +670,7 @@ def _gluing_sides(item):
             sides = tuple(item[0]), tuple(item[1])
     except (KeyError, IndexError, TypeError):
         return None
-    if all(len(side) == 2 and all(isinstance(i, int) for i in side)
+    if all(len(side) == 2 and all(type(i) is int for i in side)
            for side in sides):
         return sides
     return None

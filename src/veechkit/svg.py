@@ -3,6 +3,8 @@ here is a decimal approximation; nothing in this module is read back."""
 
 from __future__ import annotations
 
+from .cylinders import torus_signature
+
 _HEADER = ("<!-- coordinates are 12-significant-digit decimal "
            "approximations of exact field values; display only -->")
 
@@ -45,18 +47,11 @@ def decomposition_group(deco, label=None):
     scale = 160.0 / max(widths + heights)
     scale = min(max(scale, 4.0), 160.0)
 
-    classes = None
-    try:
-        from .cylinders import torus_signature
-        classes = torus_signature(deco)
-    except Exception:
-        pass
-
+    classes = torus_signature(deco)
     max_w = 0.0
     for i, cyl in enumerate(deco.cylinders):
         w, h = widths[i] * scale, heights[i] * scale
-        color = _PALETTE[(classes.class_of_cylinder(i) if classes else i)
-                         % len(_PALETTE)]
+        color = _PALETTE[classes.class_of_cylinder(i) % len(_PALETTE)]
         lines.append('<rect x="%g" y="%g" width="%s" height="%s" '
                      'fill="%s" stroke="#333" stroke-width="1"/>'
                      % (pad, y, _f(w), _f(h), color))

@@ -27,10 +27,12 @@ it, the flow reads each vertex's u_k once and builds a table (_Table) with
 one row per edge e not parallel to v.  The distinct u_k, sorted, are the
 bounds that cut the chart into slabs, and the table keeps two candidate
 lists: for each slab, the edges that span it; for each bound, the edges that
-touch its line, each with the vertex it has on that line, if any.  An exit
-scans only the candidates of the ray's slab or line: a point strictly inside
-a slab meets no vertex, and a point on a bound's line reads a vertex hit from
-the table.  A point outside every bound has no exit.
+touch its line, each with the vertex it has on that line, if any.  Each list
+is built the first time an exit reads it, so a direction crossed by a few
+short rays builds only the lists they read.  An exit scans only the
+candidates of the ray's slab or line: a point strictly inside a slab meets
+no vertex, and a point on a bound's line reads a vertex hit from the table.
+A point outside every bound has no exit.
 
 A candidate's s at the crossing is its vertex's, or its edge line's at u(x):
 the line is solved for s, s = A + B*u, on first use per Polygon and edge, so
@@ -64,6 +66,15 @@ Every stop -- a closing, a cone, a mark, a stop hook's tau -- is a flow
 parameter; at one tau a closing beats a cone, a cone a hook stop, and a hook
 stop a mark.  The segment is cut there at the point (u(a), s(a) + tau -
 tau0) of its leaf: on the axis flows one addition, no division.
+
+A segment records what the trace learned making it: the index of the chart
+vertex it ends at (the exit's vertex, or the end of a slide; none once a
+stop cuts it short), and the sort key of its leaf's u, with which the exit
+solve bisected the slab bounds.  A decomposition reads both instead of
+deriving them again.  A trace started from a point its caller has located
+takes that location as is.  A TraceEvent keeps the flow's vlen and vv, and
+computes `length` and `length_squared` from its parameter when they are
+read.
 """
 
 from __future__ import annotations
@@ -97,19 +108,27 @@ class Segment:
     """One chart-worth of trajectory: from a to b inside polygon `polygon`.
 
     slide marks travel along a glued edge (recorded in the chart where the
-    motion agrees with the edge orientation).
+    motion agrees with the edge orientation), `edge` names that edge.
+    vertex is the index of the chart vertex the segment ends at, as the exit
+    solve or the slide found it, or None; key is `_sort_key` of the leaf's
+    u, the key the exit solve bisected the slab bounds with (None on a
+    slide and on a segment built by hand).
     """
 
-    __slots__ = ("polygon", "a", "b", "slide", "tau0", "tau1", "edge")
+    __slots__ = ("polygon", "a", "b", "slide", "tau0", "tau1", "edge",
+                 "vertex", "key")
 
-    def __init__(self, polygon, a, b, slide, tau0, tau1, edge=None):
+    def __init__(self, polygon, a, b, slide, tau0, tau1, edge=None,
+                 vertex=None, key=None):
         self.polygon = polygon
         self.a = a
         self.b = b
         self.slide = slide
         self.tau0 = tau0
         self.tau1 = tau1
-        self.edge = edge  # the edge a slide segment runs along
+        self.edge = edge
+        self.vertex = vertex
+        self.key = key
 
     def __repr__(self):
         return "Segment(p%d %s -> %s%s)" % (
@@ -117,19 +136,32 @@ class Segment:
 
 
 class TraceEvent:
-    __slots__ = ("kind", "segments", "param", "length", "length_squared",
-                 "mark", "corner", "payload")
+    """How a trace ended: its kind, segments and flow parameter, with the
+    flow's vlen and vv, from which `length` and `length_squared` are
+    computed when read."""
 
-    def __init__(self, kind, segments, param, length, length_squared,
-                 mark=None, corner=None, payload=None):
+    __slots__ = ("kind", "segments", "param", "vlen", "vv", "mark",
+                 "corner", "payload")
+
+    def __init__(self, kind, segments, param, vlen, vv, mark=None,
+                 corner=None, payload=None):
         self.kind = kind
         self.segments = segments
         self.param = param
-        self.length = length
-        self.length_squared = length_squared
+        self.vlen = vlen
+        self.vv = vv
         self.mark = mark
         self.corner = corner
         self.payload = payload
+
+    @property
+    def length(self):
+        """param * |v|, or None when |v| is not in the surface's field."""
+        return self.vlen * self.param if self.vlen is not None else None
+
+    @property
+    def length_squared(self):
+        return self.param * self.param * self.vv
 
     @property
     def path(self):
@@ -203,11 +235,15 @@ class _Table:
     den = u_e - u_{e+1}.
 
     bounds -- the distinct u_k as _sort_key tuples, in order
+    spans  -- per such edge, (row, low rank, high rank, the vertex at the
+              low rank, the vertex at the high rank): the bounds it spans
     slabs  -- per slab j, between bounds j-1 and j (1 <= j < len(bounds)),
-              the (row, None) of the edges that span it, in edge order
+              the (row, None) of the edges that span it, in edge order;
+              None until `slab_rows` first builds it
     lines  -- per bound i, the (row, vertex) of the edges that touch its
               line, in edge order: vertex is the end of the edge whose u is
-              bound i, None when the edge crosses the line between its ends
+              bound i, None when the edge crosses the line between its ends;
+              None until `line_rows` first builds it
     exits  -- (entry edge, slab) -> ((row, None),), the exit of the first ray
               of the flow that entered this Polygon through that edge inside
               that slab
@@ -215,7 +251,7 @@ class _Table:
               first use
     """
 
-    __slots__ = ("bounds", "slabs", "lines", "exits", "solved")
+    __slots__ = ("bounds", "spans", "slabs", "lines", "exits", "solved")
 
     def __init__(self, flow, poly):
         n = poly.n
@@ -223,7 +259,7 @@ class _Table:
         self.bounds = sorted(map(_sort_key, set(us)))
         rank = {key[1]: i for i, key in enumerate(self.bounds)}
         ranks = [rank[u] for u in us]
-        spans = []  # (row, low rank, high rank, their vertices)
+        self.spans = spans = []
         for e in range(n):
             f = (e + 1) % n
             if ranks[e] == ranks[f]:
@@ -233,15 +269,27 @@ class _Table:
                 spans.append((row, ranks[e], ranks[f], e, f))
             else:
                 spans.append((row, ranks[f], ranks[e], f, e))
-        self.slabs = [None] + [
-            [(row, None) for row, lo, hi, _, _ in spans if lo < j <= hi]
-            for j in range(1, len(self.bounds))]
-        self.lines = [
-            [(row, v if i == lo else w if i == hi else None)
-             for row, lo, hi, v, w in spans if lo <= i <= hi]
-            for i in range(len(self.bounds))]
+        self.slabs = [None] * len(self.bounds)
+        self.lines = [None] * len(self.bounds)
         self.exits = {}
         self.solved = [None] * n
+
+    def slab_rows(self, j):
+        """The candidate rows of slab j, built on first use."""
+        rows = self.slabs[j]
+        if rows is None:
+            rows = self.slabs[j] = [(row, None) for row, lo, hi, _, _
+                                    in self.spans if lo < j <= hi]
+        return rows
+
+    def line_rows(self, i):
+        """The candidate rows of bound i's line, built on first use."""
+        rows = self.lines[i]
+        if rows is None:
+            rows = self.lines[i] = [
+                (row, v if i == lo else w if i == hi else None)
+                for row, lo, hi, v, w in self.spans if lo <= i <= hi]
+        return rows
 
 
 class _Flow:
@@ -256,8 +304,9 @@ class _Flow:
     Per distinct Polygon, built the first time a trace enters a chart with
     it and shared by every chart with that Polygon, a _Table: the edge rows,
     the distinct u_k sorted (the slab bounds), the candidate rows of each
-    slab and of each bound's line, the exit memo and, per edge on first use,
-    the edge's line solved for s, s = A + B*u.  Also per distinct Polygon,
+    slab and of each bound's line (each list built on first read), the exit
+    memo and, per edge on first use, the edge's line solved for s,
+    s = A + B*u.  Also per distinct Polygon,
     built on first use: the sector row (`_sector_row`, read by `sector`),
     and, per vertex and start direction, whether a turn's first corner holds
     v past the start (`holds_from`).  Per chart index: the marked points as
@@ -373,13 +422,14 @@ def _as_flow(surface, direction) -> _Flow:
     return direction
 
 
-def _start_state(flow, polygon, point, corner):
+def _start_state(flow, polygon, point, corner, located=None):
     """Normalise the start into ('go', p, x) or ('slide', p, e, x).
 
     Returns (state, aliases) where aliases are the charts naming the start
     point, used for the closing-up test.  A start at a cone point gets no
     aliases: a separatrix returning to its cone is a saddle connection, not a
-    closed loop.
+    closed loop.  `located`, when given, is `Surface._point`'s answer for
+    (polygon, point), taken as is instead of locating the point again.
     """
     surface = flow.surface
     if corner is not None:
@@ -394,8 +444,10 @@ def _start_state(flow, polygon, point, corner):
                             "a corner")
     else:
         point = _as_vec(point)
-        where, aliases = surface._point(
-            polygon, point, "start point %s lies outside polygon %d")
+        if located is None:
+            located = surface._point(
+                polygon, point, "start point %s lies outside polygon %d")
+        where, aliases = located
     if where == "interior":
         return ("go", polygon, point), aliases
     if where[0] == "edge":
@@ -440,8 +492,9 @@ def _exit_solve(surface, p, x, v, cx=None, entry=None):
 
     v is a direction or a _Flow on `surface`; cx, when given, is
     u(x) = cross(x, v), and entry, when given, the edge of p that x lies on
-    (the ray entered p through it).  Returns (t, y, vertex_or_None, edge)
-    where vertex is set when the crossing is a polygon vertex.
+    (the ray entered p through it).  Returns (t, y, vertex_or_None, edge,
+    key) where vertex is set when the crossing is a polygon vertex and key
+    is `_sort_key(u(x))`, which bisects the slab bounds.
 
     Only the edges that can be hit are scanned.  A point on the line of a
     bound u_k scans the edges touching that line, and reads a vertex hit
@@ -449,7 +502,8 @@ def _exit_solve(surface, p, x, v, cx=None, entry=None):
     the slab, none at a vertex, unless it entered through an edge whose
     (entry, slab) memo already names the exit edge; a point outside every
     bound has no exit.  The candidates are compared on s, in `_leaf_exit`.
-    A slab scan for an entry fills that slab's memo.
+    A slab scan for an entry fills that slab's memo.  A slab's or a line's
+    candidate list is built the first time an exit needs it.
     """
     flow = _as_flow(surface, v)
     poly = surface.polygons[p]
@@ -457,17 +511,18 @@ def _exit_solve(surface, p, x, v, cx=None, entry=None):
     if cx is None:
         cx = flow.across(x)
     bounds = tab.bounds
-    j = bisect_left(bounds, _sort_key(cx))
-    key = None
+    key = _sort_key(cx)
+    j = bisect_left(bounds, key)
+    memo = cands = None  # memo: the (entry, slab) exit this scan fills
     if j < len(bounds) and bounds[j][1] == cx:
-        cands = tab.lines[j]
+        cands = tab.line_rows(j)
     elif 0 < j < len(bounds):
-        cands = tab.slabs[j]
         if entry is not None:
-            key = (entry, j)
-            memo = tab.exits.get(key)
-            if memo is not None:
-                cands, key = memo, None
+            cands = tab.exits.get((entry, j))
+            if cands is None:
+                memo = (entry, j)
+        if cands is None:
+            cands = tab.slab_rows(j)
     else:
         cands = ()
     best = _leaf_exit(flow, tab, poly, x, cx, cands)
@@ -475,9 +530,9 @@ def _exit_solve(surface, p, x, v, cx=None, entry=None):
         raise InconsistentTopology(
             "ray from %s in polygon %d found no exit" % (x, p))
     t, y, vert, row = best
-    if key is not None:
-        tab.exits[key] = ((row, None),)
-    return t, y, vert, row[0]
+    if memo is not None:
+        tab.exits[memo] = ((row, None),)
+    return t, y, vert, row[0], key
 
 
 def _leaf_exit(flow, tab, poly, x, cx, cands):
@@ -518,7 +573,7 @@ def _param_on(seg, pt, along):
 
 def trace(surface, polygon=None, point=None, direction=None, *, corner=None,
           cap=None, stop_at_marked=True, stop_on=None, detect_closure=True,
-          max_steps=200000) -> TraceEvent:
+          max_steps=200000, _located=None) -> TraceEvent:
     """Flow from a start point until something happens.
 
     Start is (polygon, point), or corner=(p, v) alone for a vertex start; at a
@@ -532,11 +587,13 @@ def trace(surface, polygon=None, point=None, direction=None, *, corner=None,
     trace still unresolved after max_steps segments raises TraceOverflow
     with the partial path.
     `direction` is a vector, or a _Flow on `surface` that several traces in
-    one direction share.
+    one direction share.  Inside the package, `_located` passes
+    `Surface._point`'s (where, aliases) of a start point the caller has
+    located already, as `Decomposition` does for the rays from a mark.
     """
     flow = _as_flow(surface, direction)
     vv, vlen, across, along = flow.vv, flow.vlen, flow.across, flow.along
-    state, aliases = _start_state(flow, polygon, point, corner)
+    state, aliases = _start_state(flow, polygon, point, corner, _located)
     # per chart, the start's aliases as (payload, point, u(point)): a point
     # is on the current leaf when its u is the leaf's
     closing = {}
@@ -556,27 +613,26 @@ def trace(surface, polygon=None, point=None, direction=None, *, corner=None,
     entry = None  # the edge the current chart was entered through
 
     def finish(kind, param, mark=None, corner=None, payload=None):
-        length = vlen * param if vlen is not None else None
-        return TraceEvent(kind, segments, param, length, param * param * vv,
-                          mark=mark, corner=corner, payload=payload)
+        return TraceEvent(kind, segments, param, vlen, vv, mark=mark,
+                          corner=corner, payload=payload)
 
     for _ in range(max_steps):
         # ---- advance one segment -------------------------------------------
         if state[0] == "slide":
             _, p, e, x = state
             poly = surface.polygons[p]
-            target = poly.vertex(e + 1)
+            k = (e + 1) % poly.n
+            target = poly.vertices[k]
             seg = Segment(p, x, target, True, tau,
-                          tau + (along(target) - along(x)), edge=e)
-            arrive = (p, (e + 1) % poly.n)
+                          tau + (along(target) - along(x)), edge=e, vertex=k)
             cx = None
         else:
             _, p, x = state
             cx = across(x)
-            t, y, vert, exit_edge = _exit_solve(surface, p, x, flow, cx,
-                                                entry)
-            seg = Segment(p, x, y, False, tau, tau + t)
-            arrive = (p, vert) if vert is not None else None
+            t, y, vert, exit_edge, key = _exit_solve(surface, p, x, flow, cx,
+                                                     entry)
+            seg = Segment(p, x, y, False, tau, tau + t, vertex=vert, key=key)
+        arrive = (p, seg.vertex) if seg.vertex is not None else None
 
         # ---- mid-segment events --------------------------------------------
         hits = []
@@ -606,9 +662,10 @@ def trace(surface, polygon=None, point=None, direction=None, *, corner=None,
                 if dcmp < 0 or (dcmp == 0 and h[1] < best[1]):
                     best = h
             th, _, kind, payload = best
-            if th < seg.tau1:
+            if th < seg.tau1:  # cut before its end: off every vertex
                 seg = Segment(seg.polygon, seg.a, flow.point_on(seg, th),
-                              seg.slide, seg.tau0, th, edge=seg.edge)
+                              seg.slide, seg.tau0, th, edge=seg.edge,
+                              key=seg.key)
             segments.append(seg)
             if kind == CLOSED:
                 return finish(CLOSED, th)

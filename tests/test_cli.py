@@ -2,14 +2,17 @@
 
 import gc
 import json
+import re
 
 import pytest
 
+import veechkit.svg
 from veechkit import cli
-from veechkit.cylinders import decompose
+from veechkit.cylinders import decompose, torus_signature
+from veechkit.field import FieldScalar
 from veechkit.geometry import Vec2
 from veechkit.surface import Surface
-from veechkit.svg import gallery_svg
+from veechkit.svg import decomposition_svg, gallery_svg
 
 
 def run(capsys, *argv):
@@ -256,6 +259,27 @@ def test_render_svg(tmp_path, capsys):
     text = svg.read_text()
     assert text.startswith("<svg") or text.startswith("<!--")
     assert "12-significant-digit" in text and "</svg>" in text
+
+
+def test_svg_colours_cylinders_by_commensurability_class(monkeypatch):
+    # the golden cross is PeriodicMixed with m = 2 in (0, 1): each
+    # cylinder is filled with its class's colour, and an error from the
+    # signature reaches the caller instead of recolouring the picture
+    phi = (1 + FieldScalar(0, 1, 5)) / 2
+    deco = decompose(Surface.cross(phi, 1), Vec2(0, 1))
+    sig = torus_signature(deco)
+    assert sig.m == 2
+    fills = re.findall(r'<rect [^>]*fill="(#[0-9a-f]+)"',
+                       decomposition_svg(deco))
+    assert fills == [veechkit.svg._PALETTE[sig.class_of_cylinder(i)]
+                     for i in range(len(deco.cylinders))]
+
+    def failing(deco):
+        raise ArithmeticError("signature failed")
+
+    monkeypatch.setattr(veechkit.svg, "torus_signature", failing)
+    with pytest.raises(ArithmeticError, match="signature failed"):
+        decomposition_svg(deco)
 
 
 @pytest.mark.parametrize("cmd", ["classify", "decompose", "render"])

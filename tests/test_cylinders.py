@@ -6,6 +6,7 @@ computed by hand from the flat pictures before being locked in here.
 
 import gc
 import random
+from bisect import bisect_right
 from fractions import Fraction
 
 import pytest
@@ -13,12 +14,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import veechkit.cylinders
+from test_covers import cyclic_covers
 from test_surface import marked_surfaces, positive_matrices
 from veechkit.covers import CoverSpec, Slit, cyclic_slit_cover
 from veechkit.errors import (FieldMismatch, InconsistentTopology,
                              InvalidParams, NotComplete, OnBoundaryPoint,
                              VeechkitError, ZeroInput)
-from veechkit.field import FieldScalar, scalar
+from veechkit.field import FieldScalar, _sort_key, scalar
 from veechkit.geometry import (Mat2, Vec2, canonical_direction,
                                normalize_to_vertical, segments_intersect)
 from veechkit.linear import twist_matrix
@@ -674,6 +676,146 @@ def test_locate_refuses_a_missing_chart():
     for polygon in (7, -1):
         with pytest.raises(InvalidParams, match="no polygon"):
             deco.locate(polygon, centre)
+
+
+# ---------------------------------------------------------------------------
+# what a decomposition keeps, against deriving it again
+# ---------------------------------------------------------------------------
+
+REUSE_DIRECTIONS = ((0, 1), (1, 0), (1, 2), (2, 1), (1, -1), (-2, 3))
+
+
+def position(pos):
+    return (pos.state, pos.cylinder, pos.westd, pos.eastd, pos.ratio)
+
+
+def assert_marks_match_locating_them(deco):
+    # decompose starts each mark's two rays from the location the mark
+    # keeps; locate_normalized locates the point afresh, from every chart
+    # that names it, and a trace given no location finds it itself
+    if not deco.complete:
+        return
+    s = deco.normalized
+    for mp, pos in zip(s.marked, deco.marks):
+        assert mp.where == s.polygons[mp.polygon].locate(mp.at)
+        for p, pt in mp.aliases:
+            assert position(deco.locate_normalized(p, pt)) == position(pos)
+        if pos.state == "in":
+            eastd, westd = (
+                trace(s, mp.polygon, mp.at, deco.flows[name],
+                      stop_at_marked=False, cap=deco.cap,
+                      detect_closure=False, stop_on=deco._hook).param
+                for name in ("east", "west"))
+            assert (eastd, westd) == (pos.eastd, pos.westd)
+
+
+@settings(max_examples=30, deadline=None)
+@given(marked_surfaces(), st.sampled_from(REUSE_DIRECTIONS))
+def test_marks_placed_from_their_location_match_locating_them(surf,
+                                                              direction):
+    assert_marks_match_locating_them(decompose(surf, direction))
+
+
+@pytest.mark.parametrize("direction", REUSE_DIRECTIONS)
+def test_vertex_and_edge_marks_placed_from_their_location(direction):
+    # the unit torus glued from two half-width charts has two regular
+    # vertex classes (the presets have none); each mark is named from a
+    # chart other than its canonical one
+    half = Fraction(1, 2)
+    torus = Surface([[(0, 0), (half, 0), (half, 1), (0, 1)],
+                     [(half, 0), (1, 0), (1, 1), (half, 1)]],
+                    [((0, 0), (0, 2)), ((1, 0), (1, 2)), ((0, 1), (1, 3)),
+                     ((1, 1), (0, 3))],
+                    marked=[(1, (1, 1), "corner"),
+                            (1, (1, Fraction(1, 3)), "edge"),
+                            (0, (Fraction(1, 4), 1), "top"),
+                            (0, (Fraction(1, 5), Fraction(2, 7)), "inside")])
+    assert [mp.kind for mp in torus.marked] == ["vertex", "edge", "edge",
+                                                "interior"]
+    assert [mp.polygon for mp in torus.marked] == [0, 0, 0, 0]
+    assert_marks_match_locating_them(decompose(torus, direction))
+
+
+def reference_barriers(surface, leaves):
+    """The barrier table as built before leaf segments kept their exit
+    vertex and slab key: a regular vertex is found by looking each
+    segment's end point up among the vertex chart points, and each row's
+    _sort_key is formed afresh."""
+    vertex_at = {(p, pt): cls
+                 for cls, w in enumerate(surface.cone_windings) if w <= 1
+                 for p, pt in surface._class_points(cls)}
+    leaf_of, charts = {}, {}
+    for leaf, ev in enumerate(leaves):
+        for seg in ev.segments:
+            cls = vertex_at.get((seg.polygon, seg.b))
+            if cls is not None:
+                leaf_of[cls] = leaf
+            x, y0, y1 = seg.a.x, seg.a.y, seg.b.y
+            charts.setdefault(seg.polygon, []).append((x, y0, y1, leaf))
+            if seg.slide:
+                p2, _ = surface.partner[(seg.polygon, seg.edge)]
+                shift = surface.translation[(seg.polygon, seg.edge)]
+                charts.setdefault(p2, []).append(
+                    (x + shift.x, y0 + shift.y, y1 + shift.y, leaf))
+    table = {}
+    for p, rows in charts.items():
+        rows.sort(key=lambda row: _sort_key(row[0]))
+        table[p] = ([row[0] for row in rows], rows)
+    for cls, leaf in sorted(leaf_of.items()):
+        for p, pt in surface._class_points(cls):
+            xs, rows = table.setdefault(p, ([], []))
+            i = bisect_right(xs, pt.x)
+            xs.insert(i, pt.x)
+            rows.insert(i, (pt.x, pt.y, pt.y, leaf))
+    return leaf_of, table
+
+
+def assert_barriers_match_the_reference(deco):
+    if not deco.complete:
+        return
+    s = deco.normalized
+    leaves = ([ev for _, ev in deco.connections]
+              + [ev for _, ev in deco.vertex_leaves])
+    for ev in leaves:
+        for seg in ev.segments:
+            poly = s.polygons[seg.polygon]
+            ends = [k for k in range(poly.n) if poly.vertices[k] == seg.b]
+            assert ends == ([] if seg.vertex is None else [seg.vertex])
+            assert seg.key == (None if seg.slide else _sort_key(seg.a.x))
+    leaf_of, table = reference_barriers(s, leaves)
+    assert sorted(leaf_of) == [cls for cls, w in enumerate(s.cone_windings)
+                               if w <= 1]
+    assert deco.barriers == table
+
+
+@settings(max_examples=30, deadline=None)
+@given(marked_surfaces(), st.sampled_from(REUSE_DIRECTIONS))
+def test_barrier_rows_match_the_rows_built_afresh(surf, direction):
+    assert_barriers_match_the_reference(decompose(surf, direction))
+
+
+@settings(max_examples=10, deadline=None)
+@given(cyclic_covers(), st.sampled_from(REUSE_DIRECTIONS))
+def test_barrier_rows_on_covers_match_the_rows_built_afresh(case, direction):
+    # the sheets share their Polygons, and slides add partner-chart rows
+    assert_barriers_match_the_reference(decompose(case[1], direction))
+
+
+def test_the_vertical_decomposes_the_surface_itself():
+    # the vertical's frame is the identity, so the surface is its own
+    # normalized surface; a mapped copy decomposes the same
+    g = Surface.cross(GOLDEN_BIG, 1, marked=[(0, (GOLDEN_BIG + Fraction(5, 6),
+                                                  Fraction(9, 14)), "q")])
+    deco = decompose(g, (0, 1))
+    assert deco.normalized is g
+    copy = decompose(g.transform(Mat2.identity()), (0, 1))
+    assert copy.normalized is not g
+    assert ([(c.width, c.height, c.sample, c.marks) for c in deco.cylinders]
+            == [(c.width, c.height, c.sample, c.marks)
+                for c in copy.cylinders])
+    assert [position(m) for m in deco.marks] == \
+        [position(m) for m in copy.marks]
+    assert deco.barriers == copy.barriers
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from veechkit.errors import InvalidParams, ZeroInput
 from veechkit.field import FieldScalar, parse_scalar, scalar
 from veechkit.geometry import Mat2, Vec2, _as_vec
 from veechkit.surface import Surface
+from veechkit.trace import trace
 
 SQRT5 = FieldScalar(0, 1, 5)
 
@@ -126,6 +127,49 @@ def test_surface_json_field_tag_is_an_int(tag):
     obj["field"]["d"] = tag
     with pytest.raises(InvalidParams, match="field tag"):
         Surface.from_json(obj)
+
+
+# chart indices that are not ints; True would read as chart 1
+NOT_INDICES = {"string": "0", "none": None, "float": 0.0, "bool": True}
+
+
+def _marked_json(index):
+    obj = Surface.l_shape(1, 1, 1, 1).to_json()
+    obj["marked_points"] = [{"polygon": index,
+                             "at": Vec2(Fraction(3, 2), Fraction(1, 2))
+                             .to_json(), "label": "q"}]
+    return obj
+
+
+@pytest.mark.parametrize("index", NOT_INDICES.values(),
+                         ids=NOT_INDICES.keys())
+def test_a_chart_index_is_an_int_that_is_not_a_bool(index):
+    # (3/2, 1/2) lies inside chart 1 of the unit L-shape
+    ell = Surface.l_shape(1, 1, 1, 1)
+    at = Vec2(Fraction(3, 2), Fraction(1, 2))
+    calls = [
+        lambda: trace(ell, index, at, (0, 1)),
+        lambda: ell.point_aliases(index, at),
+        lambda: Surface.l_shape(1, 1, 1, 1, marked=[(index, at, "q")]),
+        lambda: Surface.from_json(_marked_json(index)),
+    ]
+    for call in calls:
+        with pytest.raises(InvalidParams):
+            call()
+    assert ell.point_aliases(1, at) == [(1, at)]
+
+
+@pytest.mark.parametrize("field", ["p1", "e1", "p2"])
+def test_a_gluing_index_is_an_int_that_is_not_a_bool(field):
+    # the cross's first gluing joins edge 0 to edge 6 of chart 0: false
+    # would read as 0 and write itself back as false
+    obj = Surface.cross(1, 1).to_json()
+    assert obj["gluings"][0][field] == 0
+    obj["gluings"][0][field] = False
+    with pytest.raises(InvalidParams, match="gluing 0 is not two"):
+        Surface.from_json(obj)
+    obj["gluings"][0][field] = 0
+    assert Surface.from_json(obj) == Surface.cross(1, 1)
 
 
 def test_fat_sequence_refuses_a_zero_seed():

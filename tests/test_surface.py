@@ -500,8 +500,8 @@ def assert_same_image(got, expect):
                  "corner_cycles", "cone_windings", "singular_classes",
                  "_marks_by_polygon"):
         assert getattr(got, name) == getattr(expect, name), name
-    assert [(mp.kind, mp.aliases) for mp in got.marked] == \
-        [(mp.kind, mp.aliases) for mp in expect.marked]
+    assert [(mp.kind, mp.where, mp.aliases) for mp in got.marked] == \
+        [(mp.kind, mp.where, mp.aliases) for mp in expect.marked]
 
 
 @st.composite
@@ -566,6 +566,23 @@ def test_transform_matches_the_constructor(surf, mat):
             surf.transform(mat)
         return
     assert_same_image(surf.transform(mat), expect)
+
+
+@settings(max_examples=50, deadline=None)
+@given(marked_surfaces(), positive_matrices())
+def test_each_mark_keeps_where_its_canonical_alias_lies(surf, mat):
+    # a mark named from the far side of an edge or at another corner of its
+    # vertex keeps the location of its canonical alias, derived from the
+    # one found where it was named; transform carries it over unchanged
+    try:
+        image = surf.transform(mat)
+    except FieldMismatch:
+        image = surf
+    for s in (surf, image):
+        for mp in s.marked:
+            assert mp.where == s.polygons[mp.polygon].locate(mp.at)
+            assert mp.kind == (mp.where if mp.where == "interior"
+                               else mp.where[0])
 
 
 @settings(max_examples=50, deadline=None)

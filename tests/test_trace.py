@@ -19,8 +19,9 @@ from veechkit.cylinders import decompose, dehn_twist_point
 from veechkit.errors import (AmbiguousStart, FieldMismatch,
                              InconsistentTopology, InvalidParams,
                              TraceOverflow, VeechkitError, ZeroInput)
-from veechkit.field import FieldScalar, _affine, scalar
-from veechkit.geometry import (Mat2, Vec2, ccw_sector_contains, cross,
+from veechkit.field import (FieldScalar, _affine, _sort_key, field_sqrt,
+                            scalar)
+from veechkit.geometry import (Mat2, Vec2, ccw_sector_contains, cross, dot,
                                same_ray, segment_point)
 from veechkit.surface import _HOLD, _MISS, _SLIDE, Surface, _sector_row
 from veechkit.trace import (CAPPED, CLOSED, MARKED, SINGULAR, STOPPED,
@@ -57,6 +58,33 @@ def test_torus_diagonal_through_regular_vertex():
     ev = trace(t, 0, Vec2(0, 0), Vec2(1, 1), cap=3)
     assert ev.kind == CLOSED
     assert ev.length_squared == scalar(2)
+
+
+def test_torus_diagonal_length_is_not_in_the_field():
+    # |(1, 1)| = sqrt2 is not rational: no length, its square only
+    t = Surface.square_torus()
+    ev = trace(t, 0, Vec2(0, 0), Vec2(1, 1), cap=3)
+    assert (ev.vlen, ev.length, ev.param) == (None, None, scalar(1))
+
+
+@settings(max_examples=30, deadline=None)
+@given(marked_surfaces(),
+       st.sampled_from(((0, 1), (-1, 0), (3, 4), (1, 2), (1, 1), (-2, 3))))
+def test_trace_lengths_are_read_from_the_param_and_the_flow(surf, direction):
+    # length and length_squared are computed when read; on an axis, off
+    # it with |v| in the field and off it without, they are |v| * param
+    # and param^2 * dot(v, v), |v| taken here in the surface's field
+    v = Vec2(*direction)
+    vv = dot(v, v)
+    vlen = field_sqrt(vv, surf.field_d)
+    flow = _Flow(surf, v)
+    cap = surf.default_cap() / 4
+    events = [ev for _, ev in separatrices(surf, flow, cap=cap)]
+    events += [trace(surf, mp.polygon, mp.at, flow, cap=cap,
+                     stop_at_marked=False) for mp in surf.marked]
+    for ev in events:
+        assert ev.length_squared == ev.param * ev.param * vv
+        assert ev.length == (None if vlen is None else vlen * ev.param)
 
 
 def test_cap_exceeded():
@@ -375,8 +403,10 @@ def chart_rays(draw):
 
 
 def _exit_or_error(solve, *args):
+    """(t, y, vertex, edge) of an exit, or the InconsistentTopology raised;
+    _exit_solve's fifth field, the slab key, is checked on its own."""
     try:
-        return solve(*args)
+        return solve(*args)[:4]
     except InconsistentTopology as exc:
         return ("InconsistentTopology", str(exc))
 
@@ -391,6 +421,35 @@ def test_exit_solve_matches_reference(case):
     flow = _Flow(surf, v)
     _exit_or_error(_exit_solve, surf, p, surf.polygons[p].vertex(0), flow)
     assert _exit_or_error(_exit_solve, surf, p, x, flow, cross(x, v)) == want
+    if want[0] != "InconsistentTopology":
+        # the key the slab bounds were bisected with, kept by the segment
+        assert _exit_solve(surf, p, x, flow)[4] == _sort_key(cross(x, v))
+
+
+@settings(max_examples=100, deadline=None)
+@given(chart_rays())
+def test_slab_and_line_rows_are_built_when_first_read(case):
+    # one exit builds at most the one candidate list it reads; each list,
+    # once built, holds the rows a scan of every edge's u range gives
+    surf, p, x, v = case
+    flow = _Flow(surf, v)
+    _exit_or_error(_exit_solve, surf, p, x, flow)
+    poly = surf.polygons[p]
+    tab = flow.table(poly)
+    assert sum(rows is not None for rows in tab.slabs + tab.lines) <= 1
+    us = [cross(a, v) for a in poly.vertices]
+    bounds = [key[1] for key in tab.bounds]
+    spans = [(e, min(us[e], us[f]), max(us[e], us[f]), us[e], us[f], f)
+             for e in range(poly.n) for f in [(e + 1) % poly.n]
+             if us[e] != us[f]]
+    for j in range(1, len(bounds)):
+        assert [row[0] for row, _ in tab.slab_rows(j)] == [
+            e for e, lo, hi, _, _, _ in spans
+            if lo <= bounds[j - 1] and bounds[j] <= hi]
+    for i, b in enumerate(bounds):
+        assert [(row[0], vert) for row, vert in tab.line_rows(i)] == [
+            (e, e if ue == b else f if uf == b else None)
+            for e, lo, hi, ue, uf, f in spans if lo <= b <= hi]
 
 
 SLANTS = ((1, 2), (2, 1), (1, -1), (-2, 3), (3, -1))
