@@ -169,13 +169,17 @@ def sheets_from_json(obj, nslits, cyclic=False):
 
 
 class _Endpoint:
-    __slots__ = ("polygon", "at", "aliases", "singular", "label")
+    """A slit endpoint: where is `Polygon.locate`'s answer for it in the
+    chart it was given in, aliases every chart representative of it."""
+
+    __slots__ = ("polygon", "at", "where", "aliases", "singular", "label")
 
     def __init__(self, base, polygon, at):
         self.polygon = polygon
         self.at = at
         where, self.aliases = base._point(polygon, at,
                                           "point %s outside polygon %d")
+        self.where = where
         self.singular = (isinstance(where, tuple) and where[0] == "vertex"
                          and base.is_singular_corner((polygon, where[1])))
         # both alias lists start with the canonical chart representative
@@ -268,28 +272,27 @@ def _check_disjoint(resolved):
 
 
 class _Complex:
-    """One mutable copy of the base, cut open along the slits."""
+    """One mutable copy of the base, cut open along the slits.
+
+    Each edge is keyed by (polygon, start vertex): a chart is a simple
+    polygon, so each of its vertices starts exactly one edge, and a key
+    stays valid while vertices are inserted elsewhere in the chart.  `glue`
+    maps each glued edge to its partner's key and `bank` each slit bank's
+    key to its (slit, piece, 'L'/'R') tag; every edge is in one of them.
+    Splitting an edge re-pairs its two halves with its partner's, and a cut
+    re-keys only the edges that move to the new piece.  `build_cover` turns
+    the keys into (polygon, edge index) once the cutting is done."""
 
     def __init__(self, base: Surface):
-        self.polys = [list(p.vertices) for p in base.polygons]
-        self.glue = dict(base.partner)
-        self.bank = {}  # (slit, piece, 'L'/'R') -> (polygon, edge)
+        self.polys = polys = [list(p.vertices) for p in base.polygons]
+        for p, verts in enumerate(polys):
+            if len(set(verts)) < len(verts):
+                raise InvalidParams("chart %d repeats a vertex; slit covers "
+                                    "need simple charts" % p)
+        self.glue = {(p, polys[p][e]): (q, polys[q][f])
+                     for (p, e), (q, f) in base.partner.items()}
+        self.bank = {}
         self.ancestor = list(range(len(self.polys)))
-
-    def find_edge(self, p, a, b):
-        verts = self.polys[p]
-        n = len(verts)
-        for e in range(n):
-            if verts[e] == a and verts[(e + 1) % n] == b:
-                return e
-        raise InvalidParams("no edge %s -> %s in polygon %d" % (a, b, p))
-
-    def _shift_edges(self, moved):
-        """Re-key glue and bank maps after edges moved; `moved` maps old
-        (p, e) keys to new ones and leaves absent keys alone."""
-        self.glue = {moved.get(k, k): moved.get(w, w)
-                     for k, w in self.glue.items()}
-        self.bank = {k: moved.get(w, w) for k, w in self.bank.items()}
 
     def ensure_vertex(self, p, pt):
         """Make pt a vertex of polygon p (splitting an edge if needed)."""
@@ -303,47 +306,34 @@ class _Complex:
         if where[0] == "vertex":
             return
         e = where[1]
-        if (p, e) not in self.glue:
+        a = self.polys[p][e]
+        if (p, a) not in self.glue:
             raise InvalidParams("cut lands on a slit bank; such slit "
                                 "arrangements are not supported")
-        p2, e2 = self.glue[(p, e)]
-        a = self.polys[p][e]
-        d_end = self.polys[p2][(e2 + 1) % len(self.polys[p2])]
-        pt2 = pt + (d_end - a)
-        del self.glue[(p, e)]
-        del self.glue[(p2, e2)]
-        # insert the higher-index vertex first so indices stay valid
-        inserts = sorted([(p, e, pt), (p2, e2, pt2)],
-                         key=lambda q: (q[0], q[1]), reverse=True)
-        for (pp, ee, mm) in inserts:
-            self.polys[pp].insert(ee + 1, mm)
-
-        def bump(pp, ee):
-            return ee + sum(1 for (qq, ss, _) in inserts
-                            if qq == pp and ss < ee)
-
-        moved = {}
-        for key in list(self.glue) + list(self.bank.values()):
-            nk = (key[0], bump(*key))
-            if nk != key:
-                moved[key] = nk
-        self._shift_edges(moved)
-        ea, eb = bump(p, e), bump(p2, e2)
-        self.glue[(p, ea)] = (p2, eb + 1)
-        self.glue[(p2, eb + 1)] = (p, ea)
-        self.glue[(p, ea + 1)] = (p2, eb)
-        self.glue[(p2, eb)] = (p, ea + 1)
+        p2, b = self.glue.pop((p, a))
+        del self.glue[(p2, b)]
+        self.polys[p].insert(e + 1, pt)
+        # read the partner's place after the insert: p2 may be p
+        verts2 = self.polys[p2]
+        e2 = verts2.index(b)
+        pt2 = pt + (verts2[(e2 + 1) % len(verts2)] - a)
+        verts2.insert(e2 + 1, pt2)
+        # a..pt meets pt2..(the partner's end), and pt..(the end) meets b..pt2
+        self.glue[(p, a)], self.glue[(p2, pt2)] = (p2, pt2), (p, a)
+        self.glue[(p, pt)], self.glue[(p2, b)] = (p2, b), (p, pt)
 
     def tag_slide(self, p, a, b, slit, piece):
         """A slit running along a glued edge: the slide chart is the left
         bank (its interior sits left of the travel direction)."""
         self.ensure_vertex(p, a)
         self.ensure_vertex(p, b)
-        e = self.find_edge(p, a, b)
-        other = self.glue.pop((p, e))
+        verts = self.polys[p]
+        if verts[(verts.index(a) + 1) % len(verts)] != b:
+            raise InvalidParams("no edge %s -> %s in polygon %d" % (a, b, p))
+        other = self.glue.pop((p, a))
         del self.glue[other]
-        self.bank[(slit, piece, "L")] = (p, e)
-        self.bank[(slit, piece, "R")] = other
+        self.bank[(p, a)] = (slit, piece, "L")
+        self.bank[other] = (slit, piece, "R")
 
     def cut(self, p, pts, tags):
         """Split polygon p along the chord pts[0] -> pts[-1] (both already
@@ -351,8 +341,8 @@ class _Complex:
         seam (reglued at once) or (slit, piece, forward)."""
         verts = self.polys[p]
         n = len(verts)
-        i = next(t for t in range(n) if verts[t] == pts[0])
-        j = next(t for t in range(n) if verts[t] == pts[-1])
+        i = verts.index(pts[0])
+        j = verts.index(pts[-1])
         k = len(pts) - 1
         arc_a = (j - i) % n
         arc_b = (i - j) % n
@@ -366,26 +356,24 @@ class _Complex:
         self.polys[p] = piece_a
         self.polys.append(piece_b)
         self.ancestor.append(self.ancestor[p])
-        moved = {}
-        for t in range(arc_a):
-            moved[(p, (i + t) % n)] = (p, t)
-        for t in range(arc_b):
-            moved[(p, (j + t) % n)] = (pb, t)
-        self._shift_edges(moved)
+        for v in piece_b[:arc_b]:
+            old, new = (p, v), (pb, v)
+            if old in self.bank:
+                self.bank[new] = self.bank.pop(old)
+            else:
+                other = self.glue.pop(old)
+                self.glue[new], self.glue[other] = other, new
         for t, tag in enumerate(tags):
-            fwd = (pb, arc_b + t)
-            rev = (p, arc_a + (k - 1 - t))
+            # the chord piece pts[t] -> pts[t+1] runs forward on piece b
+            # and back on piece a
+            fwd, rev = (pb, pts[t]), (p, pts[t + 1])
             if tag is None:
-                self.glue[fwd] = rev
-                self.glue[rev] = fwd
+                self.glue[fwd], self.glue[rev] = rev, fwd
             else:
                 slit, piece, forward = tag
-                if forward:
-                    self.bank[(slit, piece, "L")] = fwd
-                    self.bank[(slit, piece, "R")] = rev
-                else:
-                    self.bank[(slit, piece, "L")] = rev
-                    self.bank[(slit, piece, "R")] = fwd
+                left, right = (fwd, rev) if forward else (rev, fwd)
+                self.bank[left] = (slit, piece, "L")
+                self.bank[right] = (slit, piece, "R")
         return pb
 
 
@@ -407,17 +395,15 @@ def _chart_chords(base, resolved, flow):
                 raw.append((seg.polygon, seg.a, seg.b,
                             (j, piece, rs.direction)))
             piece += 1
-        first, last = rs.runs[0], rs.runs[-1]
-        if not first.slide and \
-                base.polygons[first.polygon].locate(first.a) == "interior":
-            y = _exit_solve(base, first.polygon, first.a,
-                            flow(-rs.direction))[1]
-            raw.append((first.polygon, y, first.a, None))
-        if not last.slide and \
-                base.polygons[last.polygon].locate(last.b) == "interior":
-            y = _exit_solve(base, last.polygon, last.b,
-                            flow(rs.direction))[1]
-            raw.append((last.polygon, last.b, y, None))
+        # an interior endpoint has one chart representative, where the
+        # slit's first or last run starts or ends
+        u, v = rs.u, rs.v
+        if u.where == "interior":
+            y = _exit_solve(base, u.polygon, u.at, flow(-rs.direction))[1]
+            raw.append((u.polygon, y, u.at, None))
+        if v.where == "interior":
+            y = _exit_solve(base, v.polygon, v.at, flow(rs.direction))[1]
+            raw.append((v.polygon, v.at, y, None))
 
     groups = {}
     for (p, a, b, tag) in raw:
@@ -523,7 +509,8 @@ def _cut_complex(spec: CoverSpec):
             mid = (other["pts"][0] + other["pts"][-1]) * half
             if Polygon(cx.polys[p]).locate(mid) == "outside":
                 other["polygon"] = pb
-    if any((j, piece, side) not in cx.bank for j, cnt in enumerate(piece_counts)
+    banks = set(cx.bank.values())
+    if any((j, piece, side) not in banks for j, cnt in enumerate(piece_counts)
            for piece in range(cnt) for side in "LR"):
         raise InconsistentTopology("a slit piece was cut without both banks")
     return resolved, cx, piece_counts
@@ -553,17 +540,22 @@ def build_cover(spec: CoverSpec) -> Surface:
     d = spec.degree
     P = len(cx.polys)
     polys = [list(v) for _ in range(d) for v in cx.polys]
+    # each edge key (polygon, start vertex) as (polygon, edge index)
+    index = [{v: e for e, v in enumerate(verts)} for verts in cx.polys]
+    glued = [((p, index[p][a]), (q, index[q][b]))
+             for (p, a), (q, b) in cx.glue.items()]
+    bank = {tag: (p, index[p][a]) for (p, a), tag in cx.bank.items()}
     glue_pairs = set()
     for copy in range(d):
         off = copy * P
-        for (pe, pe2) in cx.glue.items():
+        for (pe, pe2) in glued:
             a = (pe[0] + off, pe[1])
             b = (pe2[0] + off, pe2[1])
             glue_pairs.add((a, b) if a <= b else (b, a))
     for j, perm in enumerate(spec.perms):
         for piece in range(piece_counts[j]):
-            lp, le = cx.bank[(j, piece, "L")]
-            rp, re = cx.bank[(j, piece, "R")]
+            lp, le = bank[(j, piece, "L")]
+            rp, re = bank[(j, piece, "R")]
             for i in range(d):
                 a = (lp + i * P, le)
                 b = (rp + perm[i] * P, re)

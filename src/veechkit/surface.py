@@ -1,9 +1,10 @@
 """Translation complexes: plane polygons glued edge-to-edge by translations.
 
-A Surface validates its gluing table at construction, identifies vertices,
-walks the corner cycles, and caches the derived topology: cone angles, the
-singular set, area, and genus computed two independent ways (total angle
-excess and the vertex/edge/face count).
+A Surface validates its gluing table at construction, walks the corner
+cycles -- each cycle is one vertex class, so the walk identifies the
+vertices too -- and caches the derived topology: cone angles, the singular
+set, area, and genus computed two independent ways (total angle excess and
+the vertex/edge/face count).
 
 The constructor interns its charts by vertex list: charts with the same
 vertices share one Polygon object, so `surface.polygons[p] is
@@ -166,7 +167,6 @@ class Surface:
             _, exc, message = problems[0]
             raise exc(message)
         self.translation = _translations(self.polygons, self.partner)
-        self._build_vertex_classes()
         self._walk_corner_cycles()
         self.point_labels = dict(point_labels or {})
         marks = []
@@ -187,34 +187,6 @@ class Surface:
 
     # -- vertex identification and cone angles --------------------------------
 
-    def _build_vertex_classes(self):
-        corners = [(p, v) for p, poly in enumerate(self.polygons)
-                   for v in range(poly.n)]
-        parent = {c: c for c in corners}
-
-        def find(c):
-            while parent[c] != c:
-                parent[c] = parent[parent[c]]
-                c = parent[c]
-            return c
-
-        def union(a, b):
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
-
-        for (p1, e1), (p2, e2) in self.partner.items():
-            n2 = self.polygons[p2].n
-            union((p1, e1), (p2, (e2 + 1) % n2))
-        groups = {}
-        for c in corners:
-            groups.setdefault(find(c), []).append(c)
-        self.vertex_classes = [sorted(g) for g in sorted(groups.values())]
-        self.class_of = {}
-        for i, g in enumerate(self.vertex_classes):
-            for c in g:
-                self.class_of[c] = i
-
     def next_corner(self, corner: Corner) -> Corner:
         """Rotate counterclockwise about the vertex: the corner across edge v-1."""
         p, v = corner
@@ -230,34 +202,39 @@ class Surface:
         return -self.polygons[p].edge(v - 1)
 
     def _walk_corner_cycles(self):
+        """Vertex classes, corner cycles and cone windings in one pass.
+
+        A vertex class is a cycle of `next_corner`: the gluings identify
+        the corners along exactly these steps.  Walking the corners in
+        sorted order, each class not yet met starts at its least corner, so
+        classes are numbered by least corner; `vertex_classes` keeps each
+        class sorted, and `corner_cycles` in the order of the walk."""
         owns_east = {}  # polygon -> its _sector_row for east
-        self.cone_windings = []
-        self.corner_cycles = []
-        seen = set()
-        cycles_by_class = {}
-        for start in sorted(self.class_of):
-            if start in seen:
-                continue
-            cycle, windings = [], 0
-            c = start
-            while True:
-                cycle.append(c)
-                seen.add(c)
-                poly = self.polygons[c[0]]
-                owns = owns_east.get(poly)
-                if owns is None:
-                    owns = owns_east[poly] = _sector_row(poly, _EAST)
-                windings += owns[c[1]] != _MISS
-                # opposite gluings: ray_in(c) == ray_out(next_corner(c))
-                c = self.next_corner(c)
-                if c == start:
-                    break
-            # classes are unions along exactly the next_corner steps
-            cycles_by_class[self.class_of[start]] = (cycle, windings)
-        for i in range(len(self.vertex_classes)):
-            cycle, windings = cycles_by_class[i]
-            self.corner_cycles.append(cycle)
-            self.cone_windings.append(windings)
+        self.vertex_classes, self.corner_cycles = [], []
+        self.cone_windings, self.class_of = [], {}
+        for p, poly in enumerate(self.polygons):
+            for v in range(poly.n):
+                start = (p, v)
+                if start in self.class_of:
+                    continue
+                cls = len(self.corner_cycles)
+                cycle, windings = [], 0
+                c = start
+                while True:
+                    cycle.append(c)
+                    self.class_of[c] = cls
+                    chart = self.polygons[c[0]]
+                    owns = owns_east.get(chart)
+                    if owns is None:
+                        owns = owns_east[chart] = _sector_row(chart, _EAST)
+                    windings += owns[c[1]] != _MISS
+                    # opposite gluings: ray_in(c) == ray_out(next_corner(c))
+                    c = self.next_corner(c)
+                    if c == start:
+                        break
+                self.corner_cycles.append(cycle)
+                self.cone_windings.append(windings)
+                self.vertex_classes.append(sorted(cycle))
         self.singular_classes = [i for i, w in enumerate(self.cone_windings) if w > 1]
 
     def is_singular_corner(self, corner: Corner) -> bool:
@@ -526,9 +503,9 @@ def singularities(surface: Surface):
 
 
 def _index(i, n, what):
-    """`i` if it names one of `n` items; InvalidParams otherwise, negative
-    indices included."""
-    if not 0 <= i < n:
+    """`i` if it is an int (a bool is not one) naming one of `n` items;
+    InvalidParams otherwise, negative indices included."""
+    if type(i) is not int or not 0 <= i < n:
         raise InvalidParams("no %s %r (there are %d)" % (what, i, n))
     return i
 

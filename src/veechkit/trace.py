@@ -201,14 +201,14 @@ def _turn(flow, corner, start=None):
 
 
 def _checked_corner(surface, corner, name="corner"):
-    """`corner` as a (polygon, vertex) pair of ints naming a vertex of
-    `surface`, or any such pair when `surface` is None; InvalidParams,
-    calling it `name`, when it is not one."""
+    """`corner` as a (polygon, vertex) pair of ints (a bool is not one)
+    naming a vertex of `surface`, or any such pair when `surface` is None;
+    InvalidParams, calling it `name`, when it is not one."""
     try:
         p, k = corner
     except (TypeError, ValueError):
         p = k = None
-    if not (isinstance(p, int) and isinstance(k, int)):
+    if not (type(p) is int and type(k) is int):
         raise InvalidParams("%s must be a (polygon, vertex) pair of integers, "
                             "not %r" % (name, corner))
     if surface is not None and not (0 <= p < len(surface.polygons)

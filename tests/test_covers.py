@@ -5,6 +5,7 @@ regluing the sheet copies, then cross-checked against the Euler-count route
 inside Surface.genus (which independently compares angle excess).
 """
 
+import hashlib
 import json
 import re
 from fractions import Fraction
@@ -18,9 +19,9 @@ from veechkit.errors import (InconsistentProfile, InvalidParams, NonTransitive,
                              OverlappingSlits, SlitThroughSingularity)
 from veechkit.geometry import Vec2
 from veechkit.surface import Surface
-from veechkit.covers import (CoverSpec, Slit, _ramification, build_cover,
-                             cyclic_slit_cover, double_cover, is_balanced,
-                             riemann_hurwitz)
+from veechkit.covers import (CoverSpec, Slit, _cut_complex, _ramification,
+                             build_cover, cyclic_slit_cover, double_cover,
+                             is_balanced, riemann_hurwitz)
 
 F = Fraction
 
@@ -281,6 +282,48 @@ def test_branch_point_named_from_its_glued_side_keeps_its_label():
         assert cov.genus() == 5
         assert list(cov.point_labels.values()) == ["m"]
         assert cov.marked == []
+
+def cover_digest(cover):
+    """sha256 of the cover's JSON as `veechkit cover` writes it."""
+    text = json.dumps(cover.to_json(), sort_keys=True, indent=2) + "\n"
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_cover_json_stays_byte_identical():
+    # canonical outputs are pinned: a change that alters them must say so
+    # and update the digests.  A marked slit end that one sheet leaves
+    # regular takes both label routes (a cone label and an extra mark)
+    base = Surface.cross(1, 1, marked=[(0, (F(3, 2), F(3, 2)), "ctr"),
+                                       (0, (F(5, 4), F(1, 2)), "p")])
+    labelled = build_cover(CoverSpec(base, 3, [diag_slit()], [(1, 0, 2)]))
+    assert labelled.point_labels == {3: "ctr"}
+    assert [m.label for m in labelled.marked] == ["p#1", "p#2", "p#3",
+                                                  "ctr#2"]
+    assert cover_digest(labelled) == (
+        "a4c995b1108fb67b52ca8772e20e6dbf5460e69813d59c1019f5b9c5f4fc314a")
+    # a slit sliding along the cross's edge 10, which is glued to edge 8
+    slide = Slit(polygon=0, start=(F(1, 4), 1), direction=(1, 0),
+                 end=(F(3, 4), 1))
+    spec = CoverSpec(Surface.cross(1, 1), 2,
+                     [slide, hslit("9/4", "3/2", "11/4")], [(1, 0), (1, 0)])
+    assert [seg.slide for seg in _cut_complex(spec)[0][0].runs] == [True]
+    assert cover_digest(build_cover(spec)) == (
+        "f1bb2d98b288cf6607e4b1d596d223b8e4c04cc843343888a118ba27a1f1efea")
+
+
+def test_a_chart_that_repeats_a_vertex_is_not_cut():
+    # two unit squares meeting at (1, 1), given as one chart that passes
+    # through (1, 1) twice: the surface is valid, but the cutter keys each
+    # edge by its start vertex, and two edges start there
+    pinched = Surface([[(0, 0), (1, 0), (1, 1), (2, 1), (2, 2), (1, 2),
+                        (1, 1), (0, 1)]],
+                      [((0, 0), (0, 6)), ((0, 1), (0, 7)), ((0, 2), (0, 4)),
+                       ((0, 3), (0, 5))])
+    assert pinched.genus() == 2
+    with pytest.raises(InvalidParams, match="chart 0 repeats a vertex"):
+        double_cover(pinched, [hslit("1/4", "1/2", "3/4"),
+                               hslit("5/4", "3/2", "7/4")])
+
 
 def test_spec_json_round_trip():
     base = Surface.cross(1, 1)

@@ -11,11 +11,12 @@ import pytest
 from veechkit import cli
 from veechkit.census import census, census_to_json, fat_sequence
 from veechkit.covers import Slit
+from veechkit.cylinders import twist_orbit
 from veechkit.errors import InvalidParams, ZeroInput
 from veechkit.field import FieldScalar, parse_scalar, scalar
 from veechkit.geometry import Mat2, Vec2, _as_vec
 from veechkit.surface import Surface
-from veechkit.trace import trace
+from veechkit.trace import is_connection_point_up_to, trace
 
 SQRT5 = FieldScalar(0, 1, 5)
 
@@ -157,6 +158,33 @@ def test_a_chart_index_is_an_int_that_is_not_a_bool(index):
         with pytest.raises(InvalidParams):
             call()
     assert ell.point_aliases(1, at) == [(1, at)]
+
+
+@pytest.mark.parametrize("index", NOT_INDICES.values(),
+                         ids=NOT_INDICES.keys())
+def test_a_corner_mark_or_cylinder_index_is_an_int_that_is_not_a_bool(index):
+    # True would read as corner (1, 0) or (1, 1), mark 1 or cylinder 1
+    ell = Surface.l_shape(1, 1, 1, 1)
+    two = Surface.cross(1, 1, marked=[(0, (Fraction(3, 2), Fraction(3, 2)),
+                                       "q"),
+                                      (0, (Fraction(5, 4), Fraction(1, 2)),
+                                       "p")])
+    twist = ((0, 1), (1, 0), 1)
+    calls = [
+        lambda: trace(ell, corner=(index, 0), direction=(1, 2)),
+        lambda: trace(ell, corner=(1, index), direction=(1, 2)),
+        lambda: Slit(corner=(index, 0), direction=(1, 1), end=(1, 1)),
+        lambda: twist_orbit(two, index, *twist),
+        lambda: is_connection_point_up_to(two, index),
+    ]
+    if index is not None:  # no target cylinder: the mark's own
+        calls.append(lambda: twist_orbit(two, 0, *twist,
+                                         target_cylinder=index))
+    for call in calls:
+        with pytest.raises(InvalidParams):
+            call()
+    assert trace(ell, corner=(1, 0), direction=(1, 2)).segments
+    assert twist_orbit(two, 1, *twist, target_cylinder=1)[0]["mark"] == 1
 
 
 @pytest.mark.parametrize("field", ["p1", "e1", "p2"])

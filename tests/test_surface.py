@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from test_covers import cyclic_covers
 from veechkit.errors import (FieldMismatch, InconsistentTopology, InvalidParams,
                              VeechkitError)
 from veechkit.field import FieldScalar, scalar
@@ -27,8 +28,9 @@ PHI = FieldScalar(Fraction(1, 2), Fraction(1, 2), 5)
 # independent singularity oracle
 # ---------------------------------------------------------------------------
 
-def oracle_cone_angles(surf):
-    """Vertex classes from raw gluing data + float angle sums, in units of pi.
+def oracle_vertex_classes(surf):
+    """Vertex classes from raw gluing data by union-find, each sorted, the
+    classes in order of their least corners.
 
     A gluing (p,e)~(q,f) identifies vertex e with f+1 and e+1 with f.
     """
@@ -52,17 +54,24 @@ def oracle_cone_angles(surf):
         np_, nq = surf.polygons[p].n, surf.polygons[q].n
         union((p, e), (q, (f + 1) % nq))
         union((p, (e + 1) % np_), (q, f))
+    groups = {}
+    for c in sorted(parent):
+        groups.setdefault(find(c), []).append(c)
+    return sorted(groups.values())
 
-    sums = {}
-    for p, poly in enumerate(surf.polygons):
-        for v in range(poly.n):
+
+def oracle_cone_angles(surf):
+    """Cone angles of the oracle's vertex classes from float angle sums, in
+    units of pi."""
+    out = []
+    for group in oracle_vertex_classes(surf):
+        val = 0.0
+        for p, v in group:
+            poly = surf.polygons[p]
             a = poly.vertex(v - 1) - poly.vertex(v)
             b = poly.vertex(v + 1) - poly.vertex(v)
             ang = math.atan2(float(a.y), float(a.x)) - math.atan2(float(b.y), float(b.x))
-            ang %= 2 * math.pi
-            sums[find((p, v))] = sums.get(find((p, v)), 0.0) + ang
-    out = []
-    for val in sums.values():
+            val += ang % (2 * math.pi)
         mult = round(val / math.pi)
         assert abs(val - mult * math.pi) < 1e-9, "angle not a pi multiple"
         out.append(mult)
@@ -593,6 +602,17 @@ def test_corner_cycles_chain_and_fill_their_classes(surf):
         assert surf.ray_in(c) == surf.ray_out(surf.next_corner(c))
     for cycle, group in zip(surf.corner_cycles, surf.vertex_classes):
         assert sorted(cycle) == group
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(marked_surfaces(), cyclic_covers().map(lambda case: case[1])))
+def test_vertex_classes_are_the_unions_of_glued_corners(surf):
+    # the corner walk finds the classes the gluings make, numbered by least
+    # corner, against a union-find over the partner map
+    classes = oracle_vertex_classes(surf)
+    assert surf.vertex_classes == classes
+    assert surf.class_of == {c: i for i, group in enumerate(classes)
+                             for c in group}
 
 
 @settings(max_examples=50, deadline=None)
