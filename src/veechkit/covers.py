@@ -10,6 +10,12 @@ and each polygon is subdivided along its chords.  The result is an ordinary
 polygons-plus-gluings surface, so every analysis in the package applies to it
 unchanged.
 
+The cutting is done once, on one copy of the base (`_Complex`), which keeps
+one Polygon per cut piece; every point location during the cut reads it,
+and the cover reuses it on all d sheets, so the cover's constructor checks
+and hashes each piece once.  A piece no cut touches stays the base's own
+Polygon.
+
 Slit endpoints become branch points.  A preimage with total angle above 2pi is
 a cone point of the cover and keeps its base label (if any) in point_labels; a
 preimage left regular stays an ordinary labelled point.
@@ -281,10 +287,16 @@ class _Complex:
     key to its (slit, piece, 'L'/'R') tag; every edge is in one of them.
     Splitting an edge re-pairs its two halves with its partner's, and a cut
     re-keys only the edges that move to the new piece.  `build_cover` turns
-    the keys into (polygon, edge index) once the cutting is done."""
+    the keys into (polygon, edge index) once the cutting is done.
+
+    `shape(p)` is piece p's Polygon, built on first read after
+    `ensure_vertex` or `cut` last changed the piece, so every point location
+    on a piece reads one Polygon, and the cover's sheets share it.  A piece
+    never cut keeps the base's own Polygon: Polygons are immutable."""
 
     def __init__(self, base: Surface):
         self.polys = polys = [list(p.vertices) for p in base.polygons]
+        self.shapes = list(base.polygons)
         for p, verts in enumerate(polys):
             if len(set(verts)) < len(verts):
                 raise InvalidParams("chart %d repeats a vertex; slit covers "
@@ -294,9 +306,16 @@ class _Complex:
         self.bank = {}
         self.ancestor = list(range(len(self.polys)))
 
+    def shape(self, p):
+        """The Polygon of piece p, with the vertices of polys[p]."""
+        poly = self.shapes[p]
+        if poly is None:
+            poly = self.shapes[p] = Polygon(self.polys[p])
+        return poly
+
     def ensure_vertex(self, p, pt):
         """Make pt a vertex of polygon p (splitting an edge if needed)."""
-        where = Polygon(self.polys[p]).locate(pt)
+        where = self.shape(p).locate(pt)
         if where == "outside":
             raise InvalidParams("cut point %s fell outside polygon %d"
                                 % (pt, p))
@@ -318,6 +337,7 @@ class _Complex:
         e2 = verts2.index(b)
         pt2 = pt + (verts2[(e2 + 1) % len(verts2)] - a)
         verts2.insert(e2 + 1, pt2)
+        self.shapes[p] = self.shapes[p2] = None
         # a..pt meets pt2..(the partner's end), and pt..(the end) meets b..pt2
         self.glue[(p, a)], self.glue[(p2, pt2)] = (p2, pt2), (p, a)
         self.glue[(p, pt)], self.glue[(p2, b)] = (p2, b), (p, pt)
@@ -355,6 +375,8 @@ class _Complex:
         pb = len(self.polys)
         self.polys[p] = piece_a
         self.polys.append(piece_b)
+        self.shapes[p] = None
+        self.shapes.append(None)
         self.ancestor.append(self.ancestor[p])
         for v in piece_b[:arc_b]:
             old, new = (p, v), (pb, v)
@@ -507,7 +529,7 @@ def _cut_complex(spec: CoverSpec):
             if other["polygon"] != p:
                 continue
             mid = (other["pts"][0] + other["pts"][-1]) * half
-            if Polygon(cx.polys[p]).locate(mid) == "outside":
+            if cx.shape(p).locate(mid) == "outside":
                 other["polygon"] = pb
     banks = set(cx.bank.values())
     if any((j, piece, side) not in banks for j, cnt in enumerate(piece_counts)
@@ -539,7 +561,7 @@ def build_cover(spec: CoverSpec) -> Surface:
     resolved, cx, piece_counts = _cut_complex(spec)
     d = spec.degree
     P = len(cx.polys)
-    polys = [list(v) for _ in range(d) for v in cx.polys]
+    polys = [cx.shape(q) for q in range(P)] * d
     # each edge key (polygon, start vertex) as (polygon, edge index)
     index = [{v: e for e, v in enumerate(verts)} for verts in cx.polys]
     glued = [((p, index[p][a]), (q, index[q][b]))
@@ -568,7 +590,7 @@ def build_cover(spec: CoverSpec) -> Surface:
             continue
         home = next(q for q in range(P)
                     if cx.ancestor[q] == mp.polygon
-                    and Polygon(cx.polys[q]).locate(mp.at) != "outside")
+                    and cx.shape(q).locate(mp.at) != "outside")
         for copy in range(d):
             marks.append((home + copy * P, mp.at,
                           "%s#%d" % (mp.label, copy + 1)))

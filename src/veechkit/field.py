@@ -33,6 +33,9 @@ the fused kernels below instead of unpacking it:
                            field tag, from the signs of x and y
   _sort_key(x)             (floor(x * 2**32), x): sorts scalars by value,
                            comparing two scalars only when their floors tie
+  _pair_hash(x, y)         a hash of the pair (x, y) from the two integer
+                           forms, with no modular inverse: for keys, such as
+                           Vec2, that equal nothing but each other
 When the operands' nonzero tags differ, the kernels fall back to the scalar
 operators, so FieldMismatch is raised on exactly the inputs that raise it
 there.
@@ -222,6 +225,16 @@ def _sort_key(x):
     if not m:
         return (n << 32) // q, x
     return ((n << 32) + _floor_times_sqrt(m << 32, d)) // q, x
+
+
+def _pair_hash(x, y):
+    """A hash of the scalar pair (x, y) read off the two integer forms.
+
+    Equal scalars have equal forms, so equal pairs hash equal.  Unlike
+    hash((x, y)) it takes no modular inverse for a non-integer rational, and
+    it does not hash like a pair of equal ints or Fractions: only a key that
+    equals nothing but keys hashed the same way (Vec2) may use it."""
+    return hash((x._t, y._t))
 
 
 def _parts(x):

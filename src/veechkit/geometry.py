@@ -7,7 +7,9 @@ or dot product, of an orientation or of a difference, and each compass
 class, comes from a fused kernel of `field` (`_cross_sign`, `_dot_sign`,
 `_orient_sign`, `_compass`, comparisons) that works on the integer form.
 `cross` itself reduces its value once, and so does each coordinate of a
-matrix image `Mat2 * Vec2` (`_lin`).
+matrix image `Mat2 * Vec2` (`_lin`).  A Vec2 equals only a Vec2, so it
+hashes the integer forms of its coordinates (`field._pair_hash`), with no
+modular inverse, rather than hash like a pair of numbers.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import math
 
 from .errors import InvalidParams, NonPositive, ZeroInput
 from .field import (FieldScalar, _compass, _cross, _cross_sign, _dot_sign,
-                    _lin, _orient_sign, scalar)
+                    _lin, _orient_sign, _pair_hash, scalar)
 
 _ZERO = FieldScalar.rational(0)
 _ONE = FieldScalar.rational(1)
@@ -37,7 +39,8 @@ class Vec2:
         return isinstance(other, Vec2) and self.x == other.x and self.y == other.y
 
     def __hash__(self):
-        return hash((self.x, self.y))
+        # a Vec2 equals only a Vec2, so its hash need not match a tuple's
+        return _pair_hash(self.x, self.y)
 
     def __add__(self, o):
         return _vec(self.x + o.x, self.y + o.y)

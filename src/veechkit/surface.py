@@ -9,13 +9,18 @@ the vertex/edge/face count).
 The constructor interns its charts by vertex list: charts with the same
 vertices share one Polygon object, so `surface.polygons[p] is
 surface.polygons[q]` exactly when charts p and q have equal vertex lists,
-as the copies of a chart on the d sheets of a slit cover do.  What depends
-only on a chart's geometry is computed once per distinct Polygon: the
-polygon checks (re-run on a repeat only when they found a problem, so every
-index is tagged), the edge translations, per (polygon, edge, partner
-polygon, partner edge), and the row of corner sectors that own east.  A
-Polygon keeps its signed area (behind `area`) and bounding box (behind
-`default_cap`) once computed, and `transform` maps each distinct Polygon
+as the copies of a chart on the d sheets of a slit cover do.  A Polygon
+object given again is taken as is, by identity, before any vertex is
+hashed, so a caller that already shares its Polygons (`build_cover` hands
+over one per cut piece, repeated on every sheet) pays one vertex hash per
+distinct Polygon; separate objects with equal vertex lists still merge.
+What depends only on a chart's geometry is computed once per distinct
+Polygon: the polygon checks (re-run on a repeat only when they found a
+problem, so every index is tagged), the edge translations, per (polygon,
+edge, partner polygon, partner edge), and the row of corner sectors that
+own east.  `area` and `default_cap` add each distinct Polygon's signed
+area or bounding box once, times the number of charts sharing it, and a
+Polygon keeps both once computed.  `transform` maps each distinct Polygon
 once, so the image keeps the sharing.  The flows of `trace` key their chart
 tables the same way.  Everything else -- gluings, vertex classes, corners,
 marked points -- stays keyed by chart index.
@@ -244,10 +249,7 @@ class Surface:
 
     @property
     def area(self) -> FieldScalar:
-        total = scalar(0)
-        for poly in self.polygons:
-            total = total + poly.signed_area2()
-        return total / 2
+        return _sum_per_polygon(self.polygons, Polygon.signed_area2) / 2
 
     def component_count(self) -> int:
         seen, count = set(), 0
@@ -282,11 +284,7 @@ class Surface:
         return (2 - chi) // 2
 
     def default_cap(self) -> FieldScalar:
-        total = scalar(0)
-        for poly in self.polygons:
-            x0, y0, x1, y1 = poly.bbox()
-            total = total + (x1 - x0) + (y1 - y0)
-        return total * 20
+        return _sum_per_polygon(self.polygons, _bbox_extent) * 20
 
     # -- marked points ---------------------------------------------------------
 
@@ -510,6 +508,12 @@ def _index(i, n, what):
     return i
 
 
+def _bbox_extent(poly):
+    """Width plus height of a Polygon's bounding box."""
+    x0, y0, x1, y1 = poly.bbox()
+    return (x1 - x0) + (y1 - y0)
+
+
 def _sector_row(poly, v):
     """Where direction v lies against each corner sector [edge k, -edge k-1)
     of Polygon `poly`, one entry per vertex k: _MISS outside it, _HOLD
@@ -558,19 +562,36 @@ def _sector_test(out, back, v):
 
 def _interned(polygons):
     """The charts as Polygons, one shared object per distinct vertex list
-    (the first Polygon given with those vertices, if any)."""
-    seen, out = {}, []
+    (the first Polygon given with those vertices, if any).  A Polygon object
+    met before is looked up by identity, so its vertices are hashed once
+    however many charts it is given for."""
+    seen, out = {}, []  # vertex tuple -> the index of its first chart
+    given = {}  # a Polygon given -> the one kept for it
     for p in polygons:
         if isinstance(p, Polygon):
-            key = tuple(p.vertices)
+            poly = given.get(p)
+            if poly is None:
+                first = seen.setdefault(tuple(p.vertices), len(out))
+                poly = given[p] = out[first] if first < len(out) else p
         else:
             key = tuple([_as_vec(v) for v in p])
-        first = seen.setdefault(key, len(out))  # hashes the key once
-        if first < len(out):
-            out.append(out[first])
-        else:
-            out.append(p if isinstance(p, Polygon) else Polygon(key))
+            first = seen.setdefault(key, len(out))  # hashes the key once
+            poly = out[first] if first < len(out) else Polygon(key)
+        out.append(poly)
     return out
+
+
+def _sum_per_polygon(polygons, value):
+    """The sum of value(poly) over the charts: once per distinct Polygon,
+    times the number of charts that share it."""
+    counts = {}
+    for poly in polygons:
+        counts[poly] = counts.get(poly, 0) + 1
+    total = scalar(0)
+    for poly, k in counts.items():
+        x = value(poly)
+        total = total + (x * k if k > 1 else x)
+    return total
 
 
 def _translations(polygons, partner):

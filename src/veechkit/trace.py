@@ -24,7 +24,8 @@ other direction takes one fused product with v for each.  For each distinct
 chart geometry (the surface shares one Polygon among charts with the same
 vertices: the sheets of a cover), the first time a trace enters a chart of
 it, the flow reads each vertex's u_k once and builds a table (_Table) with
-one row per edge e not parallel to v.  The distinct u_k, sorted, are the
+one row per edge e not parallel to v.  The distinct u_k, sorted (the
+vertices are ranked by sorting them on their u, so no u is hashed), are the
 bounds that cut the chart into slabs, and the table keeps two candidate
 lists: for each slab, the edges that span it; for each bound, the edges that
 touch its line, each with the vertex it has on that line, if any.  Each list
@@ -65,7 +66,10 @@ whose edges meet only at its vertices.
 Every stop -- a closing, a cone, a mark, a stop hook's tau -- is a flow
 parameter; at one tau a closing beats a cone, a cone a hook stop, and a hook
 stop a mark.  The segment is cut there at the point (u(a), s(a) + tau -
-tau0) of its leaf: on the axis flows one addition, no division.
+tau0) of its leaf: on the axis flows one addition, no division.  The cap
+becomes a bound on tau too: on an axis flow it is the cap itself, and any
+other flow divides the cap by |v| (or its square by |v|^2) once per cap
+(`_Flow.limit`), not once per trace.
 
 A segment records what the trace learned making it: the index of the chart
 vertex it ends at (the exit's vertex, or the end of a slide; none once a
@@ -231,8 +235,9 @@ _AXES = {(0, 1): (_X, _Y, _vec),
 class _Table:
     """What one flow knows of one distinct Polygon (see _Flow).
 
-    Each edge e not parallel to v has a row (e, edge, den, u_e), with
-    den = u_e - u_{e+1}.
+    Each edge e not parallel to v has a row (e, edge, u_e).  The u_k are
+    ranked by sorting the vertex indices on their _sort_key, so no u is
+    hashed: equal u_k are neighbours in that order and share a rank.
 
     bounds -- the distinct u_k as _sort_key tuples, in order
     spans  -- per such edge, (row, low rank, high rank, the vertex at the
@@ -256,15 +261,19 @@ class _Table:
     def __init__(self, flow, poly):
         n = poly.n
         us = [flow.across(a) for a in poly.vertices]
-        self.bounds = sorted(map(_sort_key, set(us)))
-        rank = {key[1]: i for i, key in enumerate(self.bounds)}
-        ranks = [rank[u] for u in us]
+        keys = [_sort_key(u) for u in us]
+        self.bounds = bounds = []
+        ranks = [0] * n
+        for k in sorted(range(n), key=keys.__getitem__):
+            if not bounds or bounds[-1] != keys[k]:
+                bounds.append(keys[k])
+            ranks[k] = len(bounds) - 1
         self.spans = spans = []
         for e in range(n):
             f = (e + 1) % n
             if ranks[e] == ranks[f]:
                 continue  # parallel: its vertices are caught via its mates
-            row = (e, poly.edge(e), us[e] - us[f], us[e])
+            row = (e, poly.edge(e), us[e])
             if ranks[e] < ranks[f]:
                 spans.append((row, ranks[e], ranks[f], e, f))
             else:
@@ -315,7 +324,8 @@ class _Flow:
     """
 
     __slots__ = ("surface", "v", "vv", "vlen", "across", "along", "point",
-                 "_tables", "_sectors", "_starts", "_marks", "_leave")
+                 "_tables", "_sectors", "_starts", "_marks", "_leave",
+                 "_cap", "_limit")
 
     def __init__(self, surface, direction):
         if direction is None:
@@ -342,6 +352,7 @@ class _Flow:
         self._starts = {}
         self._marks = {}
         self._leave = {}
+        self._cap = self._limit = None
 
     def table(self, poly):
         """The _Table of Polygon `poly` (see the class docstring)."""
@@ -352,14 +363,28 @@ class _Flow:
 
     def line(self, tab, poly, row):
         """(A, B) with s = A + B*u on the line of `row`'s edge: along the
-        edge u falls by den while s grows by s(edge)."""
-        e, edge, den, u_e = row
+        edge u grows by u(edge) while s grows by s(edge), so B is their
+        ratio."""
+        e, edge, u_e = row
         ab = tab.solved[e]
         if ab is None:
-            slope = self.along(edge) / den
+            slope = self.along(edge) / self.across(edge)
             ab = tab.solved[e] = (
-                _affine(self.along(poly.vertices[e]), slope, u_e), -slope)
+                _affine(self.along(poly.vertices[e]), -slope, u_e), slope)
         return ab
+
+    def limit(self, cap):
+        """The cap on tau itself: tau * vlen > cap, or tau^2 * vv > cap^2
+        when vlen is not in the field.  On an axis, where vlen is 1, that is
+        the cap; otherwise it is formed once per cap object, as the traces
+        of one caller share one cap."""
+        if self.vlen is _ONE:
+            return cap
+        if cap is not self._cap:
+            self._cap = cap
+            self._limit = (cap * cap / self.vv if self.vlen is None
+                           else cap / self.vlen)
+        return self._limit
 
     def sector(self, corner):
         """Where v lies against `corner`'s sector: _MISS (falsy), _HOLD or
@@ -602,11 +627,8 @@ def trace(surface, polygon=None, point=None, direction=None, *, corner=None,
 
     if cap is None:
         cap = surface.default_cap()
-    cap = scalar(cap)
-    # the cap on tau itself: tau * vlen > cap, or tau^2 * vv > cap^2 when
-    # vlen is not in the field
     squared = vlen is None
-    limit = cap * cap / vv if squared else cap / vlen
+    limit = flow.limit(scalar(cap))
 
     segments: list[Segment] = []
     tau = _ZERO

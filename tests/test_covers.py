@@ -6,6 +6,7 @@ inside Surface.genus (which independently compares angle excess).
 """
 
 import hashlib
+import itertools
 import json
 import re
 from fractions import Fraction
@@ -19,9 +20,10 @@ from veechkit.errors import (InconsistentProfile, InvalidParams, NonTransitive,
                              OverlappingSlits, SlitThroughSingularity)
 from veechkit.geometry import Vec2
 from veechkit.surface import Surface
-from veechkit.covers import (CoverSpec, Slit, _cut_complex, _ramification,
-                             build_cover, cyclic_slit_cover, double_cover,
-                             is_balanced, riemann_hurwitz)
+from veechkit import covers
+from veechkit.covers import (CoverSpec, Slit, _Complex, _cut_complex,
+                             _ramification, build_cover, cyclic_slit_cover,
+                             double_cover, is_balanced, riemann_hurwitz)
 
 F = Fraction
 
@@ -325,6 +327,39 @@ def test_a_chart_that_repeats_a_vertex_is_not_cut():
                                hslit("5/4", "3/2", "7/4")])
 
 
+def four_arm_slits():
+    """The four horizontal slits across the arms of cross(1, 1)."""
+    return [hslit("5/4", "1/2", "7/4"), hslit("5/4", "5/2", "7/4"),
+            hslit("1/4", "3/2", "3/4"), hslit("9/4", "3/2", "11/4")]
+
+
+def square_slits():
+    """Two vertical slits inside square 0 of the unit L-shape."""
+    return [Slit(polygon=0, start=(F(x, 4), F(1, 4)), direction=(0, 1),
+                 end=(F(x, 4), F(3, 4))) for x in (1, 3)]
+
+
+def test_the_sheets_share_their_piece_polygons():
+    base = Surface.cross(1, 1)
+    cases = [(d, cyclic_slit_cover(CoverSpec(base, d, [diag_slit()],
+                                             [shift(d)])))
+             for d in range(2, 9)]
+    cases.append((2, double_cover(base, four_arm_slits())))
+    for d, cover in cases:
+        P, rest = divmod(len(cover.polygons), d)
+        assert rest == 0
+        assert all(cover.polygons[q] is cover.polygons[q + k * P]
+                   for q in range(P) for k in range(d))
+        assert len(set(map(id, cover.polygons))) == P
+    # vertical slits in the L's square 0 split edges of charts 0 and 2
+    # only: chart 1, never cut, keeps the base's own Polygon on each sheet
+    ell = Surface.l_shape(1, 1, 1, 1)
+    cover = double_cover(ell, square_slits())
+    P = len(cover.polygons) // 2
+    assert cover.polygons[1] is cover.polygons[1 + P] is ell.polygons[1]
+    assert cover.polygons[0] is not ell.polygons[0]
+
+
 def test_spec_json_round_trip():
     base = Surface.cross(1, 1)
     spec = CoverSpec(base, 3, [diag_slit(),
@@ -450,3 +485,54 @@ def test_random_cyclic_covers_keep_genus_area_and_json(case, direction):
     assert deco.complete
     assert decomposition_outputs(deco) == decomposition_outputs(
         decompose(again, direction))
+
+
+ARM_SETS = [arms for k in (2, 4)
+            for arms in itertools.combinations(range(4), k)]
+
+
+@settings(max_examples=20, deadline=None)
+@given(cyclic_covers(), st.sampled_from(ARM_SETS))
+def test_piece_polygons_follow_every_change_of_the_pieces(case, arms):
+    # after every ensure_vertex and cut, each piece's Polygon has exactly
+    # the vertices of its piece; every Polygon is read before each change,
+    # so a change that leaves one stale fails here.  The cover's charts are
+    # the pieces' own Polygons, sheet after sheet.  The corner slit of a
+    # cyclic cover ends its chord at vertices; the arm slits of a double
+    # cover split edges, and those of the L-shape split a chart glued to
+    # another
+    spec, cover = case
+    slits = [four_arm_slits()[k] for k in arms]
+    ell = Surface.l_shape(1, 1, 1, 1)
+    specs = [spec, CoverSpec(spec.base, 2, slits, [(1, 0)] * len(slits)),
+             CoverSpec(ell, 2, square_slits(), [(1, 0)] * 2)]
+    calls, complexes = [], []
+
+    def checked(method):
+        def run(cx, *args):
+            out = method(cx, *args)
+            calls.append(method.__name__)
+            assert [cx.shape(p).vertices
+                    for p in range(len(cx.polys))] == cx.polys
+            return out
+        return run
+
+    def kept(spec):
+        got = cut(spec)
+        complexes.append(got[1])
+        return got
+
+    cut = covers._cut_complex
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("ensure_vertex", "cut"):
+            mp.setattr(_Complex, name, checked(getattr(_Complex, name)))
+        mp.setattr(covers, "_cut_complex", kept)
+        rebuilt = [build_cover(s) for s in specs]
+    assert set(calls) == {"ensure_vertex", "cut"}
+    assert rebuilt[0] == cover
+    assert rebuilt[1] == double_cover(spec.base, slits)
+    assert rebuilt[2] == double_cover(ell, square_slits())
+    for built, cx in zip(rebuilt, complexes):
+        P = len(cx.polys)
+        assert all(poly is cx.shape(q % P)
+                   for q, poly in enumerate(built.polygons))

@@ -4,6 +4,7 @@ sympy is used here as an independent oracle only; the library itself never
 imports it.
 """
 
+import json
 import math
 import sys
 from fractions import Fraction
@@ -21,7 +22,7 @@ from veechkit.field import (ContinuedFraction, FieldScalar, _affine, _cross,
                             continued_fraction, field_sqrt,
                             least_common_integer_multiple, parse_scalar,
                             scalar)
-from veechkit.geometry import (Mat2, Vec2, ccw_sector_contains, cross,
+from veechkit.geometry import (Mat2, Vec2, _vec, ccw_sector_contains, cross,
                                parallel, same_ray)
 
 GOLDEN = FieldScalar(Fraction(-1, 2), Fraction(1, 2), 5)   # (sqrt(5)-1)/2
@@ -272,6 +273,32 @@ def test_hash_consistent_with_fraction():
     assert hash(scalar(-1)) == hash(-1) == hash(Fraction(-1)) == -2
     assert hash(scalar(Fraction(1, HASH_MODULUS))) == hash(
         Fraction(1, HASH_MODULUS))
+
+
+def coordinates():
+    """An int, a Fraction or a scalar of Q(sqrt5)."""
+    return st.one_of(st.integers(-10**12, 10**12), fracs(), field_scalars())
+
+
+@settings(max_examples=150, deadline=None)
+@given(coordinates(), coordinates(), fracs())
+def test_equal_points_hash_equal_whatever_route_built_them(x, y, k):
+    # Vec2 hashes the integer forms of its coordinates: equal points built
+    # by the constructor, by _vec, from JSON or by arithmetic hash equal and
+    # find each other as dict keys
+    point = Vec2(x, y)
+    shift = Vec2(k, -k)
+    routes = [point, _vec(scalar(x), scalar(y)),
+              Vec2.from_json(point.to_json()),
+              Vec2.from_json(json.loads(json.dumps(point.to_json()))),
+              (point + shift) - shift, -(-point), point * 1]
+    for a in routes:
+        assert a == point and hash(a) == hash(point)
+        table = {a: "found"}
+        assert all(table.get(b) == "found" for b in routes)
+    assert len(set(routes)) == 1
+    # a pair of scalars still hashes like the pair of numbers it equals
+    assert hash((scalar(x), scalar(y))) == hash((x, y))
 
 
 # ---------------------------------------------------------------------------

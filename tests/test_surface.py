@@ -18,8 +18,8 @@ from veechkit.errors import (FieldMismatch, InconsistentTopology, InvalidParams,
 from veechkit.field import FieldScalar, scalar
 from veechkit.geometry import (Mat2, Vec2, cross, polygon_contains,
                                segment_point)
-from veechkit.surface import (MarkedPoint, Polygon, Surface, singularities,
-                              validate)
+from veechkit.surface import (MarkedPoint, Polygon, Surface, _interned,
+                              singularities, validate)
 
 PHI = FieldScalar(Fraction(1, 2), Fraction(1, 2), 5)
 
@@ -291,6 +291,17 @@ def test_charts_with_the_same_vertices_share_one_polygon():
     # a Polygon given first is the one kept
     given = Polygon(left)
     assert Surface([given, right, left, right], gluings).polygons[2] is given
+    # a Polygon object given again is kept as is, and an equal vertex list
+    # given as a separate Polygon still merges with it
+    again = Surface([given, right, given, Polygon(right)], gluings)
+    assert again.polygons[0] is again.polygons[2] is given
+    assert again.polygons[1] is again.polygons[3]
+    copy = Polygon(left)
+    assert all(poly is given
+               for poly in _interned([given, copy, given, left, copy]))
+    assert _interned([copy, given])[1] is copy
+    # area and default_cap add each distinct Polygon once, times its charts
+    assert again.area == 4 and again.default_cap() == 20 * 8
     image = surf.transform(Mat2(1, 1, 0, 1))
     assert len(set(map(id, image.polygons))) == 2
     assert image.polygons[0] is image.polygons[2]

@@ -453,6 +453,53 @@ def test_slab_and_line_rows_are_built_when_first_read(case):
 
 
 SLANTS = ((1, 2), (2, 1), (1, -1), (-2, 3), (3, -1))
+AXES = ((1, 0), (0, 1), (-1, 0), (0, -1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(marked_surfaces(), st.sampled_from(AXES + SLANTS))
+def test_tables_match_the_hashing_reference(surf, direction):
+    # the bounds and ranks against sorted(set(...)) of the u_k, and each
+    # edge's line against the one solved with den = u_e - u_{e+1}
+    flow = _Flow(surf, direction)
+    for poly in dict.fromkeys(surf.polygons):
+        tab = flow.table(poly)
+        us = [flow.across(a) for a in poly.vertices]
+        bounds = sorted(map(_sort_key, set(us)))
+        assert tab.bounds == bounds
+        rank = {key[1]: i for i, key in enumerate(bounds)}
+        spans = []
+        for e in range(poly.n):
+            f = (e + 1) % poly.n
+            if us[e] != us[f]:
+                lo, hi = sorted((e, f), key=lambda k: rank[us[k]])
+                spans.append((e, poly.edge(e), us[e], rank[us[lo]],
+                              rank[us[hi]], lo, hi))
+        assert [row + (lo, hi, v, w)
+                for row, lo, hi, v, w in tab.spans] == spans
+        for row, _, _, _, _ in tab.spans:
+            e = row[0]
+            den = us[e] - us[(e + 1) % poly.n]
+            slope = flow.along(poly.edge(e)) / den
+            want = (flow.along(poly.vertices[e]) + slope * us[e], -slope)
+            assert flow.line(tab, poly, row) == want
+
+
+def test_the_cap_on_tau_is_formed_once_per_flow_and_cap():
+    cap = scalar(F(7, 3))
+    g = Surface.cross(PHI, 1)
+    for direction in AXES:
+        # |v| is 1 on an axis: the cap itself bounds tau
+        assert _Flow(g, direction).limit(cap) is cap
+    # off the axes: cap / |v|, or cap^2 / |v|^2 when |v| = sqrt(2) is not
+    # in Q(sqrt5); formed again only for another cap
+    sqrt5 = field_sqrt(scalar(5), 5)
+    for direction, bound in (((1, 2), lambda c: c / sqrt5),
+                             ((1, 1), lambda c: c * c / 2)):
+        flow = _Flow(g, direction)
+        limit = flow.limit(cap)
+        assert limit == bound(cap) and flow.limit(cap) is limit
+        assert flow.limit(cap + 1) == bound(cap + 1)
 
 
 @settings(max_examples=40, deadline=None)
