@@ -18,12 +18,11 @@ What depends only on a chart's geometry is computed once per distinct
 Polygon: the polygon checks (re-run on a repeat only when they found a
 problem, so every index is tagged), the edge translations, per (polygon,
 edge, partner polygon, partner edge), and the row of corner sectors that
-own east.  `area` and `default_cap` add each distinct Polygon's signed
-area or bounding box once, times the number of charts sharing it, and a
-Polygon keeps both once computed.  `transform` maps each distinct Polygon
-once, so the image keeps the sharing.  The flows of `trace` key their chart
-tables the same way.  Everything else -- gluings, vertex classes, corners,
-marked points -- stays keyed by chart index.
+own east.  A Polygon keeps its signed area (behind `area`) and bounding
+box (behind `default_cap`) once computed, and `transform` maps each
+distinct Polygon once, so the image keeps the sharing.  The flows of
+`trace` key their chart tables the same way.  Everything else -- gluings,
+vertex classes, corners, marked points -- stays keyed by chart index.
 
 One routine (`_sector_row`) tests where a direction lies against the corner
 sectors of a Polygon: outside, inside off the outgoing edge, or along it.
@@ -249,7 +248,10 @@ class Surface:
 
     @property
     def area(self) -> FieldScalar:
-        return _sum_per_polygon(self.polygons, Polygon.signed_area2) / 2
+        total = scalar(0)
+        for poly in self.polygons:
+            total = total + poly.signed_area2()
+        return total / 2
 
     def component_count(self) -> int:
         seen, count = set(), 0
@@ -284,7 +286,11 @@ class Surface:
         return (2 - chi) // 2
 
     def default_cap(self) -> FieldScalar:
-        return _sum_per_polygon(self.polygons, _bbox_extent) * 20
+        total = scalar(0)
+        for poly in self.polygons:
+            x0, y0, x1, y1 = poly.bbox()
+            total = total + (x1 - x0) + (y1 - y0)
+        return total * 20
 
     # -- marked points ---------------------------------------------------------
 
@@ -508,12 +514,6 @@ def _index(i, n, what):
     return i
 
 
-def _bbox_extent(poly):
-    """Width plus height of a Polygon's bounding box."""
-    x0, y0, x1, y1 = poly.bbox()
-    return (x1 - x0) + (y1 - y0)
-
-
 def _sector_row(poly, v):
     """Where direction v lies against each corner sector [edge k, -edge k-1)
     of Polygon `poly`, one entry per vertex k: _MISS outside it, _HOLD
@@ -579,19 +579,6 @@ def _interned(polygons):
             poly = out[first] if first < len(out) else Polygon(key)
         out.append(poly)
     return out
-
-
-def _sum_per_polygon(polygons, value):
-    """The sum of value(poly) over the charts: once per distinct Polygon,
-    times the number of charts that share it."""
-    counts = {}
-    for poly in polygons:
-        counts[poly] = counts.get(poly, 0) + 1
-    total = scalar(0)
-    for poly, k in counts.items():
-        x = value(poly)
-        total = total + (x * k if k > 1 else x)
-    return total
 
 
 def _translations(polygons, partner):

@@ -68,8 +68,7 @@ parameter; at one tau a closing beats a cone, a cone a hook stop, and a hook
 stop a mark.  The segment is cut there at the point (u(a), s(a) + tau -
 tau0) of its leaf: on the axis flows one addition, no division.  The cap
 becomes a bound on tau too: on an axis flow it is the cap itself, and any
-other flow divides the cap by |v| (or its square by |v|^2) once per cap
-(`_Flow.limit`), not once per trace.
+other flow divides the cap by |v| (or its square by |v|^2).
 
 A segment records what the trace learned making it: the index of the chart
 vertex it ends at (the exit's vertex, or the end of a slide; none once a
@@ -324,8 +323,7 @@ class _Flow:
     """
 
     __slots__ = ("surface", "v", "vv", "vlen", "across", "along", "point",
-                 "_tables", "_sectors", "_starts", "_marks", "_leave",
-                 "_cap", "_limit")
+                 "_tables", "_sectors", "_starts", "_marks", "_leave")
 
     def __init__(self, surface, direction):
         if direction is None:
@@ -352,7 +350,6 @@ class _Flow:
         self._starts = {}
         self._marks = {}
         self._leave = {}
-        self._cap = self._limit = None
 
     def table(self, poly):
         """The _Table of Polygon `poly` (see the class docstring)."""
@@ -372,19 +369,6 @@ class _Flow:
             ab = tab.solved[e] = (
                 _affine(self.along(poly.vertices[e]), -slope, u_e), slope)
         return ab
-
-    def limit(self, cap):
-        """The cap on tau itself: tau * vlen > cap, or tau^2 * vv > cap^2
-        when vlen is not in the field.  On an axis, where vlen is 1, that is
-        the cap; otherwise it is formed once per cap object, as the traces
-        of one caller share one cap."""
-        if self.vlen is _ONE:
-            return cap
-        if cap is not self._cap:
-            self._cap = cap
-            self._limit = (cap * cap / self.vv if self.vlen is None
-                           else cap / self.vlen)
-        return self._limit
 
     def sector(self, corner):
         """Where v lies against `corner`'s sector: _MISS (falsy), _HOLD or
@@ -627,8 +611,12 @@ def trace(surface, polygon=None, point=None, direction=None, *, corner=None,
 
     if cap is None:
         cap = surface.default_cap()
+    cap = scalar(cap)
+    # the cap on tau itself: tau * vlen > cap, or tau^2 * vv > cap^2 when
+    # vlen is not in the field; on an axis, where vlen is 1, the cap
     squared = vlen is None
-    limit = flow.limit(scalar(cap))
+    limit = cap if vlen is _ONE else (cap * cap / vv if squared
+                                      else cap / vlen)
 
     segments: list[Segment] = []
     tau = _ZERO

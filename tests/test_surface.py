@@ -300,7 +300,7 @@ def test_charts_with_the_same_vertices_share_one_polygon():
     assert all(poly is given
                for poly in _interned([given, copy, given, left, copy]))
     assert _interned([copy, given])[1] is copy
-    # area and default_cap add each distinct Polygon once, times its charts
+    # area and default_cap count a shared Polygon once per chart
     assert again.area == 4 and again.default_cap() == 20 * 8
     image = surf.transform(Mat2(1, 1, 0, 1))
     assert len(set(map(id, image.polygons))) == 2

@@ -485,21 +485,25 @@ def test_tables_match_the_hashing_reference(surf, direction):
             assert flow.line(tab, poly, row) == want
 
 
-def test_the_cap_on_tau_is_formed_once_per_flow_and_cap():
-    cap = scalar(F(7, 3))
+def test_a_trace_stops_at_the_first_segment_past_its_cap():
+    # the bound on tau is the cap itself on an axis, cap / |v| when |v| =
+    # sqrt(5) is in Q(sqrt5), and cap^2 / |v|^2 when |v| = sqrt(2) or
+    # sqrt(13) is not; in each, a capped trace's last segment starts within
+    # the cap and ends past it
     g = Surface.cross(PHI, 1)
-    for direction in AXES:
-        # |v| is 1 on an axis: the cap itself bounds tau
-        assert _Flow(g, direction).limit(cap) is cap
-    # off the axes: cap / |v|, or cap^2 / |v|^2 when |v| = sqrt(2) is not
-    # in Q(sqrt5); formed again only for another cap
-    sqrt5 = field_sqrt(scalar(5), 5)
-    for direction, bound in (((1, 2), lambda c: c / sqrt5),
-                             ((1, 1), lambda c: c * c / 2)):
-        flow = _Flow(g, direction)
-        limit = flow.limit(cap)
-        assert limit == bound(cap) and flow.limit(cap) is limit
-        assert flow.limit(cap + 1) == bound(cap + 1)
+    start = Vec2(PHI + F(1, 7), F(2, 9))
+    capped = 0
+    for direction in AXES + ((1, 2), (1, 1), (2, 3)):
+        vv = dot(Vec2(*direction), Vec2(*direction))
+        for cap in (F(1, 3), F(7, 3), 5):
+            ev = trace(g, 0, start, direction, cap=cap)
+            if ev.kind != CAPPED:
+                continue
+            capped += 1
+            assert ev.length_squared > cap * cap
+            tau0 = ev.segments[-1].tau0
+            assert tau0 * tau0 * vv <= cap * cap
+    assert capped == 12
 
 
 @settings(max_examples=40, deadline=None)
