@@ -25,12 +25,13 @@ from __future__ import annotations
 
 import itertools
 
-from .errors import (InconsistentProfile, InconsistentTopology, InvalidParams,
-                     NonTransitive, OverlappingSlits, SlitThroughSingularity)
+from .errors import (FieldMismatch, InconsistentProfile, InconsistentTopology,
+                     InvalidParams, NonTransitive, OverlappingSlits,
+                     SlitThroughSingularity)
 from .field import scalar
 from .geometry import (Vec2, _as_vec, canonical_direction, cross, dot,
                        parallel, segments_intersect)
-from .surface import Polygon, Surface
+from .surface import Polygon, Surface, _mark_field_clash
 from .trace import (CLOSED, MARKED, SINGULAR, STOPPED, _checked_corner,
                     _exit_solve, _Flow, _param_on, trace)
 
@@ -402,7 +403,7 @@ class _Complex:
 # -- chord assembly -----------------------------------------------------------
 
 
-def _chart_chords(base, resolved, flow):
+def _chart_chords(resolved, flow):
     """Raw cut pieces per chart: slit runs plus boundary extensions for
     interior endpoints, then collinear pieces merged into full chords.
     flow(d) is the base's flow in direction d."""
@@ -421,10 +422,10 @@ def _chart_chords(base, resolved, flow):
         # slit's first or last run starts or ends
         u, v = rs.u, rs.v
         if u.where == "interior":
-            y = _exit_solve(base, u.polygon, u.at, flow(-rs.direction))[1]
+            y = _exit_solve(flow(-rs.direction), u.polygon, u.at)[1]
             raw.append((u.polygon, y, u.at, None))
         if v.where == "interior":
-            y = _exit_solve(base, v.polygon, v.at, flow(rs.direction))[1]
+            y = _exit_solve(flow(rs.direction), v.polygon, v.at)[1]
             raw.append((v.polygon, v.at, y, None))
 
     groups = {}
@@ -498,7 +499,7 @@ def _cut_complex(spec: CoverSpec):
     piece_counts = [len(rs.runs) for rs in resolved]
 
     cx = _Complex(base)
-    chords, slides = _chart_chords(base, resolved, flow)
+    chords, slides = _chart_chords(resolved, flow)
     # the cutter handles parallel systems only: two chords of one chart may
     # meet at a shared foot, never at a point interior to either
     for i in range(len(chords)):
@@ -596,7 +597,6 @@ def build_cover(spec: CoverSpec) -> Surface:
                           "%s#%d" % (mp.label, copy + 1)))
 
     built = Surface(polys, sorted(glue_pairs), marked=marks)
-    labels = {}
     extra_marks = []
     for ep in endpoints:
         if ep.label is None or ep.singular:
@@ -604,13 +604,17 @@ def build_cover(spec: CoverSpec) -> Surface:
         classes = _classes_over(built, cx, d, ep)
         for t, (c, (pq, pt)) in enumerate(sorted(classes.items())):
             if built.cone_windings[c] > 1:
-                labels[c] = ep.label
+                built.point_labels[c] = ep.label
             else:
                 suffix = "#%d" % (t + 1) if len(classes) > 1 else ""
                 extra_marks.append((pq, pt, ep.label + suffix))
-    if labels or extra_marks:
-        built = Surface(polys, sorted(glue_pairs), marked=marks + extra_marks,
-                        point_labels=labels)
+    # a labelled end left regular is one more mark, checked and added as
+    # the constructor checks and adds the marks it is given
+    clash = _mark_field_clash(built.field_d, marks + extra_marks)
+    if clash:
+        raise FieldMismatch(clash)
+    for pq, pt, label in extra_marks:
+        built._add_mark(pq, pt, label)
     return built
 
 

@@ -3,9 +3,9 @@
 Everything here returns exact answers and never touches floats.  The sign
 predicates (`parallel`, `same_ray`, `ccw_sector_contains` and the winding
 loop of `_locate`) never build intermediate scalars: each sign of a cross
-or dot product, of an orientation or of a difference, and each compass
-class, comes from a fused kernel of `field` (`_cross_sign`, `_dot_sign`,
-`_orient_sign`, `_compass`, comparisons) that works on the integer form.
+or dot product, of an orientation or of a difference comes from a fused
+kernel of `field` (`_cross_sign`, `_dot_sign`, `_orient_sign`,
+comparisons) that works on the integer form.
 `cross` itself reduces its value once, and so does each coordinate of a
 matrix image `Mat2 * Vec2` (`_lin`).  A Vec2 equals only a Vec2, so it
 hashes the integer forms of its coordinates (`field._pair_hash`), with no
@@ -17,8 +17,8 @@ from __future__ import annotations
 import math
 
 from .errors import InvalidParams, NonPositive, ZeroInput
-from .field import (FieldScalar, _compass, _cross, _cross_sign, _dot_sign,
-                    _lin, _orient_sign, _pair_hash, scalar)
+from .field import (FieldScalar, _cross, _cross_sign, _dot_sign, _lin,
+                    _orient_sign, _pair_hash, scalar)
 
 _ZERO = FieldScalar.rational(0)
 _ONE = FieldScalar.rational(1)
@@ -121,59 +121,25 @@ def ccw_sector_contains(u: Vec2, w: Vec2, v: Vec2) -> bool:
     (excluded).  Every caller guarantees u != 0 != w and a sector angle
     in (0, 2pi).
 
-    With angles measured counterclockwise from u, v is inside exactly when
-    its angle is less than w's.  Angles from the east ray are compared by
-    compass class (`field._compass`), and by a cross sign only within one
-    open quadrant, so an axis direction v needs a cross sign only when u
-    and w share an open quadrant.  Coordinates of two different fields,
-    and u and w on one ray, go to the cross-product form
-    (`_sector_by_crosses`), which raises FieldMismatch where the scalar
-    operators would.
+    Three cross signs decide it, and a dot sign is taken only when v lies
+    on the line of u or of w, to tell its ray from the opposite one.  The
+    signs are formed in the order cross(v, u), dot(v, u), cross(v, w),
+    dot(v, w), cross(u, w), each by a fused kernel, so coordinates of two
+    different fields raise FieldMismatch where the scalar operators would.
     """
-    cu, du = _compass(u.x, u.y)
-    cw, dw = _compass(w.x, w.y)
-    cv, dv = _compass(v.x, v.y)
-    d = du or dw or dv
-    if d and (d < 0 or (dw and dw != d) or (dv and dv != d)):
-        return _sector_by_crosses(u, w, v)
-    vu = _angle_cmp(v, u, cv, cu)
-    if not vu:
-        return True
-    wu = _angle_cmp(w, u, cw, cu)
-    if not wu:
-        return _sector_by_crosses(u, w, v)
-    if (vu < 0) != (wu < 0):
-        # one of v, w lies past the east ray going round from u
-        return vu > 0
-    return _angle_cmp(v, w, cv, cw) < 0
-
-
-def _angle_cmp(a: Vec2, b: Vec2, ca: int, cb: int) -> int:
-    """Sign of angle(a) - angle(b), angles in [0, 2pi) from the east ray,
-    for a and b of compass classes ca and cb."""
-    if ca != cb:
-        return 1 if ca > cb else -1
-    if ca & 1:  # one open quadrant: a is further round when cross(b, a) > 0
-        return _cross_sign(b.x, a.y, b.y, a.x)
-    return 0
-
-
-def _sector_by_crosses(u: Vec2, w: Vec2, v: Vec2) -> bool:
-    """ccw_sector_contains by cross and dot signs alone."""
-    if same_ray(v, u):
-        return True
-    if same_ray(v, w):
-        return False
-    cuw = _cross_sign(u.x, w.y, u.y, w.x)
-    cuv = _cross_sign(u.x, v.y, u.y, v.x)
-    cvw = _cross_sign(v.x, w.y, v.y, w.x)
-    if cuw > 0:  # convex sector
-        return cuv > 0 and cvw > 0
-    if cuw < 0:  # reflex sector: complement of the convex [w, u)
-        return not (_cross_sign(w.x, v.y, w.y, v.x) > 0
-                    and _cross_sign(v.x, u.y, v.y, u.x) > 0)
-    # u, w parallel: angle is pi (opposite) since same-ray is excluded above
-    return cuv > 0
+    vu = _cross_sign(v.x, u.y, v.y, u.x)
+    if not vu and _dot_sign(v.x, u.x, v.y, u.y) > 0:
+        return True  # on ray u
+    vw = _cross_sign(v.x, w.y, v.y, w.x)
+    if not vw and _dot_sign(v.x, w.x, v.y, w.y) > 0:
+        return False  # on ray w
+    uw = _cross_sign(u.x, w.y, u.y, w.x)
+    if uw > 0:  # convex sector
+        return vu < 0 < vw
+    if uw < 0:  # reflex sector: the complement of the convex [w, u)
+        return not (vw < 0 < vu)
+    # u, w opposite: a half plane
+    return vu < 0
 
 
 def segment_point(a: Vec2, b: Vec2, p: Vec2):

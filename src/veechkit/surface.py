@@ -34,8 +34,10 @@ compass classes (`field._compass`): its outgoing edge's, its incoming
 edge's turned by a half turn (plus 4 mod 8), and the direction's, so no
 cross product and no negated vector is formed.  A corner whose two edges
 share a class or mix field tags, and every corner for a direction off the
-axes, takes `ccw_sector_contains` and `same_ray`.  `ray_out` and `ray_in`
-remain the reference its tests compare against.
+axes, takes `ccw_sector_contains` (three cross signs, and a dot sign only on
+the line of an edge) and `same_ray`.  This routine is the only reader of
+compass classes.  `ray_out` and `ray_in` remain the reference its tests
+compare against.
 
 One checker (`_check`) holds the field, polygon and gluing checks.  It lists
 every problem of a description as a (validate tag, exception type, message)
@@ -187,7 +189,6 @@ class Surface:
         self.marked = []
         for poly, at, label in marks:
             self._add_mark(poly, at, label)
-        self._marks_by_polygon = _marks_by_polygon(self.marked)
 
     # -- vertex identification and cone angles --------------------------------
 
@@ -317,9 +318,6 @@ class Surface:
         self.marked.append(MarkedPoint(canon[0], canon[1], label, where,
                                        aliases))
 
-    def marks_in_polygon(self, p: int):
-        return self._marks_by_polygon.get(p, [])
-
     def mark_by_label(self, label: str) -> int:
         for i, mp in enumerate(self.marked):
             if mp.label == label:
@@ -402,7 +400,6 @@ class Surface:
         image.singular_classes = self.singular_classes
         image.point_labels = dict(self.point_labels)
         image.marked = marked
-        image._marks_by_polygon = _marks_by_polygon(marked)
         return image
 
     def with_marks(self, marks) -> "Surface":
@@ -598,15 +595,6 @@ def _translations(polygons, partner):
             t = pb.vertex(b[1] + 1) - pa.vertex(a[1])
             pair = memo[key] = (t, -t)
         out[a], out[b] = pair
-    return out
-
-
-def _marks_by_polygon(marked):
-    """polygon -> (mark index, chart point) for every alias of every mark."""
-    out = {}
-    for idx, mp in enumerate(marked):
-        for (p, pt) in mp.aliases:
-            out.setdefault(p, []).append((idx, pt))
     return out
 
 

@@ -57,13 +57,16 @@ leaves a regular vertex through (`_Flow.leave`, `_turn`) and the turns of a
 decomposition's west banks all read it, so a d-sheeted cover decides each
 corner's sector once, not d times.  A turn that starts inside a corner's
 sector, from a direction other than its outgoing edge, keeps its first test
-per (Polygon, vertex, start).  The flow also caches, per chart index, its
-marked points with their u, and, per corner of a regular vertex, where a
-trace arriving there goes on.  A flow lives as long as its caller keeps it
--- one trace, or one decomposition -- and is never stored on the surface.
-The candidate lists and the memo rely on each chart being a simple polygon,
-whose edges meet only at its vertices.
-Every stop -- a closing, a cone, a mark, a stop hook's tau -- is a flow
+per (Polygon, vertex, start).  A flow keeps nothing per chart index or per
+corner.  A flow lives as long as its caller keeps it -- one trace, or one
+decomposition -- and is never stored on the surface.  The candidate lists
+and the memo rely on each chart being a simple polygon, whose edges meet
+only at its vertices.
+
+Each trace builds, when it starts, the table of the points it can stop at:
+per chart, the start's aliases (a closing) and every alias of every mark,
+each with its u, so a point is tested only on the leaf through it.  Every
+stop -- a closing, a cone, a mark, a stop hook's tau -- is a flow
 parameter; at one tau a closing beats a cone, a cone a hook stop, and a hook
 stop a mark.  The segment is cut there at the point (u(a), s(a) + tau -
 tau0) of its leaf: on the axis flows one addition, no division.  The cap
@@ -317,13 +320,12 @@ class _Flow:
     s = A + B*u.  Also per distinct Polygon,
     built on first use: the sector row (`_sector_row`, read by `sector`),
     and, per vertex and start direction, whether a turn's first corner holds
-    v past the start (`holds_from`).  Per chart index: the marked points as
-    (index, point, u); per corner, the state a trace takes on from each
-    regular-vertex corner it arrives at.
+    v past the start (`holds_from`).  Nothing is kept per chart index or
+    per corner: the charts that share a Polygon share all of it.
     """
 
     __slots__ = ("surface", "v", "vv", "vlen", "across", "along", "point",
-                 "_tables", "_sectors", "_starts", "_marks", "_leave")
+                 "_tables", "_sectors", "_starts")
 
     def __init__(self, surface, direction):
         if direction is None:
@@ -348,8 +350,6 @@ class _Flow:
         self._tables = {}
         self._sectors = {}
         self._starts = {}
-        self._marks = {}
-        self._leave = {}
 
     def table(self, poly):
         """The _Table of Polygon `poly` (see the class docstring)."""
@@ -398,29 +398,16 @@ class _Flow:
         a = seg.a
         return self.point(self.across(a), self.along(a) + (tau - seg.tau0))
 
-    def marks(self, p):
-        rows = self._marks.get(p)
-        if rows is None:
-            rows = self._marks[p] = [
-                (idx, pt, self.across(pt))
-                for idx, pt in self.surface.marks_in_polygon(p)]
-        return rows
-
     def leave(self, corner):
-        """The state a trace goes on in after arriving at regular `corner`."""
-        state = self._leave.get(corner)
-        if state is None:
-            # the half-open sectors of a 2pi vertex tile the circle, so
-            # exactly one corner of the cycle owns v
-            own = _turn(self, corner)
-            p, k = own
-            x = self.surface.polygons[p].vertex(k)
-            if self.sector(own) == _SLIDE:
-                state = ("slide", p, k, x)
-            else:
-                state = ("go", p, x)
-            self._leave[corner] = state
-        return state
+        """The state a trace goes on in after arriving at regular `corner`;
+        not kept, as the leaves of one direction are disjoint."""
+        # the half-open sectors of a 2pi vertex tile the circle, so exactly
+        # one corner of the cycle owns v
+        p, k = own = _turn(self, corner)
+        x = self.surface.polygons[p].vertex(k)
+        if self.sector(own) == _SLIDE:
+            return ("slide", p, k, x)
+        return ("go", p, x)
 
 
 def _as_flow(surface, direction) -> _Flow:
@@ -496,14 +483,15 @@ def _start_state(flow, polygon, point, corner, located=None):
     return ("go", p, x), []
 
 
-def _exit_solve(surface, p, x, v, cx=None, entry=None):
-    """First boundary crossing of the ray x + t v, t > 0, in polygon p.
+def _exit_solve(flow, p, x, cx=None, entry=None):
+    """First boundary crossing of the ray x + t v, t > 0, in polygon p of
+    the surface of `flow`, the _Flow in direction v.
 
-    v is a direction or a _Flow on `surface`; cx, when given, is
-    u(x) = cross(x, v), and entry, when given, the edge of p that x lies on
-    (the ray entered p through it).  Returns (t, y, vertex_or_None, edge,
-    key) where vertex is set when the crossing is a polygon vertex and key
-    is `_sort_key(u(x))`, which bisects the slab bounds.
+    cx, when given, is u(x) = cross(x, v), and entry, when given, the edge
+    of p that x lies on (the ray entered p through it).  Returns (t, y,
+    vertex_or_None, edge, key) where vertex is set when the crossing is a
+    polygon vertex and key is `_sort_key(u(x))`, which bisects the slab
+    bounds.
 
     Only the edges that can be hit are scanned.  A point on the line of a
     bound u_k scans the edges touching that line, and reads a vertex hit
@@ -514,8 +502,7 @@ def _exit_solve(surface, p, x, v, cx=None, entry=None):
     A slab scan for an entry fills that slab's memo.  A slab's or a line's
     candidate list is built the first time an exit needs it.
     """
-    flow = _as_flow(surface, v)
-    poly = surface.polygons[p]
+    poly = flow.surface.polygons[p]
     tab = flow.table(poly)
     if cx is None:
         cx = flow.across(x)
@@ -599,15 +586,18 @@ def trace(surface, polygon=None, point=None, direction=None, *, corner=None,
     one direction share.  Inside the package, `_located` passes
     `Surface._point`'s (where, aliases) of a start point the caller has
     located already, as `Decomposition` does for the rays from a mark.
+    The start's aliases (if detect_closure) and then every mark's, by mark
+    index (if stop_at_marked), go into one stop table per trace, by chart.
     """
     flow = _as_flow(surface, direction)
     vv, vlen, across, along = flow.vv, flow.vlen, flow.across, flow.along
     state, aliases = _start_state(flow, polygon, point, corner, _located)
-    # per chart, the start's aliases as (payload, point, u(point)): a point
-    # is on the current leaf when its u is the leaf's
-    closing = {}
+    stops = {}
     for pa, pt in aliases if detect_closure else ():
-        closing.setdefault(pa, []).append((None, pt, across(pt)))
+        stops.setdefault(pa, []).append((CLOSED, None, pt, across(pt)))
+    for idx, mp in enumerate(surface.marked) if stop_at_marked else ():
+        for pa, pt in mp.aliases:
+            stops.setdefault(pa, []).append((MARKED, idx, pt, across(pt)))
 
     if cap is None:
         cap = surface.default_cap()
@@ -639,23 +629,20 @@ def trace(surface, polygon=None, point=None, direction=None, *, corner=None,
         else:
             _, p, x = state
             cx = across(x)
-            t, y, vert, exit_edge, key = _exit_solve(surface, p, x, flow, cx,
-                                                     entry)
+            t, y, vert, exit_edge, key = _exit_solve(flow, p, x, cx, entry)
             seg = Segment(p, x, y, False, tau, tau + t, vertex=vert, key=key)
         arrive = (p, seg.vertex) if seg.vertex is not None else None
 
         # ---- mid-segment events --------------------------------------------
         hits = []
-        marks = flow.marks(p) if stop_at_marked else ()
-        for kind, rows in ((CLOSED, closing.get(p, ())), (MARKED, marks)):
-            for payload, pt, cp in rows:
-                if cx is None:
-                    cx = across(x)
-                if cp != cx:
-                    continue
-                th = _param_on(seg, pt, along)
-                if th is not None and th.sign() > 0:
-                    hits.append((th, _RANK[kind], kind, payload))
+        for kind, payload, pt, cp in stops.get(p, ()):
+            if cx is None:
+                cx = across(x)
+            if cp != cx:
+                continue
+            th = _param_on(seg, pt, along)
+            if th is not None and th.sign() > 0:
+                hits.append((th, _RANK[kind], kind, payload))
         if stop_on is not None:
             got = stop_on(seg)
             if got is not None:
@@ -717,13 +704,14 @@ def departing_corners(surface, direction, cls=None):
             if flow.sector(corner)]
 
 
-def separatrices(surface, direction, *, cap=None, stop_at_marked=False):
+def separatrices(surface, direction, *, cap=None):
     """Trace every separatrix leaving a cone point along `direction`.
 
     Returns [(corner, TraceEvent)].  Saddle connections in this direction are
     exactly the traces that end in HitSingularity, each found once (from its
-    rear cone point).  `direction` is a vector or a _Flow on `surface`; the
-    corners and every trace read the one flow.
+    rear cone point); marked points do not stop them.  `direction` is a
+    vector or a _Flow on `surface`; the corners and every trace read the one
+    flow.
     """
     flow = _as_flow(surface, direction)
     corners = departing_corners(surface, flow)
@@ -732,7 +720,7 @@ def separatrices(surface, direction, *, cap=None, stop_at_marked=False):
     out = []
     for corner in corners:
         ev = trace(surface, corner=corner, direction=flow, cap=cap,
-                   stop_at_marked=stop_at_marked)
+                   stop_at_marked=False)
         out.append((corner, ev))
     return out
 
@@ -743,7 +731,7 @@ def saddle_connections(surface, direction, *, cap=None):
             if ev.kind == SINGULAR]
 
 
-def advance(surface, polygon, point, direction, delta, *, corner=None):
+def advance(surface, polygon, point, direction, delta):
     """The chart point reached after flowing exactly delta in parameter.
 
     Used to step along a leaf by a known amount; delta must be positive and
@@ -757,9 +745,8 @@ def advance(surface, polygon, point, direction, delta, *, corner=None):
     def stop(seg):
         return (delta, None) if seg.tau1 >= delta else None
 
-    ev = trace(surface, polygon, point, direction, corner=corner,
-               stop_at_marked=False, stop_on=stop, detect_closure=False,
-               cap=None)
+    ev = trace(surface, polygon, point, direction, stop_at_marked=False,
+               stop_on=stop, detect_closure=False, cap=None)
     if ev.kind not in (STOPPED, SINGULAR) or ev.param != delta:
         raise InconsistentTopology(
             "flow ended with %s before reaching the requested step" % ev.kind)

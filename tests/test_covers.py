@@ -313,6 +313,34 @@ def test_cover_json_stays_byte_identical():
         "f1bb2d98b288cf6607e4b1d596d223b8e4c04cc843343888a118ba27a1f1efea")
 
 
+def test_a_labelled_cover_is_constructed_once(monkeypatch):
+    # the labelled ends go on the surface built with the base's marks: one
+    # constructor call, and the marks it ends with are the ones the
+    # constructor makes when it is given them all
+    base = Surface.cross(1, 1, marked=[(0, (F(3, 2), F(3, 2)), "ctr"),
+                                       (0, (F(5, 4), F(1, 2)), "p")])
+    spec = CoverSpec(base, 3, [diag_slit()], [(1, 0, 2)])
+    calls = []
+    init = Surface.__init__
+
+    def counting_init(surface, *args, **kwargs):
+        calls.append(None)
+        init(surface, *args, **kwargs)
+
+    monkeypatch.setattr(Surface, "__init__", counting_init)
+    labelled = build_cover(spec)
+    assert len(calls) == 1
+    monkeypatch.undo()
+    gluings = [(a, b) for a, b in labelled.partner.items() if a <= b]
+    fresh = Surface(labelled.polygons, gluings,
+                    marked=[(m.polygon, m.at, m.label)
+                            for m in labelled.marked],
+                    point_labels=labelled.point_labels)
+    assert labelled == fresh
+    assert [(m.where, m.aliases) for m in labelled.marked] == \
+        [(m.where, m.aliases) for m in fresh.marked]
+
+
 def test_a_chart_that_repeats_a_vertex_is_not_cut():
     # two unit squares meeting at (1, 1), given as one chart that passes
     # through (1, 1) twice: the surface is valid, but the cutter keys each

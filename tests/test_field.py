@@ -511,6 +511,32 @@ def test_sector_test_on_the_corners_of_a_square():
     assert not ccw_sector_contains(east, west, south)
 
 
+def test_the_sector_test_raises_exactly_where_the_reference_does():
+    # one sector test, its signs formed in the reference's order: each
+    # triple raises FieldMismatch, or not, as the scalar operators do
+    r2, r5 = FieldScalar.sqrt_of(2), FieldScalar.sqrt_of(5)
+    cases = [
+        # Q(sqrt2) against Q(sqrt5): cross(v, u) is sqrt5 - sqrt2
+        ((Vec2(r2, 1), Vec2(-1, r2), Vec2(r5, 1)), FieldMismatch),
+        # v on ray u: decided before w, from Q(sqrt5), is read
+        ((Vec2(1, r2), Vec2(r5, 1), Vec2(2, 2 * r2)), True),
+        # v on ray w, but cross(v, u) multiplies sqrt2 by sqrt5 first
+        ((Vec2(r5, 1), Vec2(1, r2), Vec2(3, 3 * r2)), FieldMismatch),
+        # v on the line of u, opposite: the dot sign mixes the fields
+        ((Vec2(r2, 0), Vec2(r5, 1), Vec2(-r5, 0)), FieldMismatch),
+        # v on the line of u, opposite, with a rational dot: no raise
+        ((Vec2(r2, 0), Vec2(r5, 1), Vec2(-1, 0)), False),
+        # sqrt5 * sqrt5 is rational: cross(v, u) = 5 - sqrt2 and
+        # cross(v, w) = sqrt5, each in one field; cross(u, w) = 1
+        ((Vec2(1, r5), Vec2(0, 1), Vec2(r5, r2)), False),
+        # the same v and u, but cross(u, w) = 1 - sqrt5 * sqrt2, formed last
+        ((Vec2(1, r5), Vec2(r2, 1), Vec2(r5, r2)), FieldMismatch),
+    ]
+    for uwv, want in cases:
+        assert outcome(lambda: reference_sector(*uwv)) == want
+        assert outcome(lambda: ccw_sector_contains(*uwv)) == want
+
+
 def test_vectors_whose_tags_mix_across_coordinates():
     r5, r2 = FieldScalar.sqrt_of(5), FieldScalar.sqrt_of(2)
     # sqrt5*sqrt5 - sqrt2*1: each product stays in one field, so no raise

@@ -517,8 +517,7 @@ def constructed_image(surf, mat):
 def assert_same_image(got, expect):
     assert got == expect
     for name in ("translation", "vertex_classes", "class_of",
-                 "corner_cycles", "cone_windings", "singular_classes",
-                 "_marks_by_polygon"):
+                 "corner_cycles", "cone_windings", "singular_classes"):
         assert getattr(got, name) == getattr(expect, name), name
     assert [(mp.kind, mp.where, mp.aliases) for mp in got.marked] == \
         [(mp.kind, mp.where, mp.aliases) for mp in expect.marked]

@@ -416,14 +416,14 @@ def _exit_or_error(solve, *args):
 def test_exit_solve_matches_reference(case):
     surf, p, x, v = case
     want = _exit_or_error(reference_exit_solve, surf, p, x, v)
-    assert _exit_or_error(_exit_solve, surf, p, x, v) == want
+    assert _exit_or_error(_exit_solve, _Flow(surf, v), p, x) == want
     # a flow shared with earlier calls, and the caller's cross(x, v)
     flow = _Flow(surf, v)
-    _exit_or_error(_exit_solve, surf, p, surf.polygons[p].vertex(0), flow)
-    assert _exit_or_error(_exit_solve, surf, p, x, flow, cross(x, v)) == want
+    _exit_or_error(_exit_solve, flow, p, surf.polygons[p].vertex(0))
+    assert _exit_or_error(_exit_solve, flow, p, x, cross(x, v)) == want
     if want[0] != "InconsistentTopology":
         # the key the slab bounds were bisected with, kept by the segment
-        assert _exit_solve(surf, p, x, flow)[4] == _sort_key(cross(x, v))
+        assert _exit_solve(flow, p, x)[4] == _sort_key(cross(x, v))
 
 
 @settings(max_examples=100, deadline=None)
@@ -433,7 +433,7 @@ def test_slab_and_line_rows_are_built_when_first_read(case):
     # once built, holds the rows a scan of every edge's u range gives
     surf, p, x, v = case
     flow = _Flow(surf, v)
-    _exit_or_error(_exit_solve, surf, p, x, flow)
+    _exit_or_error(_exit_solve, flow, p, x)
     poly = surf.polygons[p]
     tab = flow.table(poly)
     assert sum(rows is not None for rows in tab.slabs + tab.lines) <= 1
@@ -887,6 +887,70 @@ def test_tracing_twice_builds_the_same_tables_and_lines(monkeypatch):
         assert counts[0][1] > 0
     assert vars(g).keys() == attributes.keys()
     assert all(vars(g)[k] is v for k, v in attributes.items())
+
+
+def trace_outcome(surface, polygon, point, direction, cap):
+    """kind, param, mark and segments of a trace stopping at marks, or the
+    segments of one that ran past 200."""
+    try:
+        ev = trace(surface, polygon, point, direction, cap=cap, max_steps=200)
+    except TraceOverflow as exc:
+        ev = None
+        segments = exc.segments
+    else:
+        segments = ev.segments
+    return ((ev.kind, ev.param, ev.mark) if ev else None, [
+        (s.polygon, s.a, s.b, s.slide, s.tau0, s.tau1, s.edge, s.vertex,
+         s.key) for s in segments])
+
+
+@settings(max_examples=15, deadline=None)
+@given(marked_surfaces(), positive_matrices())
+def test_a_shared_flow_traces_like_fresh_ones(surf, mat):
+    # a flow keeps only what depends on its direction and a Polygon, so
+    # traces that share one, from every alias of every mark and from a
+    # point inside each chart, end as traces given a fresh vector each do
+    try:
+        image = surf.transform(mat)
+    except FieldMismatch:
+        return
+    cap = image.default_cap() / 8
+    starts = [alias for mp in image.marked for alias in mp.aliases]
+    for p, poly in enumerate(image.polygons):
+        inside = (poly.vertex(0) + poly.vertex(2)) * F(1, 2)
+        assert poly.locate(inside) == "interior"
+        starts.append((p, inside))
+    for direction in AXES + SLANTS:
+        flow = _Flow(image, direction)
+        for p, pt in starts:
+            assert trace_outcome(image, p, pt, flow, cap) == \
+                trace_outcome(image, p, pt, direction, cap)
+
+
+def test_no_decomposition_leaves_a_corner_twice_on_one_flow(monkeypatch):
+    # the leaves of one direction are disjoint, so a memo of where a trace
+    # goes on from a regular corner would never be read again: each (flow,
+    # corner) is left at most once, on a cross, the marked golden cross and
+    # a cyclic cover
+    left = Counter()
+    leave = _Flow.leave
+
+    def counting(flow, corner):
+        left[(flow, corner)] += 1
+        return leave(flow, corner)
+
+    monkeypatch.setattr(_Flow, "leave", counting)
+    q = (FieldScalar(F(5, 6), F(1, 2), 5), FieldScalar(F(9, 14), F(1, 2), 5))
+    base = Surface.cross(1, 1, marked=[(0, (F(3, 2), F(1, 3)), "m")])
+    slit = Slit(corner=(0, 11), direction=(1, 1), end=(F(3, 2), F(3, 2)))
+    cases = [(Surface.cross(1, 1), (1, 0)),
+             (Surface.cross(PHI, 1, marked=[(0, q, "q")]), (8, 5)),
+             (cyclic_slit_cover(CoverSpec(base, 5, [slit],
+                                          [(1, 2, 3, 4, 0)])), (2, 3))]
+    for surface, direction in cases:
+        left.clear()
+        assert decompose(surface, direction).complete
+        assert left and max(left.values()) == 1
 
 
 def test_decompose_builds_each_chart_table_once_per_direction(monkeypatch):
