@@ -14,7 +14,6 @@ import os
 import re
 import sys
 import tempfile
-from fractions import Fraction
 
 from .census import census, census_to_json, fat_sequence
 from .covers import (CoverSpec, Slit, build_cover, cyclic_slit_cover,
@@ -76,8 +75,6 @@ def _jsonify(x):
     """Exact report values: scalars become their exact string form."""
     if isinstance(x, FieldScalar):
         return str(x)
-    if isinstance(x, (Fraction, int)) and not isinstance(x, bool):
-        return str(x) if isinstance(x, Fraction) else x
     if isinstance(x, Vec2):
         return [str(x.x), str(x.y)]
     if isinstance(x, dict):

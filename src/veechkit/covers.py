@@ -281,14 +281,16 @@ def _check_disjoint(resolved):
 class _Complex:
     """One mutable copy of the base, cut open along the slits.
 
-    Each edge is keyed by (polygon, start vertex): a chart is a simple
-    polygon, so each of its vertices starts exactly one edge, and a key
-    stays valid while vertices are inserted elsewhere in the chart.  `glue`
-    maps each glued edge to its partner's key and `bank` each slit bank's
-    key to its (slit, piece, 'L'/'R') tag; every edge is in one of them.
-    Splitting an edge re-pairs its two halves with its partner's, and a cut
-    re-keys only the edges that move to the new piece.  `build_cover` turns
-    the keys into (polygon, edge index) once the cutting is done.
+    Each edge is keyed by (polygon, start vertex): the surface checker
+    refuses a chart that passes through a vertex twice, and a cut divides
+    a piece along a chord, so each vertex of a piece starts exactly one
+    edge, and a key stays valid while vertices are inserted elsewhere in
+    the chart.  `glue` maps each glued edge to its partner's key and `bank`
+    each slit bank's key to its (slit, piece, 'L'/'R') tag; every edge is
+    in one of them.  Splitting an edge re-pairs its two halves with its
+    partner's, and a cut re-keys only the edges that move to the new
+    piece.  `build_cover` turns the keys into (polygon, edge index) once
+    the cutting is done.
 
     `shape(p)` is piece p's Polygon, built on first read after
     `ensure_vertex` or `cut` last changed the piece, so every point location
@@ -298,10 +300,6 @@ class _Complex:
     def __init__(self, base: Surface):
         self.polys = polys = [list(p.vertices) for p in base.polygons]
         self.shapes = list(base.polygons)
-        for p, verts in enumerate(polys):
-            if len(set(verts)) < len(verts):
-                raise InvalidParams("chart %d repeats a vertex; slit covers "
-                                    "need simple charts" % p)
         self.glue = {(p, polys[p][e]): (q, polys[q][f])
                      for (p, e), (q, f) in base.partner.items()}
         self.bank = {}

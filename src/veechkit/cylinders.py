@@ -45,6 +45,9 @@ its segment ends at (`Segment.vertex`), and a row sorts by the key its
 exit solve bisected with (`Segment.key`), since on the up flow a point's u
 is its x; only slides and their partner-chart copies form their own key.
 
+Every transverse ray -- a band's width ray from its first corner, the two
+rays that place a point, a bank's west ray -- is `Decomposition._ray`: an
+east or west trace stopped by the barrier hook, which must end there.
 A point is placed by one ray west and one ray east to the barriers: the band
 it lies in is the band east of where the west ray stops -- a barrier leaf
 (whose id the barrier hook returns) or a cone corner (the same east rule),
@@ -93,7 +96,7 @@ from .field import (FieldScalar, _sort_key, commensurability_classes,
                     least_common_integer_multiple, scalar)
 from .geometry import (Vec2, _as_vec, canonical_direction,
                        normalize_to_vertical)
-from .surface import _index
+from .surface import _index, _mark_index
 from .trace import (CLOSED, SINGULAR, STOPPED, _Flow, _turn, advance,
                     departing_corners, trace)
 
@@ -234,10 +237,14 @@ class Decomposition:
         """Place an original-frame point inside the decomposition."""
         return self.locate_normalized(polygon, self.frame * _as_vec(point))
 
-    def _ray(self, polygon, point, direction, located=None):
-        ev = trace(self.normalized, polygon, point, self.flows[direction],
-                   stop_at_marked=False, cap=self.cap, detect_closure=False,
-                   stop_on=self._hook, _located=located)
+    def _ray(self, polygon, point, direction, located=None, corner=None):
+        """The transverse ray `direction` ('east' or 'west') from a point,
+        or from `corner` when polygon and point are None, stopped at the
+        first barrier it meets."""
+        ev = trace(self.normalized, polygon, point, corner=corner,
+                   direction=self.flows[direction], stop_at_marked=False,
+                   cap=self.cap, detect_closure=False, stop_on=self._hook,
+                   _located=located)
         if ev.kind not in (STOPPED, SINGULAR):
             raise InconsistentTopology(
                 "transverse ray escaped the decomposition (%s)" % ev.kind)
@@ -411,22 +418,20 @@ def decompose(surface, direction, cap=None) -> Decomposition:
     flows = {name: _Flow(normalized, v)
              for name, v in (("up", _UP), ("east", _EAST), ("west", _WEST))}
     up, east = flows["up"], flows["east"]
-
-    def bail(connections, vertex_leaves):
-        return Decomposition(surface=surface, direction=dirc, frame=frame,
-                             normalized=normalized, status="undetermined",
-                             cylinders=[], connections=connections,
-                             vertex_leaves=vertex_leaves, barriers=None,
-                             marks=None, cap=run_cap, flows=flows)
+    # the one result, undetermined until every barrier leaf is traced
+    deco = Decomposition(surface=surface, direction=dirc, frame=frame,
+                         normalized=normalized, status="undetermined",
+                         cylinders=[], connections=[], vertex_leaves=[],
+                         cap=run_cap, flows=flows)
+    connections, vertex_leaves = deco.connections, deco.vertex_leaves
 
     # upward separatrices from the cone points: all must be saddle connections
-    connections = []
     for corner in departing_corners(normalized, up):
         ev = trace(normalized, corner=corner, direction=up,
                    stop_at_marked=False, cap=run_cap)
         connections.append((corner, ev))
         if ev.kind != SINGULAR:
-            return bail(connections, [])
+            return deco
 
     # the barrier leaf through each regular vertex class: a leaf passes a
     # vertex where one of its segments ends at one of the vertex's corners,
@@ -448,7 +453,6 @@ def decompose(surface, direction, cap=None) -> Decomposition:
 
     for leaf, (_, ev) in enumerate(connections):
         settle(leaf, ev)
-    vertex_leaves = []
     for cls in regular:
         if cls in leaf_of:
             continue
@@ -459,13 +463,13 @@ def decompose(surface, direction, cap=None) -> Decomposition:
                 "leaf of vertex class %d runs into a cone off every "
                 "separatrix" % cls)
         if ev.kind != CLOSED:
-            return bail(connections, vertex_leaves)
+            return deco
         vertex_leaves.append((cls, ev))
         settle(len(connections) + len(vertex_leaves) - 1, ev)
 
-    barriers = _barrier_table(normalized, [ev for _, ev in connections]
-                              + [ev for _, ev in vertex_leaves], leaf_of)
-    hook = _barrier_hook(barriers)
+    deco.barriers = _barrier_table(normalized, [ev for _, ev in connections]
+                                   + [ev for _, ev in vertex_leaves], leaf_of)
+    deco._hook = _barrier_hook(deco.barriers)
 
     heights, east_of, corner_band = _west_banks(up, east, connections,
                                                 vertex_leaves)
@@ -476,7 +480,7 @@ def decompose(surface, direction, cap=None) -> Decomposition:
             corner_band[corner] = east_of[leaf_of[cls]]
 
     # number the bands by their first ray corner; one width ray each
-    cylinders, index = [], {}
+    cylinders, index = deco.cylinders, {}
     for corner in ray_corners:
         band = corner_band.get(corner)
         if band is None:
@@ -484,13 +488,7 @@ def decompose(surface, direction, cap=None) -> Decomposition:
                                        % (corner,))
         if band in index:
             continue
-        ev = trace(normalized, corner=corner, direction=east,
-                   stop_at_marked=False, cap=run_cap, stop_on=hook,
-                   detect_closure=False)
-        if ev.kind not in (STOPPED, SINGULAR):
-            raise InconsistentTopology(
-                "width ray from %s escaped the barriers (%s)"
-                % (corner, ev.kind))
+        ev = deco._ray(None, None, "east", corner=corner)
         index[band] = len(cylinders)
         cylinders.append(Cylinder(len(cylinders), ev.param, heights[band],
                                   _point_on(east, ev, ev.param / 2)))
@@ -503,14 +501,10 @@ def decompose(surface, direction, cap=None) -> Decomposition:
             "cylinder areas sum to %s but the surface has area %s"
             % (total, surface.area))
 
-    deco = Decomposition(
-        surface=surface, direction=dirc, frame=frame, normalized=normalized,
-        status="complete", cylinders=cylinders, connections=connections,
-        vertex_leaves=vertex_leaves, barriers=barriers, cap=run_cap,
-        flows=flows, _hook=hook,
-        _east_of=[index[band] for band in east_of],
-        _corner_east={corner: index[band]
-                      for corner, band in corner_band.items()})
+    deco.status = "complete"
+    deco._east_of = [index[band] for band in east_of]
+    deco._corner_east = {corner: index[band]
+                         for corner, band in corner_band.items()}
     deco.marks = []
     # each mark keeps its location, which transform carried over: no mark
     # is located again
@@ -655,14 +649,14 @@ def twist_orbit(surface, mark, twist_direction, target_direction, n_samples,
     the position {n*theta}*h along the leaf, and the ratio in D -- or
     'missed' / 'boundary' when the image lands elsewhere.
     """
-    if isinstance(mark, str):
-        mark = surface.mark_by_label(mark)
-    mp = surface.marked[_index(mark, len(surface.marked), "marked point")]
+    mark = _mark_index(surface, mark)
+    mp = surface.marked[mark]
 
+    # each decomposition has placed the mark already
     deco_c = decompose(surface, twist_direction, cap=cap)
     if not deco_c.complete:
         raise NotComplete("twist direction does not decompose")
-    pos_c = deco_c.locate(mp.polygon, mp.at)
+    pos_c = deco_c.marks[mark]
     if pos_c.state != "in":
         raise OnBoundaryPoint("marked point sits on a boundary leaf of the "
                               "twist direction")
@@ -671,7 +665,7 @@ def twist_orbit(surface, mark, twist_direction, target_direction, n_samples,
     deco_d = decompose(surface, target_direction, cap=cap)
     if not deco_d.complete:
         raise NotComplete("target direction does not decompose")
-    pos_d = deco_d.locate(mp.polygon, mp.at)
+    pos_d = deco_d.marks[mark]
     if target_cylinder is None:
         if pos_d.state == "in":
             target_cylinder = pos_d.cylinder

@@ -728,12 +728,16 @@ class ContinuedFraction:
             head, self.periodic, self.exact)
 
 
-def continued_fraction(x, n: int, state_cap: int = 64) -> ContinuedFraction:
+# surd states a continued fraction remembers while it looks for the period
+_STATE_CAP = 64
+
+
+def continued_fraction(x, n: int) -> ContinuedFraction:
     """First n partial quotients of x >= 0 with convergents.
 
     Rational x terminates (possibly before n terms).  Quadratic irrationals are
     run through the integer surd recurrence, which also detects the eventual
-    period by state repetition (capped at `state_cap` distinct states).
+    period by state repetition (capped at `_STATE_CAP` distinct states).
     """
     x = scalar(x)
     if n < 1:
@@ -783,7 +787,7 @@ def continued_fraction(x, n: int, state_cap: int = 64) -> ContinuedFraction:
         if periodic is None:
             if state in seen:
                 periodic = (seen[state], len(quotients) - seen[state])
-            elif len(seen) < state_cap:
+            elif len(seen) < _STATE_CAP:
                 seen[state] = len(quotients)
         if big_q > 0:
             a = (big_p + sqrt_floor) // big_q

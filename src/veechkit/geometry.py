@@ -276,17 +276,6 @@ class Mat2:
             raise ZeroDivisionError("singular matrix")
         return _mat(self.d / det, -self.b / det, -self.c / det, self.a / det)
 
-    def pow(self, n: int) -> "Mat2":
-        m = self if n >= 0 else self.inverse()
-        n = abs(n)
-        out = Mat2.identity()
-        while n:
-            if n & 1:
-                out = out * m
-            m = m * m
-            n >>= 1
-        return out
-
 
 def _mat(a: FieldScalar, b: FieldScalar, c: FieldScalar,
          d: FieldScalar) -> Mat2:

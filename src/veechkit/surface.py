@@ -42,6 +42,10 @@ compare against.
 One checker (`_check`) holds the field, polygon and gluing checks.  It lists
 every problem of a description as a (validate tag, exception type, message)
 triple; the constructor raises the first one and `validate` reports them all.
+A chart that passes through a point twice is refused (`RepeatedVertex`), as
+a chart with no other problem: `Polygon.locate`, the corner tables and the
+cutter of `covers` each take a vertex for one corner.  Edges that cross
+between vertices are not looked for.
 
 One routine (`Surface._point`) names a point: it locates the point in the
 chart it is given in and lists every chart representative of it, canonical
@@ -253,24 +257,6 @@ class Surface:
         for poly in self.polygons:
             total = total + poly.signed_area2()
         return total / 2
-
-    def component_count(self) -> int:
-        seen, count = set(), 0
-        for p0 in range(len(self.polygons)):
-            if p0 in seen:
-                continue
-            count += 1
-            stack = [p0]
-            while stack:
-                p = stack.pop()
-                if p in seen:
-                    continue
-                seen.add(p)
-                for e in range(self.polygons[p].n):
-                    q = self.partner[(p, e)][0]
-                    if q not in seen:
-                        stack.append(q)
-        return count
 
     def genus(self) -> int:
         """Genus from the Euler count, cross-checked against total angle excess."""
@@ -511,6 +497,14 @@ def _index(i, n, what):
     return i
 
 
+def _mark_index(surface, mark):
+    """The index of the marked point `mark` names, by label or by index;
+    InvalidParams if it names none."""
+    if isinstance(mark, str):
+        return surface.mark_by_label(mark)
+    return _index(mark, len(surface.marked), "marked point")
+
+
 def _sector_row(poly, v):
     """Where direction v lies against each corner sector [edge k, -edge k-1)
     of Polygon `poly`, one entry per vertex k: _MISS outside it, _HOLD
@@ -744,6 +738,11 @@ def _polygon_problems(i, poly):
             problems.append((
                 "ZeroAngleCorner(%d,%d)" % (i, v), InvalidParams,
                 "polygon %d has a zero-angle corner at vertex %d" % (i, v)))
+    # a chart that passes through a point twice is not a simple polygon:
+    # Polygon.locate names only one of the corners there
+    if not problems and len(set(poly.vertices)) < poly.n:
+        problems.append(("RepeatedVertex(%d)" % i, InvalidParams,
+                         "polygon %d passes through a vertex twice" % i))
     return problems
 
 

@@ -69,11 +69,16 @@ def decomposition_group(deco, label=None):
     return "\n".join(lines), max_w + 180.0 + 2 * pad, y + pad
 
 
-def decomposition_svg(deco, label=None):
-    body, w, h = decomposition_group(deco, label=label)
+def _document(width, height, body):
+    """A whole <svg> document of the given size around `body`."""
     return ('<svg xmlns="http://www.w3.org/2000/svg" width="%s" height="%s" '
             'viewBox="0 0 %s %s">\n%s\n%s\n</svg>\n'
-            % (_f(w), _f(h), _f(w), _f(h), _HEADER, body))
+            % (_f(width), _f(height), _f(width), _f(height), _HEADER, body))
+
+
+def decomposition_svg(deco, label=None):
+    body, w, h = decomposition_group(deco, label=label)
+    return _document(w, h, body)
 
 
 def gallery_svg(entries):
@@ -84,6 +89,4 @@ def gallery_svg(entries):
         groups.append('<g transform="translate(0,%s)">\n%s\n</g>' % (_f(y), body))
         width = max(width, w)
         y += h + 8.0
-    return ('<svg xmlns="http://www.w3.org/2000/svg" width="%s" height="%s" '
-            'viewBox="0 0 %s %s">\n%s\n%s\n</svg>\n'
-            % (_f(width), _f(y), _f(width), _f(y), _HEADER, "\n".join(groups)))
+    return _document(width, y, "\n".join(groups))

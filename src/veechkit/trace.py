@@ -61,7 +61,9 @@ per (Polygon, vertex, start).  A flow keeps nothing per chart index or per
 corner.  A flow lives as long as its caller keeps it -- one trace, or one
 decomposition -- and is never stored on the surface.  The candidate lists
 and the memo rely on each chart being a simple polygon, whose edges meet
-only at its vertices.
+only at its vertices.  The surface checker refuses a chart that passes
+through a vertex twice; one whose edges cross between vertices still
+passes it.
 
 Each trace builds, when it starts, the table of the points it can stop at:
 per chart, the start's aliases (a closing) and every alias of every mark,
@@ -95,7 +97,7 @@ from .field import (FieldScalar, _affine, _cross, _lin, _sort_key,
 from .geometry import (Vec2, _as_vec, _vec, canonical_direction,
                        ccw_sector_contains, cross, dist2_point_segment, dot,
                        polygon_contains)
-from .surface import _SLIDE, _index, _sector_row
+from .surface import _SLIDE, _mark_index, _sector_row
 
 _ZERO = FieldScalar.rational(0)
 _ONE = FieldScalar.rational(1)
@@ -787,8 +789,12 @@ def _disk_meets_polygon(vertices, center, r2):
     return False
 
 
-def is_connection_point_up_to(surface, mark, cap=None,
-                              node_budget=20000) -> ConnectionEvidence:
+# charts developed around a point before the sighting gives up (Exhausted)
+_NODE_BUDGET = 20000
+
+
+def is_connection_point_up_to(surface, mark,
+                              cap=None) -> ConnectionEvidence:
     """Check, up to `cap`, that every separatrix through a marked point
     extends to a saddle connection.
 
@@ -797,9 +803,7 @@ def is_connection_point_up_to(surface, mark, cap=None,
     trace toward the cone, then continued on the far side.  A semi-decision:
     a clean pass is evidence, never proof.
     """
-    if isinstance(mark, str):
-        mark = surface.mark_by_label(mark)
-    mp = surface.marked[_index(mark, len(surface.marked), "marked point")]
+    mp = surface.marked[_mark_index(surface, mark)]
     if not surface.singular_classes:
         return ConnectionEvidence("AllExtended", 0)
     cap = scalar(cap) if cap is not None else surface.default_cap()
@@ -813,7 +817,7 @@ def is_connection_point_up_to(surface, mark, cap=None,
     nodes = 0
     while queue:
         nodes += 1
-        if nodes > node_budget:
+        if nodes > _NODE_BUDGET:
             return ConnectionEvidence("Exhausted")
         p, off = queue.pop(0)
         poly = surface.polygons[p]

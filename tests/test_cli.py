@@ -7,6 +7,7 @@ import re
 import pytest
 
 import veechkit.svg
+from test_surface import pinched_json
 from veechkit import cli
 from veechkit.cylinders import decompose, torus_signature
 from veechkit.field import FieldScalar
@@ -337,6 +338,15 @@ def test_integer_coordinates_exit_1(tmp_path, capsys):
     path.write_text(json.dumps(obj))
     rc, _, err = run(capsys, "info", str(path))
     assert rc == 1 and err.startswith("error: a scalar is written as")
+
+
+def test_a_chart_through_a_vertex_twice_exits_1(tmp_path, capsys):
+    path = tmp_path / "pinched.json"
+    path.write_text(json.dumps(pinched_json()))
+    rc, _, err = run(capsys, "info", str(path))
+    assert rc == 1
+    assert err == "error: polygon 0 passes through a vertex twice\n"
+
 
 def test_domain_error_exits_1(tmp_path, capsys):
     path = build_cross(tmp_path, capsys)

@@ -21,7 +21,7 @@ from veechkit.errors import (FieldMismatch, InconsistentTopology,
                              InvalidParams, NotComplete, OnBoundaryPoint,
                              VeechkitError, ZeroInput)
 from veechkit.field import FieldScalar, _sort_key, scalar
-from veechkit.geometry import (Mat2, Vec2, canonical_direction,
+from veechkit.geometry import (Mat2, Vec2, canonical_direction, dot,
                                normalize_to_vertical, segments_intersect)
 from veechkit.linear import twist_matrix
 from veechkit.surface import Surface
@@ -605,6 +605,40 @@ def test_a_longer_cap_keeps_a_complete_decomposition(surf, mat, direction,
     if not deco.complete:
         return
     assert summary(decompose(image, direction, cap=2 * cap)) == summary(deco)
+
+
+@settings(max_examples=60, deadline=None)
+@given(marked_surfaces(), positive_matrices(),
+       st.sampled_from(((1, 0), (0, 1), (1, 1), (1, 2))))
+def test_classification_is_affinely_natural(surf, mat, direction):
+    # M maps S's decomposition in v onto S.transform(M)'s in M v: the
+    # normalized frames differ by a map fixing the vertical line, so widths
+    # scale by one factor and heights by another, and a ratio across a band
+    # is kept -- read from the other bank (1 - r) where canonical_direction
+    # turns M v round.  The default caps differ, so only two complete
+    # decompositions are compared.
+    try:
+        image = surf.transform(mat)
+    except FieldMismatch:
+        return
+    v = Vec2(*direction)
+    w = mat * v
+    here = classify_direction(surf, v)
+    there = classify_direction(image, w)
+    if not (here.decomposition.complete and there.decomposition.complete):
+        return
+    assert (there.kind, there.signature.m) == (here.kind, here.signature.m)
+    flipped = dot(canonical_direction(w), w).sign() < 0
+    for a, b in zip(here.decomposition.marks, there.decomposition.marks,
+                    strict=True):
+        assert a.state == b.state
+        if a.state == "in":
+            assert b.ratio == (1 - a.ratio if flipped else a.ratio)
+    ours = sorted(here.decomposition.inverse_moduli())
+    theirs = sorted(there.decomposition.inverse_moduli())
+    factor = theirs[0] / ours[0]
+    assert factor.sign() > 0
+    assert [m * factor for m in ours] == theirs
 
 
 def test_bank_cycles_match_midline_recognition_fixed_cases():

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from test_covers import cyclic_covers
+from test_covers import PINCHED, cyclic_covers
 from veechkit.errors import (FieldMismatch, InconsistentTopology, InvalidParams,
                              VeechkitError)
 from veechkit.field import FieldScalar, scalar
@@ -183,6 +183,7 @@ BROKEN = [
     (([[(0, 0), (0, 1), (1, 1), (1, 0)]], SQ_GLUE),
      ["NotCounterclockwise(0)"],
      InvalidParams, "polygon 0 must be counterclockwise with positive area"),
+    # a spike that also passes through (2, 1) twice: tagged as a spike only
     (([[(0, 0), (2, 0), (2, 1), (3, 1), (2, 1), (0, 1)]],
       [((0, 0), (0, 4)), ((0, 1), (0, 5))]),
      ["UnmatchedEdge(0,2)", "UnmatchedEdge(0,3)", "ZeroAngleCorner(0,3)"],
@@ -218,6 +219,9 @@ BROKEN = [
     (([[(0, 0), (1, 0), Vec2(1, ROOT2), Vec2(0, ROOT2)]], SQ_GLUE, 5),
      ["FieldMismatch: coordinate field tags [2] clash with declared d=5"],
      FieldMismatch, "coordinate field tags [2] clash with declared d=5"),
+    # two squares meeting at (1, 1), one chart through (1, 1) twice
+    (PINCHED, ["RepeatedVertex(0)"],
+     InvalidParams, "polygon 0 passes through a vertex twice"),
 ]
 
 
@@ -263,6 +267,10 @@ REPEATED = [
                         ((1, 2), (0, 3))],
      ["NonParallelGluing((0,0),(1,1))", "NonParallelGluing((1,0),(0,1))",
       "NonParallelGluing((0,2),(1,3))", "NonParallelGluing((1,2),(0,3))"]),
+    # two copies of the pinched chart, each glued to the other
+    (PINCHED[0] * 2, [((p, a), (1 - p, b)) for p in (0, 1)
+                      for (_, a), (_, b) in PINCHED[1]],
+     ["RepeatedVertex(0)", "RepeatedVertex(1)"]),
 ]
 
 
@@ -713,6 +721,22 @@ def test_from_json_raises_typed_errors():
     with pytest.raises(InvalidParams, match="not 1"):
         Surface.from_json(obj)
     assert FieldScalar.from_json("1/2") == FieldScalar.from_json({"a": "1/2"})
+
+
+def pinched_json():
+    """The surface JSON of the pinched chart, which no Surface holds."""
+    polys, gluings = PINCHED
+    return {"polygons": [{"vertices": [[str(x), str(y)] for x, y in poly]}
+                         for poly in polys],
+            "gluings": [{"p1": a[0], "e1": a[1], "p2": b[0], "e2": b[1]}
+                        for a, b in gluings]}
+
+
+def test_from_json_refuses_a_chart_through_a_vertex_twice():
+    with pytest.raises(InvalidParams,
+                       match="polygon 0 passes through a vertex twice"):
+        Surface.from_json(pinched_json())
+
 
 def test_transform_preserves_structure():
     c = Surface.cross(1, 1, marked=[(0, (Fraction(3, 2), Fraction(3, 2)), "p")])
