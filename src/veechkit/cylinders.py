@@ -83,6 +83,29 @@ the up flow) are looked up, not tested, on every sheet but the first.  The
 Decomposition keeps its flows (`flows`), so the later rays of `locate` and
 the twists of `dehn_twist_point` and `twist_orbit` reuse the same tables and
 memo, and read the points of their rays (`_Flow.point_on`).
+
+A surface's chart symmetries (`Surface._chart_symmetries`; on a slit cover,
+its deck transformations) carry the leaves and rays of one sheet onto the
+others, so a decomposition traces one of each orbit.  It traces the first
+corner of each orbit among the separatrix corners (in `departing_corners`
+order), the first unsettled regular vertex class of each orbit, and the
+first corner of each orbit among the width-ray corners it needs.  Every
+other such event is the image of a traced one under a symmetry g: each
+segment's chart and the arrival corner are mapped by g, every other field
+is shared (`_moved`), and a width ray's image keeps its width, with its
+sample's chart mapped.  That is sound because every trace of a
+decomposition ignores marks and reads only the per-Polygon tables of its
+flow, the gluing, the edge translations (equal for (p, e) and (g[p], e)),
+the vertex classes, which g permutes, and, for a width ray, the barrier
+set, which g maps onto itself: g permutes the separatrices and the leaves
+through the regular vertices.  So the trace from g.c is g applied to the
+trace from c, parameter for parameter; only the leaf id a transverse ray
+stops at may differ, and a width ray's is not read.  The first member of an
+orbit comes first in the order, so a decomposition that stops early stops
+where tracing every leaf stops, and every output -- connections, vertex
+leaves, barrier rows, cylinders -- is what tracing every leaf gives.  The
+rays that place marks and banks read marks or leaf ids, and are always
+traced.
 """
 
 from __future__ import annotations
@@ -97,8 +120,8 @@ from .field import (FieldScalar, _sort_key, commensurability_classes,
 from .geometry import (Vec2, _as_vec, canonical_direction,
                        normalize_to_vertical)
 from .surface import _index, _mark_index
-from .trace import (CLOSED, SINGULAR, STOPPED, _Flow, _turn, advance,
-                    departing_corners, trace)
+from .trace import (CLOSED, SINGULAR, STOPPED, Segment, TraceEvent, _Flow,
+                    _turn, advance, departing_corners, trace)
 
 _UP = Vec2(0, 1)
 _DOWN = Vec2(0, -1)
@@ -406,10 +429,26 @@ def _west_banks(up, east, connections, vertex_leaves):
     return heights, east_of, corner_band
 
 
+def _moved(g, ev):
+    """The image of `ev`, an up trace of a decomposition, under the chart
+    symmetry g: each segment in chart g[p], the arrival corner in chart
+    g[p], every other field shared."""
+    segments = [Segment(g[s.polygon], s.a, s.b, s.slide, s.tau0, s.tau1,
+                        s.edge, s.vertex, s.key) for s in ev.segments]
+    corner = ev.corner
+    if corner is not None:
+        corner = (g[corner[0]], corner[1])
+    return TraceEvent(ev.kind, segments, ev.param, ev.vlen, ev.vv,
+                      corner=corner)
+
+
 def decompose(surface, direction, cap=None) -> Decomposition:
     """Cylinder decomposition of `direction`, or an undetermined report."""
     dirc = canonical_direction(_as_vec(direction))
     frame = normalize_to_vertical(dirc)
+    # found once on the surface, which transform hands on; the identity is
+    # left out, as it maps each trace to itself
+    symmetries = surface._chart_symmetries()[1:]
     # the vertical's frame is the identity: the surface is its own image
     normalized = surface if dirc == _UP else surface.transform(frame)
     run_cap = scalar(cap) if cap is not None else normalized.default_cap()
@@ -425,10 +464,20 @@ def decompose(surface, direction, cap=None) -> Decomposition:
                          cap=run_cap, flows=flows)
     connections, vertex_leaves = deco.connections, deco.vertex_leaves
 
-    # upward separatrices from the cone points: all must be saddle connections
+    # upward separatrices from the cone points: all must be saddle
+    # connections.  Each orbit of corners under the chart symmetries is
+    # traced from its first corner; the rest are images of that trace
+    images = {}  # an image corner -> (g, the trace it is the image of)
     for corner in departing_corners(normalized, up):
-        ev = trace(normalized, corner=corner, direction=up,
-                   stop_at_marked=False, cap=run_cap)
+        got = images.get(corner)
+        if got is None:
+            ev = trace(normalized, corner=corner, direction=up,
+                       stop_at_marked=False, cap=run_cap)
+            p, k = corner
+            for g in symmetries:
+                images[(g[p], k)] = (g, ev)
+        else:
+            ev = _moved(*got)
         connections.append((corner, ev))
         if ev.kind != SINGULAR:
             return deco
@@ -453,11 +502,19 @@ def decompose(surface, direction, cap=None) -> Decomposition:
 
     for leaf, (_, ev) in enumerate(connections):
         settle(leaf, ev)
+    images = {}  # an image class -> (g, the trace it is the image of)
     for cls in regular:
         if cls in leaf_of:
             continue
-        ev = trace(normalized, corner=normalized.vertex_classes[cls][0],
-                   direction=up, stop_at_marked=False, cap=run_cap)
+        got = images.get(cls)
+        if got is None:
+            p, k = start = normalized.vertex_classes[cls][0]
+            ev = trace(normalized, corner=start, direction=up,
+                       stop_at_marked=False, cap=run_cap)
+            for g in symmetries:
+                images[class_of[(g[p], k)]] = (g, ev)
+        else:
+            ev = _moved(*got)
         if ev.kind == SINGULAR:
             raise InconsistentTopology(
                 "leaf of vertex class %d runs into a cone off every "
@@ -479,8 +536,9 @@ def decompose(surface, direction, cap=None) -> Decomposition:
             ray_corners.append(corner)
             corner_band[corner] = east_of[leaf_of[cls]]
 
-    # number the bands by their first ray corner; one width ray each
-    cylinders, index = deco.cylinders, {}
+    # number the bands by their first ray corner; one width ray each, or
+    # the image of the ray from a corner it is the image of
+    cylinders, index, images = deco.cylinders, {}, {}
     for corner in ray_corners:
         band = corner_band.get(corner)
         if band is None:
@@ -488,10 +546,20 @@ def decompose(surface, direction, cap=None) -> Decomposition:
                                        % (corner,))
         if band in index:
             continue
-        ev = deco._ray(None, None, "east", corner=corner)
+        got = images.get(corner)
+        if got is None:
+            ev = deco._ray(None, None, "east", corner=corner)
+            width = ev.param
+            sample = _point_on(east, ev, width / 2)
+            p, k = corner
+            for g in symmetries:
+                images[(g[p], k)] = (g, width, sample)
+        else:
+            g, width, (q, point) = got
+            sample = (g[q], point)
         index[band] = len(cylinders)
-        cylinders.append(Cylinder(len(cylinders), ev.param, heights[band],
-                                  _point_on(east, ev, ev.param / 2)))
+        cylinders.append(Cylinder(len(cylinders), width, heights[band],
+                                  sample))
 
     total = scalar(0)
     for cyl in cylinders:

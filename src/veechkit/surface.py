@@ -59,21 +59,38 @@ be an int, and a bool is not taken for one.  A marked point keeps where its
 canonical alias lies (`MarkedPoint.where`), so the rays that place it in a
 decomposition do not locate it again.
 
+A chart symmetry is a permutation g of the chart indices that keeps each
+chart's Polygon (`polygons[g[p]] is polygons[p]`) and the gluing
+(`partner[(g[p], e)] == (g[q], f)` whenever `partner[(p, e)] == (q, f)`),
+so it keeps the edge translations, the corner cycles and the cone windings
+too.  On a slit cover these are the deck transformations, which move whole
+sheets.  `_chart_symmetries` finds them once, on first use
+(`_find_symmetries`).  On a connected complex a symmetry is fixed by where
+it sends chart 0, so only the charts that share chart 0's Polygon are
+candidates: a surface whose charts are all distinct searches nothing.  A
+symmetry is grown over the gluing from each candidate that the ones found
+so far do not already reach, and the set is closed under composition, so
+it is the whole group; a complex in several pieces keeps only the
+identity.  Symmetries say nothing of marked points: what reads marks must
+not use them, and `cylinders` maps only traces that ignore marks.
+`transform` hands the table on with the combinatorics.
+
 `transform` maps the charts, the edge translations and the marked points and
 carries the combinatorics over unchecked: the partner map, vertex classes,
-corner cycles and cone windings are shared with the source surface.  That is
-sound because a positive-determinant linear map keeps every checked property:
-it maps edges to edges and opposite vectors to opposite vectors, keeps
-polygons counterclockwise and corners of nonzero angle, maps each corner
-sector onto a sector in the same cyclic order (so a cycle sweeps the same
-total angle), and keeps a point interior, on an edge or at a vertex.  Only
-the field can change, since the matrix can bring in a radical: it is
-settled again from the vertices, and the marked points' field tags are
-tested against it by the constructor's own test (`_mark_field_clash`: all
-nonzero tags of the surface and its marks agree), so FieldMismatch is
-raised exactly where the constructor would raise it on the mapped
-description.  The constructor stays the only way in for outside
-descriptions.
+corner cycles, cone windings and chart symmetries are shared with the source
+surface.  That is sound because a positive-determinant linear map keeps
+every checked property, and each distinct Polygon is mapped once, which
+keeps every chart symmetry.  The map takes edges to edges and opposite
+vectors to opposite vectors, keeps polygons counterclockwise and corners
+of nonzero angle, maps each corner sector onto a sector in the same cyclic
+order (so a cycle sweeps the same total angle), and keeps a point
+interior, on an edge or at a vertex.  Only the field can change, since the
+matrix can bring in a radical: it is settled again from the vertices, and
+the marked points' field tags are tested against it by the constructor's
+own test (`_mark_field_clash`: all nonzero tags of the surface and its
+marks agree), so FieldMismatch is raised exactly where the constructor
+would raise it on the mapped description.  The constructor stays the only
+way in for outside descriptions.
 
 Corner convention: corner (p, v) sits at vertex v of polygon p, between the
 incoming edge v-1 and the outgoing edge v.  Its sector is swept CCW from the
@@ -178,6 +195,7 @@ class Surface:
             raise exc(message)
         self.translation = _translations(self.polygons, self.partner)
         self._walk_corner_cycles()
+        self._symmetries = None
         self.point_labels = dict(point_labels or {})
         marks = []
         for i, m in enumerate(marked):
@@ -248,6 +266,15 @@ class Surface:
 
     def is_singular_corner(self, corner: Corner) -> bool:
         return self.cone_windings[self.class_of[corner]] > 1
+
+    # -- chart symmetries ------------------------------------------------------
+
+    def _chart_symmetries(self):
+        """The chart symmetries (see the module docstring), the identity
+        first: found on the first call and kept."""
+        if self._symmetries is None:
+            self._symmetries = _find_symmetries(self.polygons, self.partner)
+        return self._symmetries
 
     # -- derived topology ------------------------------------------------------
 
@@ -384,6 +411,7 @@ class Surface:
         image.corner_cycles = self.corner_cycles
         image.cone_windings = self.cone_windings
         image.singular_classes = self.singular_classes
+        image._symmetries = self._symmetries
         image.point_labels = dict(self.point_labels)
         image.marked = marked
         return image
@@ -572,6 +600,63 @@ def _interned(polygons):
     return out
 
 
+def _find_symmetries(polygons, partner):
+    """Every chart symmetry of the complex as a tuple g, g[p] the image of
+    chart p, in the order of g[0], so the identity comes first.
+
+    A chart sharing chart 0's Polygon that no symmetry found so far sends
+    chart 0 to is a candidate: `_grown` grows the symmetry with g[0] = q,
+    if there is one, and the set is closed under composition with it.  On
+    a connected complex a symmetry is fixed by g[0], so the candidates
+    reached by composition need no growing: a cyclic cover grows one."""
+    first = polygons[0]
+    group = {0: tuple(range(len(polygons)))}  # g[0] -> g
+    gens = []
+    for q in range(1, len(polygons)):
+        if polygons[q] is not first or q in group:
+            continue
+        g = _grown(polygons, partner, q)
+        if g is None:
+            continue
+        gens.append(g)
+        todo = list(group.values())
+        while todo:
+            h = todo.pop()
+            for s in gens:
+                sh = tuple([s[p] for p in h])  # h, then s
+                if sh[0] not in group:
+                    group[sh[0]] = sh
+                    todo.append(sh)
+    return [group[q] for q in sorted(group)]
+
+
+def _grown(polygons, partner, q):
+    """The chart symmetry g with g[0] = q, or None when there is none.
+
+    g is grown over the gluing from chart 0: across edge e of a chart p it
+    sends the partner chart r to the chart across edge e of g[p], which
+    must share r's Polygon and be glued back along r's edge.  None as well
+    when the gluing does not reach every chart, so a complex with several
+    components keeps only the identity.  When it does, g is one to one:
+    its image is closed under the gluing, so it is every chart."""
+    g = [None] * len(polygons)
+    g[0] = q
+    grown = [0]
+    for p in grown:  # grows while it is read
+        gp = g[p]
+        for e in range(polygons[p].n):
+            r, f = partner[(p, e)]
+            s, f2 = partner[(gp, e)]
+            if f2 != f or polygons[s] is not polygons[r]:
+                return None
+            if g[r] is None:
+                g[r] = s
+                grown.append(r)
+            elif g[r] != s:
+                return None
+    return tuple(g) if len(grown) == len(polygons) else None
+
+
 def _translations(polygons, partner):
     """(polygon, edge) -> T: crossing the edge forward maps x to x + T.
 
@@ -629,7 +714,17 @@ def _mark_field_clash(field_d, marks):
 
 def _gluing_sides(item):
     """The two (polygon, edge) sides a gluing entry names -- a pair of pairs
-    or a {p1, e1, p2, e2} dict -- or None when the entry is malformed."""
+    or a {p1, e1, p2, e2} dict -- or None when the entry is malformed.
+
+    A tuple of two (int, int) tuples, as `build_cover` makes every gluing,
+    is taken as is, by type checks alone; every other form goes the long
+    way."""
+    if type(item) is tuple and len(item) == 2:
+        a, b = item
+        if (type(a) is tuple and type(b) is tuple and len(a) == 2
+                and len(b) == 2 and type(a[0]) is int and type(a[1]) is int
+                and type(b[0]) is int and type(b[1]) is int):
+            return item
     try:
         if isinstance(item, dict):
             sides = (item["p1"], item["e1"]), (item["p2"], item["e2"])

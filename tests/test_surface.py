@@ -18,8 +18,8 @@ from veechkit.errors import (FieldMismatch, InconsistentTopology, InvalidParams,
 from veechkit.field import FieldScalar, scalar
 from veechkit.geometry import (Mat2, Vec2, cross, polygon_contains,
                                segment_point)
-from veechkit.surface import (MarkedPoint, Polygon, Surface, _interned,
-                              singularities, validate)
+from veechkit.surface import (MarkedPoint, Polygon, Surface, _gluing_sides,
+                              _interned, singularities, validate)
 
 PHI = FieldScalar(Fraction(1, 2), Fraction(1, 2), 5)
 
@@ -241,6 +241,21 @@ def test_malformed_gluing_entry_is_one_problem(entry):
         "BadGluing(0)", "UnmatchedEdge(0,0)", "UnmatchedEdge(0,2)"]
     with pytest.raises(InvalidParams, match="gluing 0 is not two"):
         Surface(SQ, gluings)
+
+
+def test_gluing_entries_of_every_form_name_their_sides():
+    # a tuple of two (int, int) tuples, as build_cover makes, is taken as
+    # is; every other form is read the long way, with the same answers
+    fast = ((0, 1), (2, 3))
+    assert _gluing_sides(fast) is fast
+    for entry in ([[0, 1], [2, 3]], ([0, 1], (2, 3)), ((0, 1), [2, 3]),
+                  {"p1": 0, "e1": 1, "p2": 2, "e2": 3},
+                  ((0, 1), (2, 3), (4, 5))):
+        assert _gluing_sides(entry) == fast
+    for entry in (((True, 1), (2, 3)), ((0, 1), (2, False)),
+                  ((0, 1.0), (2, 3)), ((0, 1), (2, 3, 4)), ((0,), (2, 3)),
+                  ((0, 1),), {"p1": 0, "e1": 1}, (0, 1), 7, None):
+        assert _gluing_sides(entry) is None
 
 # a clockwise square, a square with a zero-angle spike and a chart with a
 # zero edge, each repeated; the tags name every index the polygon sits at
