@@ -275,27 +275,22 @@ def _cmd_census(args):
     directions = [_as_vec(e) for e in obj]
     cap = _cap_of(args)
     reports = census(surf, directions, cap=cap)
-    for rep in reports:
-        extra = ""
-        if rep.kind == "Parabolic":
-            extra = " s'=%s" % rep.s_prime
-        elif rep.kind == "Fat":
-            extra = " ratio=%s" % rep.certificate[2]
-        print("%s: %s%s" % (_dir_str(rep.direction), rep.kind, extra))
+    # each row's (name, value): s' of a Parabolic row, the ratio of a Fat one
+    values = [("s'", rep.s_prime) if rep.kind == "Parabolic"
+              else ("ratio", rep.certificate[2]) if rep.kind == "Fat"
+              else None for rep in reports]
+    for rep, value in zip(reports, values):
+        print("%s: %s%s" % (_dir_str(rep.direction), rep.kind,
+                            " %s=%s" % value if value else ""))
     _emit(args.output, census_to_json(reports) + "\n")
     if args.csv:
         lines = ["direction,class,xi,m,s_prime_or_ratio"]
-        for rep in reports:
-            if rep.kind == "Parabolic":
-                tail = str(rep.s_prime)
-            elif rep.kind == "Fat":
-                tail = str(rep.certificate[2])
-            else:
-                tail = ""
+        for rep, value in zip(reports, values):
             lines.append("\"%s\",%s,%s,%s,%s"
                          % (_dir_str(rep.direction), rep.kind,
                             "" if rep.xi is None else rep.xi,
-                            "" if rep.m is None else rep.m, tail))
+                            "" if rep.m is None else rep.m,
+                            value[1] if value else ""))
         _atomic_write(args.csv, "\n".join(lines) + "\n")
     if args.svg:
         entries = []

@@ -215,15 +215,11 @@ def _resolve_slit(base: Surface, slit: Slit, flow: _Flow) -> _ResolvedSlit:
     ends = [(pa, pt, flow.across(pt)) for pa, pt in targets]
 
     def hook(seg):
-        best = None
         leaf = flow.across(seg.a)
-        for pa, pt, pu in ends:
-            if pa != seg.polygon or pu != leaf:
-                continue
-            th = _param_on(seg, pt, flow.along)
-            if th is not None and (best is None or th < best):
-                best = th
-        return None if best is None else (best, "target")
+        hits = [_param_on(seg, pt, flow.along) for pa, pt, pu in ends
+                if pa == seg.polygon and pu == leaf]
+        hits = [th for th in hits if th is not None]
+        return (min(hits), "target") if hits else None
 
     if slit.corner is not None:
         ev = trace(base, corner=slit.corner, direction=flow, stop_on=hook)
@@ -482,8 +478,8 @@ def _finish_chord(p, dirc, comp):
 
 
 def _cut_complex(spec: CoverSpec):
-    """(resolved slits, one copy of the base cut open along them, pieces
-    per slit)."""
+    """(resolved slits, one copy of the base cut open along them); slit j
+    is cut into len(resolved[j].runs) pieces."""
     base = spec.base
     flows = {}  # one flow of the base per direction, shared by its slits
 
@@ -494,7 +490,6 @@ def _cut_complex(spec: CoverSpec):
 
     resolved = [_resolve_slit(base, s, flow(s.direction)) for s in spec.slits]
     _check_disjoint(resolved)
-    piece_counts = [len(rs.runs) for rs in resolved]
 
     cx = _Complex(base)
     chords, slides = _chart_chords(resolved, flow)
@@ -531,10 +526,10 @@ def _cut_complex(spec: CoverSpec):
             if cx.shape(p).locate(mid) == "outside":
                 other["polygon"] = pb
     banks = set(cx.bank.values())
-    if any((j, piece, side) not in banks for j, cnt in enumerate(piece_counts)
-           for piece in range(cnt) for side in "LR"):
+    if any((j, piece, side) not in banks for j, rs in enumerate(resolved)
+           for piece in range(len(rs.runs)) for side in "LR"):
         raise InconsistentTopology("a slit piece was cut without both banks")
-    return resolved, cx, piece_counts
+    return resolved, cx
 
 
 def _classes_over(cover: Surface, cx: _Complex, degree: int, ep: _Endpoint):
@@ -557,7 +552,7 @@ def _classes_over(cover: Surface, cx: _Complex, degree: int, ep: _Endpoint):
 def build_cover(spec: CoverSpec) -> Surface:
     """d sheet copies of the base, cut along the slits and cross-glued."""
     base = spec.base
-    resolved, cx, piece_counts = _cut_complex(spec)
+    resolved, cx = _cut_complex(spec)
     d = spec.degree
     P = len(cx.polys)
     polys = [cx.shape(q) for q in range(P)] * d
@@ -574,7 +569,7 @@ def build_cover(spec: CoverSpec) -> Surface:
             b = (pe2[0] + off, pe2[1])
             glue_pairs.add((a, b) if a <= b else (b, a))
     for j, perm in enumerate(spec.perms):
-        for piece in range(piece_counts[j]):
+        for piece in range(len(resolved[j].runs)):
             lp, le = bank[(j, piece, "L")]
             rp, re = bank[(j, piece, "R")]
             for i in range(d):
@@ -669,7 +664,7 @@ def _ramification(cover: Surface, spec: CoverSpec):
     the partition being the cone windings of the cover's vertex classes
     over that point.  Slits meeting at a point are counted there once, with
     the monodromy they make together."""
-    resolved, cx, _ = _cut_complex(spec)
+    resolved, cx = _cut_complex(spec)
     P = len(cx.polys)
     if len(cover.polygons) != spec.degree * P or any(
             cover.polygons[q].vertices != cx.polys[q % P]

@@ -61,28 +61,17 @@ there without locating it again; `locate_normalized` locates a point once
 for its aliases and both rays.
 
 Every trace of a decomposition runs up, east or west, so a decomposition
-makes one flow per direction (trace._Flow) and passes it to each trace.  On
-these axis flows a point's coordinates across and along the leaves are its
-own coordinates, the sign folded in (x and y for up, -y and x for east, y
-and -x for west), so no step takes a cross product with the direction.  As
-on every flow, an exit through an edge is read from the edge's line, solved
-once for the along-leaf coordinate, so it takes no division.  An edge table
-is built at most once per direction and distinct chart geometry (one
-Polygon, shared by the sheets of a cover), the first time a trace of that
-direction enters a chart with it.  It keeps the candidate edges of each slab
-between vertex coordinates and of each vertex coordinate's line, so an exit
-scans only the edges the ray can hit, and the flow memoizes the exit edge of
-each Polygon, entry edge and slab: a barrier leaf thousands of segments long
-re-enters its charts -- or another sheet's copies of them -- mostly in slabs
-it or an earlier leaf already crossed.  Each flow also keeps one sector row
-per distinct Polygon, so the corners the separatrices and width rays leave
-from, the corner a leaf goes on through at a regular vertex, and the two
-turns of each saddle connection on its west bank (from down to the first
-corner owning east, on the east flow; from east to the first owning up, on
-the up flow) are looked up, not tested, on every sheet but the first.  The
-Decomposition keeps its flows (`flows`), so the later rays of `locate` and
-the twists of `dehn_twist_point` and `twist_orbit` reuse the same tables and
-memo, and read the points of their rays (`_Flow.point_on`).
+makes one flow per direction (trace._Flow) and passes it to each trace.
+What a flow computes once -- the axis coordinates, the edge tables, the exit
+memo and the sector rows -- is set out in the `trace` module docstring.  A
+barrier leaf thousands of segments long re-enters its charts, or another
+sheet's copies of them, mostly in slabs it or an earlier leaf already
+crossed, and the two turns of each saddle connection on its west bank (from
+down to the first corner owning east, on the east flow; from east to the
+first owning up, on the up flow) read the sector rows.  The Decomposition
+keeps its flows (`flows`), so the later rays of `locate` and the twists of
+`dehn_twist_point` and `twist_orbit` reuse the same tables and memo, and
+read the points of their rays (`_Flow.point_on`).
 
 A surface's chart symmetries (`Surface._chart_symmetries`; on a slit cover,
 its deck transformations) carry the leaves and rays of one sheet onto the

@@ -621,32 +621,31 @@ def field_sqrt(x: FieldScalar, ambient_d: int = 0):
         return FieldScalar.rational(0)
     if x.is_rational:
         f = x.as_fraction()
-        rn, rd = math.isqrt(f.numerator), math.isqrt(f.denominator)
-        if rn * rn == f.numerator and rd * rd == f.denominator:
-            return FieldScalar.rational(Fraction(rn, rd))
-        if ambient_d:
-            g = f / ambient_d
-            rn, rd = math.isqrt(g.numerator), math.isqrt(g.denominator)
-            if rn * rn == g.numerator and rd * rd == g.denominator:
-                return FieldScalar(0, Fraction(rn, rd), ambient_d)
-        return None
+        r = _rational_sqrt(f)
+        if r is not None:
+            return FieldScalar.rational(r)
+        r = _rational_sqrt(f / ambient_d) if ambient_d else None
+        return None if r is None else FieldScalar(0, r, ambient_d)
     # solve (u + w*sqrt(d))^2 = a + b*sqrt(d)
     a, b, d = x.a, x.b, x.d
-    disc = a * a - d * b * b
-    rn, rd = math.isqrt(abs(disc.numerator)), math.isqrt(disc.denominator)
-    if disc < 0 or rn * rn != disc.numerator or rd * rd != disc.denominator:
+    s = _rational_sqrt(a * a - d * b * b)
+    if s is None:
         return None
-    s = Fraction(rn, rd)
     for u2 in ((a + s) / 2, (a - s) / 2):
-        if u2 <= 0:
-            continue
-        un, ud = math.isqrt(u2.numerator), math.isqrt(u2.denominator)
-        if un * un == u2.numerator and ud * ud == u2.denominator:
-            u = Fraction(un, ud)
-            w = b / (2 * u)
-            cand = FieldScalar(u, w, d)
+        u = _rational_sqrt(u2)
+        if u:
+            cand = FieldScalar(u, b / (2 * u), d)
             if cand * cand == x:
                 return cand if cand.sign() > 0 else -cand
+    return None
+
+
+def _rational_sqrt(f: Fraction):
+    """The rational r >= 0 with r * r == f, or None when there is none."""
+    if f >= 0:
+        rn, rd = math.isqrt(f.numerator), math.isqrt(f.denominator)
+        if rn * rn == f.numerator and rd * rd == f.denominator:
+            return Fraction(rn, rd)
     return None
 
 

@@ -44,8 +44,11 @@ every problem of a description as a (validate tag, exception type, message)
 triple; the constructor raises the first one and `validate` reports them all.
 A chart that passes through a point twice is refused (`RepeatedVertex`), as
 a chart with no other problem: `Polygon.locate`, the corner tables and the
-cutter of `covers` each take a vertex for one corner.  Edges that cross
-between vertices are not looked for.
+cutter of `covers` each take a vertex for one corner.  So is a chart, with
+no other problem, two of whose edges that are not adjacent cross or touch
+(`CrossingEdges`): the edge tables of `trace` take each chart for a simple
+polygon.  Only the pairs whose boxes overlap on integer floors of the
+coordinates are tested exactly (`_meeting_edges`).
 
 One routine (`Surface._point`) names a point: it locates the point in the
 chart it is given in and lists every chart representative of it, canonical
@@ -73,23 +76,25 @@ so far do not already reach, and the set is closed under composition, so
 it is the whole group; a complex in several pieces keeps only the
 identity.  Symmetries say nothing of marked points: what reads marks must
 not use them, and `cylinders` maps only traces that ignore marks.
-`transform` hands the table on with the combinatorics.
+`transform` shares the table with the image.
 
-`transform` maps the charts, the edge translations and the marked points and
-carries the combinatorics over unchecked: the partner map, vertex classes,
-corner cycles, cone windings and chart symmetries are shared with the source
-surface.  That is sound because a positive-determinant linear map keeps
-every checked property, and each distinct Polygon is mapped once, which
-keeps every chart symmetry.  The map takes edges to edges and opposite
-vectors to opposite vectors, keeps polygons counterclockwise and corners
-of nonzero angle, maps each corner sector onto a sector in the same cyclic
-order (so a cycle sweeps the same total angle), and keeps a point
-interior, on an edge or at a vertex.  Only the field can change, since the
-matrix can bring in a radical: it is settled again from the vertices, and
-the marked points' field tags are tested against it by the constructor's
-own test (`_mark_field_clash`: all nonzero tags of the surface and its
-marks agree), so FieldMismatch is raised exactly where the constructor
-would raise it on the mapped description.  The constructor stays the only
+`transform` maps the charts, the edge translations and the marked points,
+copies the point labels, settles the field again, and shares every other
+slot of the source surface unchecked, whatever the constructor derived:
+the partner map, vertex classes, corner cycles, cone windings and chart
+symmetries among them.  That is sound because a positive-determinant
+linear map keeps every checked property, and each distinct Polygon is
+mapped once, which keeps every chart symmetry.  The map takes edges to
+edges and opposite vectors to opposite vectors, keeps polygons
+counterclockwise, simple and with corners of nonzero angle, maps each
+corner sector onto a sector in the same cyclic order (so a cycle sweeps
+the same total angle), and keeps a point interior, on an edge or at a
+vertex.  Only the field can change, since the matrix can bring in a
+radical: it is settled again from the vertices, and the marked points'
+field tags are tested against it by the constructor's own test
+(`_mark_field_clash`: all nonzero tags of the surface and its marks
+agree), so FieldMismatch is raised exactly where the constructor would
+raise it on the mapped description.  The constructor stays the only
 way in for outside descriptions.
 
 Corner convention: corner (p, v) sits at vertex v of polygon p, between the
@@ -102,9 +107,9 @@ from __future__ import annotations
 
 from .errors import (FieldMismatch, InconsistentTopology, InvalidParams,
                      VeechkitError)
-from .field import FieldScalar, _check_squarefree, _compass, scalar
+from .field import FieldScalar, _check_squarefree, _compass, _sort_key, scalar
 from .geometry import (Mat2, Vec2, _as_vec, _locate, ccw_sector_contains,
-                       cross, parallel, same_ray)
+                       cross, parallel, same_ray, segments_intersect)
 
 Corner = tuple  # (polygon index, vertex index)
 
@@ -185,6 +190,13 @@ class MarkedPoint:
 
 
 class Surface:
+    # every attribute, all shared by `transform` but the five a map changes;
+    # slots, as reading a __dict__ slows each later attribute load (3.11)
+    __slots__ = ("polygons", "field_d", "partner", "translation",
+                 "vertex_classes", "corner_cycles", "cone_windings",
+                 "class_of", "singular_classes", "_symmetries",
+                 "point_labels", "marked")
+
     def __init__(self, polygons, gluings, field_d=None, marked=(),
                  point_labels=None):
         self.polygons = _interned(polygons)
@@ -378,8 +390,8 @@ class Surface:
         """Apply a positive-determinant matrix to every chart.
 
         The image is not re-validated (see the module docstring): the charts,
-        translations and marked points are mapped, the combinatorial tables
-        are shared with this surface, and only the field is checked again.
+        translations and marked points are mapped, every other table is
+        shared with this surface, and only the field is checked again.
         Each distinct chart is mapped once, and its image is shared by the
         same indices as the chart.
         """
@@ -402,16 +414,11 @@ class Surface:
         if clash:
             raise FieldMismatch(clash)
         image = Surface.__new__(Surface)
+        for name in Surface.__slots__:  # every table, shared
+            setattr(image, name, getattr(self, name))
         image.polygons = polygons
         image.field_d = field_d
-        image.partner = self.partner
         image.translation = _translations(polygons, self.partner)
-        image.vertex_classes = self.vertex_classes
-        image.class_of = self.class_of
-        image.corner_cycles = self.corner_cycles
-        image.cone_windings = self.cone_windings
-        image.singular_classes = self.singular_classes
-        image._symmetries = self._symmetries
         image.point_labels = dict(self.point_labels)
         image.marked = marked
         return image
@@ -838,7 +845,43 @@ def _polygon_problems(i, poly):
     if not problems and len(set(poly.vertices)) < poly.n:
         problems.append(("RepeatedVertex(%d)" % i, InvalidParams,
                          "polygon %d passes through a vertex twice" % i))
+    meet = None if problems else _meeting_edges(poly)
+    if meet:
+        problems.append(("CrossingEdges(%d)" % i, InvalidParams,
+                         "polygon %d has edges %d and %d that cross or touch"
+                         % ((i,) + meet)))
     return problems
+
+
+def _meeting_edges(poly):
+    """The first pair (e, f), e < f, of edges of `poly` that are neither
+    adjacent nor parallel and share a point, or None when there is none.
+
+    Each edge's box is taken on the integer floors `field._sort_key` gives
+    its ends' coordinates, which contain the exact box, so only the pairs
+    whose floor boxes overlap go to `segments_intersect`.  Parallel edges
+    that overlap on a line leave a repeated vertex, a corner of zero angle
+    or a vertex on an edge it is not parallel to, so the checker refuses
+    such a chart all the same."""
+    vs, n = poly.vertices, poly.n
+    xs = [_sort_key(v.x)[0] for v in vs]
+    ys = [_sort_key(v.y)[0] for v in vs]
+    lx, hx, ly, hy = [], [], [], []  # each edge's floor box
+    for e in range(n):
+        f = e + 1 - n  # the next vertex, by a negative index
+        x, u, y, w = xs[e], xs[f], ys[e], ys[f]
+        lx.append(x if x < u else u)
+        hx.append(u if x < u else x)
+        ly.append(y if y < w else w)
+        hy.append(w if y < w else y)
+    for e in range(n - 2):
+        x0, x1, y0, y1 = lx[e], hx[e], ly[e], hy[e]
+        for f in range(e + 2, n if e else n - 1):
+            if (lx[f] <= x1 and x0 <= hx[f] and ly[f] <= y1 and y0 <= hy[f]
+                    and segments_intersect(vs[e], vs[e + 1], vs[f],
+                                           vs[f + 1 - n]) is not None):
+                return e, f
+    return None
 
 
 def validate(polygons, gluings, field_d=None, marked=()):

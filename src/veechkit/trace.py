@@ -61,9 +61,8 @@ per (Polygon, vertex, start).  A flow keeps nothing per chart index or per
 corner.  A flow lives as long as its caller keeps it -- one trace, or one
 decomposition -- and is never stored on the surface.  The candidate lists
 and the memo rely on each chart being a simple polygon, whose edges meet
-only at its vertices.  The surface checker refuses a chart that passes
-through a vertex twice; one whose edges cross between vertices still
-passes it.
+only at its vertices: the surface checker refuses a chart that passes
+through a vertex twice or whose edges cross or touch.
 
 Each trace builds, when it starts, the table of the points it can stop at:
 per chart, the start's aliases (a closing) and every alias of every mark,
@@ -88,7 +87,7 @@ read.
 from __future__ import annotations
 
 from bisect import bisect_left
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 
 from .errors import (AmbiguousStart, InconsistentTopology, InvalidParams,
                      TraceOverflow)
@@ -654,13 +653,8 @@ def trace(surface, polygon=None, point=None, direction=None, *, corner=None,
         if arrive is not None and surface.is_singular_corner(arrive):
             hits.append((seg.tau1, _RANK[SINGULAR], SINGULAR, arrive))
 
-        if hits:
-            best = hits[0]
-            for h in hits[1:]:
-                dcmp = h[0]._cmp(best[0])
-                if dcmp < 0 or (dcmp == 0 and h[1] < best[1]):
-                    best = h
-            th, _, kind, payload = best
+        if hits:  # the earliest, and at one tau the least rank
+            th, _, kind, payload = min(hits, key=itemgetter(0, 1))
             if th < seg.tau1:  # cut before its end: off every vertex
                 seg = Segment(seg.polygon, seg.a, flow.point_on(seg, th),
                               seg.slide, seg.tau0, th, edge=seg.edge,

@@ -7,7 +7,8 @@ import re
 import pytest
 
 import veechkit.svg
-from test_surface import pinched_json
+from test_covers import PINCHED
+from test_surface import CROSSING, description_json
 from veechkit import cli
 from veechkit.cylinders import decompose, torus_signature
 from veechkit.field import FieldScalar
@@ -342,10 +343,18 @@ def test_integer_coordinates_exit_1(tmp_path, capsys):
 
 def test_a_chart_through_a_vertex_twice_exits_1(tmp_path, capsys):
     path = tmp_path / "pinched.json"
-    path.write_text(json.dumps(pinched_json()))
+    path.write_text(json.dumps(description_json(PINCHED)))
     rc, _, err = run(capsys, "info", str(path))
     assert rc == 1
     assert err == "error: polygon 0 passes through a vertex twice\n"
+
+
+def test_a_chart_whose_edges_cross_exits_1(tmp_path, capsys):
+    path = tmp_path / "crossing.json"
+    path.write_text(json.dumps(description_json(CROSSING)))
+    rc, _, err = run(capsys, "info", str(path))
+    assert rc == 1
+    assert err == "error: polygon 0 has edges 2 and 4 that cross or touch\n"
 
 
 def test_domain_error_exits_1(tmp_path, capsys):

@@ -582,6 +582,48 @@ def test_field_sqrt_of_squares(x):
     assert r.sign() >= 0
 
 
+@st.composite
+def roots_asked(draw):
+    """(x, ambient_d): over Q, Q(sqrt2) or Q(sqrt5), a square y^2, a square
+    times a small rational (a square again when that is), or any element;
+    or r^2 * a for rational r and a = 2 or 5, a square only in Q(sqrt a).
+    A rational x is asked with an ambient field Q, Q(sqrt2) or Q(sqrt5),
+    the last form always with Q(sqrt a)."""
+    d = draw(st.sampled_from(FIELDS))
+    part = (lambda: draw(fracs())) if d else (lambda: Fraction(0))
+    y = FieldScalar(draw(fracs()), part(), d)
+    form = draw(st.sampled_from(("square", "times", "any", "ambient")))
+    if form == "ambient":
+        a, r = draw(st.sampled_from((2, 5))), scalar(draw(fracs()))
+        return r * r * a, a
+    if form == "square":
+        x = y * y
+    elif form == "times":
+        x = y * y * draw(st.sampled_from((-1, 2, 3, 5, 10, Fraction(1, 5),
+                                          Fraction(9, 20))))
+    else:
+        x = FieldScalar(draw(fracs()), part(), d)
+    ambient = draw(st.sampled_from(FIELDS)) if x.is_rational else 0
+    return x, ambient
+
+
+@settings(max_examples=100, deadline=None)
+@given(roots_asked())
+def test_field_sqrt_is_none_exactly_when_sympy_finds_no_root(asked):
+    # t^2 - x factors into linear factors over the field exactly when x
+    # has a square root there
+    x, ambient = asked
+    d = x.d or ambient
+    domain = sympy.QQ.algebraic_field(sympy.sqrt(d)) if d else sympy.QQ
+    t = sympy.Symbol("t")
+    factors = sympy.Poly(t * t - to_sympy(x), t, domain=domain).factor_list()
+    has_root = any(f.degree() == 1 for f, _ in factors[1])
+    r = field_sqrt(x, ambient_d=ambient)
+    assert (r is not None) == has_root
+    if r is not None:
+        assert r * r == x and r.sign() >= 0 and r.d in (0, d)
+
+
 # ---------------------------------------------------------------------------
 # commensurability
 # ---------------------------------------------------------------------------

@@ -9,17 +9,18 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from test_covers import PINCHED, cyclic_covers
 from veechkit.errors import (FieldMismatch, InconsistentTopology, InvalidParams,
                              VeechkitError)
 from veechkit.field import FieldScalar, scalar
-from veechkit.geometry import (Mat2, Vec2, cross, polygon_contains,
-                               segment_point)
+from veechkit.geometry import (Mat2, Vec2, cross, dot, polygon_contains,
+                               segment_point, segments_intersect)
 from veechkit.surface import (MarkedPoint, Polygon, Surface, _gluing_sides,
-                              _interned, singularities, validate)
+                              _interned, _meeting_edges, _polygon_problems,
+                              singularities, validate)
 
 PHI = FieldScalar(Fraction(1, 2), Fraction(1, 2), 5)
 
@@ -163,6 +164,9 @@ def test_validate_good_and_broken():
 SQ = [[(0, 0), (1, 0), (1, 1), (0, 1)]]
 SQ_GLUE = [((0, 0), (0, 2)), ((0, 1), (0, 3))]
 ROOT2 = FieldScalar(0, 1, 2)
+# a chart whose edge 4, (1, 3) -> (1, 1), crosses its edge 2 at (1, 2)
+CROSSING = ([[(0, 0), (2, 0), (2, 2), (0, 2), (1, 3), (1, 1)]],
+            [((0, 0), (0, 2)), ((0, 1), (0, 4)), ((0, 3), (0, 5))])
 
 # (description, validate tags as a sorted list, constructor exception type and
 # message); one broken input per validate tag, plus errors found only once
@@ -222,6 +226,8 @@ BROKEN = [
     # two squares meeting at (1, 1), one chart through (1, 1) twice
     (PINCHED, ["RepeatedVertex(0)"],
      InvalidParams, "polygon 0 passes through a vertex twice"),
+    (CROSSING, ["CrossingEdges(0)"],
+     InvalidParams, "polygon 0 has edges 2 and 4 that cross or touch"),
 ]
 
 
@@ -537,13 +543,34 @@ def constructed_image(surf, mat):
                    point_labels=surf.point_labels)
 
 
-def assert_same_image(got, expect):
+# what a map recomputes; every other table of an image is its source's own
+MAPPED = {"polygons", "field_d", "translation", "marked", "point_labels"}
+
+
+def assert_same_image(got, expect, source):
+    """`got`, the image of `source` by transform, against `expect`, the same
+    image built by the constructor: every attribute (every slot of Surface)
+    is equal, and each one a map keeps is the source's own object, so a
+    table added to the constructor is checked here unnamed."""
+    for name in Surface.__slots__:
+        if name not in MAPPED:
+            assert getattr(got, name) is getattr(source, name), name
+    assert got.point_labels is not source.point_labels
     assert got == expect
-    for name in ("translation", "vertex_classes", "class_of",
-                 "corner_cycles", "cone_windings", "singular_classes"):
-        assert getattr(got, name) == getattr(expect, name), name
-    assert [(mp.kind, mp.where, mp.aliases) for mp in got.marked] == \
-        [(mp.kind, mp.where, mp.aliases) for mp in expect.marked]
+    for name in Surface.__slots__:
+        value = getattr(expect, name)
+        if name == "polygons":
+            assert [p.vertices for p in got.polygons] == \
+                [p.vertices for p in value]
+        elif name == "marked":
+            assert [(mp.polygon, mp.at, mp.label, mp.kind, mp.where,
+                     mp.aliases) for mp in got.marked] == \
+                [(mp.polygon, mp.at, mp.label, mp.kind, mp.where, mp.aliases)
+                 for mp in value]
+        elif name == "_symmetries":  # found on first use, by either
+            assert got._chart_symmetries() == expect._chart_symmetries()
+        else:
+            assert getattr(got, name) == value, name
 
 
 @st.composite
@@ -599,15 +626,17 @@ def positive_matrices(draw):
 
 
 @settings(max_examples=100, deadline=None)
-@given(marked_surfaces(), positive_matrices())
-def test_transform_matches_the_constructor(surf, mat):
+@given(marked_surfaces(), positive_matrices(), st.booleans())
+def test_transform_matches_the_constructor(surf, mat, found):
+    if found:  # the image shares the symmetries, found or not yet
+        surf._chart_symmetries()
     try:
         expect = constructed_image(surf, mat)
     except FieldMismatch:
         with pytest.raises(FieldMismatch):
             surf.transform(mat)
         return
-    assert_same_image(surf.transform(mat), expect)
+    assert_same_image(surf.transform(mat), expect, surf)
 
 
 @settings(max_examples=50, deadline=None)
@@ -738,9 +767,10 @@ def test_from_json_raises_typed_errors():
     assert FieldScalar.from_json("1/2") == FieldScalar.from_json({"a": "1/2"})
 
 
-def pinched_json():
-    """The surface JSON of the pinched chart, which no Surface holds."""
-    polys, gluings = PINCHED
+def description_json(description):
+    """The surface JSON of a (polygons, gluings) description, checked or
+    not."""
+    polys, gluings = description
     return {"polygons": [{"vertices": [[str(x), str(y)] for x, y in poly]}
                          for poly in polys],
             "gluings": [{"p1": a[0], "e1": a[1], "p2": b[0], "e2": b[1]}
@@ -750,7 +780,66 @@ def pinched_json():
 def test_from_json_refuses_a_chart_through_a_vertex_twice():
     with pytest.raises(InvalidParams,
                        match="polygon 0 passes through a vertex twice"):
-        Surface.from_json(pinched_json())
+        Surface.from_json(description_json(PINCHED))
+
+
+def test_from_json_refuses_a_chart_whose_edges_cross():
+    with pytest.raises(InvalidParams, match="^polygon 0 has edges 2 and 4 "
+                                            "that cross or touch$"):
+        Surface.from_json(description_json(CROSSING))
+
+
+def test_edges_that_touch_or_cross_off_the_rationals_are_refused():
+    # vertex 4, (2, 0), touches edge 0 between its ends; and the crossing
+    # chart stretched by the golden ratio still crosses, where only exact
+    # arithmetic on Q(sqrt5) can tell
+    touch = [(0, 0), (4, 0), (4, 2), (3, 2), (2, 0), (1, 2), (0, 2)]
+    assert _polygon_problems(0, Polygon(touch))[0][0] == "CrossingEdges(0)"
+    stretch = Mat2(PHI, 0, 0, 1)
+    polys = [[stretch * Vec2(x, y) for x, y in CROSSING[0][0]]]
+    assert validate(polys, CROSSING[1]) == ["CrossingEdges(0)"]
+
+
+def share_point(a, b, c, d):
+    """Whether segments [a, b] and [c, d] meet, collinear overlaps
+    included: the reference for the checker's crossing test."""
+    if segments_intersect(a, b, c, d) is not None:
+        return True
+    e = b - a
+    if cross(e, d - c) or cross(e, c - a):
+        return False  # not collinear
+    (lo, hi), (lo2, hi2) = (sorted([dot(e, p), dot(e, q)])
+                            for p, q in ((a, b), (c, d)))
+    return max(lo, lo2) <= min(hi, hi2)
+
+
+@st.composite
+def vertex_loops(draw):
+    """3 to 8 distinct points of a 4 x 4 grid, now and then stretched
+    horizontally by the golden ratio, as a chart's vertex list."""
+    pts = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                        min_size=3, max_size=8, unique=True))
+    scale = draw(st.sampled_from((1, PHI)))
+    return [Vec2(x * scale, y) for x, y in pts]
+
+
+@settings(max_examples=300, deadline=None)
+@given(vertex_loops())
+# edges 0 and 3 overlap on the line y = 2, and no two edges cross
+@example([Vec2(x, y) for x, y in ((2, 2), (0, 2), (2, 1), (3, 2), (1, 2))])
+def test_a_chart_with_meeting_edges_has_a_problem(vs):
+    # the floor boxes drop no pair that meets, and a chart whose edges meet
+    # on a line, where segments_intersect sees nothing, shows another problem
+    poly, n = Polygon(vs), len(vs)
+    pairs = [(e, f) for e in range(n) for f in range(e + 2, n)
+             if (e, f) != (0, n - 1)]
+    crossing = [(e, f) for e, f in pairs if segments_intersect(
+        vs[e], vs[(e + 1) % n], vs[f], vs[(f + 1) % n]) is not None]
+    meeting = [(e, f) for e, f in pairs if share_point(
+        vs[e], vs[(e + 1) % n], vs[f], vs[(f + 1) % n])]
+    assert _meeting_edges(poly) == (crossing[0] if crossing else None)
+    if meeting:
+        assert _polygon_problems(0, poly)
 
 
 def test_transform_preserves_structure():
